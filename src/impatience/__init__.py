@@ -48,6 +48,7 @@ from .predictor import (
     ConvergenceError,
     CtrModel,
     DisplayEvent,
+    DisplayEvents,
     calibration_curve,
     events_from_trace,
     fit_ctr,

@@ -29,6 +29,7 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
+    _check_boundaries,
     read_log,
     write_log,
 )
@@ -67,8 +68,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.bucket_boundaries, self.bucket_boundaries[1:])):
-            raise ValidationError("bucket_boundaries must be strictly increasing")
+        _check_boundaries(self.bucket_boundaries)
 
     def to_json(self) -> dict:
         return {
@@ -525,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism hint; results are independent of it")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         return p
 

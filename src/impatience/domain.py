@@ -8,6 +8,7 @@ are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,8 @@ _USER_FIELDS = (
     "n_auctions",
     "n_wins",
 )
+_INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
+_FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
 
 
 class ValidationError(ValueError):
@@ -67,6 +70,8 @@ def assign_clusters(exposures: np.ndarray, boundaries: tuple[int, ...] = DEFAULT
 def _check_boundaries(boundaries: tuple[int, ...]) -> None:
     if len(boundaries) == 0:
         raise ValidationError("bucket boundaries must be non-empty")
+    if boundaries[0] < 0:
+        raise ValidationError(f"bucket boundaries must be non-negative, got {boundaries}")
     if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
         raise ValidationError(f"bucket boundaries must be strictly increasing, got {boundaries}")
 
@@ -104,14 +109,21 @@ class UserRecord:
     n_wins: int
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValidationError(f"user {self.user_id}: theta must be > 0, got {self.theta}")
+        # chained comparisons with inf also reject NaN
+        if not 0 < self.theta < math.inf:
+            raise ValidationError(f"user {self.user_id}: theta must be finite and > 0, got {self.theta}")
         if self.exposure_at_start < 0:
             raise ValidationError(f"user {self.user_id}: exposure_at_start must be >= 0")
-        if self.cost < 0:
-            raise ValidationError(f"user {self.user_id}: cost must be >= 0, got {self.cost}")
-        if self.value_observed < 0 or self.value_predicted < 0:
-            raise ValidationError(f"user {self.user_id}: values must be >= 0")
+        if not 0 <= self.cost < math.inf:
+            raise ValidationError(f"user {self.user_id}: cost must be finite and >= 0, got {self.cost}")
+        if not 0 <= self.value_observed < math.inf:
+            raise ValidationError(
+                f"user {self.user_id}: value_observed must be finite and >= 0, got {self.value_observed}"
+            )
+        if not 0 <= self.value_predicted < math.inf:
+            raise ValidationError(
+                f"user {self.user_id}: value_predicted must be finite and >= 0, got {self.value_predicted}"
+            )
         if not 0 <= self.n_wins <= self.n_auctions:
             raise ValidationError(
                 f"user {self.user_id}: need 0 <= n_wins <= n_auctions, "
@@ -293,11 +305,16 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"malformed header: {exc}", 1) from exc
+    if not isinstance(header, dict):
+        raise LogFormatError("header must be a JSON object", 1)
     if header.get("schema") != SCHEMA_VERSION:
         raise LogFormatError(f"unsupported schema {header.get('schema')!r}", 1)
     try:
         spec = RandomizationSpec(float(header["mu"]), float(header["sigma"]))
-        boundaries = tuple(int(b) for b in header["bucket_boundaries"])
+        boundaries = tuple(header["bucket_boundaries"])
+        if not all(type(b) is int for b in boundaries):
+            raise ValidationError(f"bucket boundaries must be integers, got {list(boundaries)}")
+        _check_boundaries(boundaries)
     except (KeyError, TypeError, ValueError) as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
@@ -310,21 +327,31 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LogFormatError(f"malformed user line: {exc}", lineno) from exc
+        if not isinstance(raw, dict):
+            raise LogFormatError("user line must be a JSON object", lineno)
         missing = [f for f in _USER_FIELDS if f not in raw]
         if missing:
             raise LogFormatError(f"missing fields {missing}", lineno)
+        # JSON numbers only: no strings, nulls or booleans, and no
+        # fractional counts (int() would truncate them)
+        for f in _INT_FIELDS:
+            if type(raw[f]) is not int:
+                raise LogFormatError(f"{f} must be an integer, got {raw[f]!r}", lineno)
+        for f in _FLOAT_FIELDS:
+            if type(raw[f]) is not float and type(raw[f]) is not int:
+                raise LogFormatError(f"{f} must be a number, got {raw[f]!r}", lineno)
         try:
             users.append(
                 UserRecord(
                     user_id=str(raw["user_id"]),
                     theta=float(raw["theta"]),
-                    exposure_at_start=int(raw["exposure_at_start"]),
-                    cluster=int(raw["cluster"]),
+                    exposure_at_start=raw["exposure_at_start"],
+                    cluster=raw["cluster"],
                     cost=float(raw["cost"]),
                     value_observed=float(raw["value_observed"]),
                     value_predicted=float(raw["value_predicted"]),
-                    n_auctions=int(raw["n_auctions"]),
-                    n_wins=int(raw["n_wins"]),
+                    n_auctions=raw["n_auctions"],
+                    n_wins=raw["n_wins"],
                 )
             )
         except ValidationError as exc:

@@ -5,12 +5,20 @@ line search. The fatigue variable (prior ad exposure at display time)
 enters as a one-hot over exposure buckets; leaving it out makes the
 model overpredict on recently exposed users, which the calibration
 curve makes visible.
+
+Display events are held as columns (:class:`DisplayEvents`). The fit
+runs on sufficient statistics: events that share a design row are
+merged into one row with a trial count and a positive count, so with
+fatigue as the only feature the ascent touches one row per exposure
+bucket whatever the number of events. The objective is still the mean
+log-likelihood over all events.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +47,65 @@ class DisplayEvent:
     features: tuple[float, ...] = ()
 
 
-def events_from_trace(exposure: np.ndarray, converted: np.ndarray) -> list[DisplayEvent]:
+class DisplayEvents(Sequence):
+    """Display events as columns: fatigue ints, converted bools and an
+    (n, d) context-feature matrix.
+
+    Behaves as a read-only sequence of :class:`DisplayEvent`: integer
+    indexing and iteration yield rows, slicing yields `DisplayEvents`.
+    """
+
+    __slots__ = ("fatigue", "converted", "features")
+
+    def __init__(self, fatigue, converted, features=None):
+        fatigue = np.asarray(fatigue, dtype=np.int64)
+        converted = np.asarray(converted, dtype=bool)
+        n = len(fatigue)
+        features = np.empty((n, 0)) if features is None else np.asarray(features, dtype=np.float64)
+        if fatigue.ndim != 1 or converted.shape != (n,) or features.ndim != 2 or len(features) != n:
+            raise ValidationError(
+                f"columns disagree: fatigue {fatigue.shape}, converted {converted.shape}, "
+                f"features {features.shape}"
+            )
+        self.fatigue = fatigue
+        self.converted = converted
+        self.features = features
+
+    @classmethod
+    def of(cls, events: Iterable[DisplayEvent]) -> "DisplayEvents":
+        """Columns of `events`; a `DisplayEvents` is returned as is."""
+        if isinstance(events, DisplayEvents):
+            return events
+        events = list(events)
+        widths = {len(e.features) for e in events}
+        if len(widths) > 1:
+            raise ValidationError(f"events carry differing numbers of context features: {sorted(widths)}")
+        features = np.array([e.features for e in events], dtype=np.float64)
+        return cls(
+            [e.fatigue for e in events],
+            [e.converted for e in events],
+            features.reshape(len(events), widths.pop() if widths else 0),
+        )
+
+    @property
+    def n_context(self) -> int:
+        return self.features.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.fatigue)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DisplayEvents(self.fatigue[index], self.converted[index], self.features[index])
+        i = operator.index(index)
+        return DisplayEvent(
+            int(self.fatigue[i]), bool(self.converted[i]), tuple(self.features[i].tolist())
+        )
+
+
+def events_from_trace(exposure: np.ndarray, converted: np.ndarray) -> DisplayEvents:
     """Wrap a simulator display trace as events."""
-    return [DisplayEvent(fatigue=int(k), converted=bool(c)) for k, c in zip(exposure, converted)]
+    return DisplayEvents(exposure, converted)
 
 
 @dataclass(frozen=True)
@@ -53,12 +117,12 @@ class CtrModel:
     fatigue_boundaries: tuple[int, ...]
     n_context_features: int
 
-    def design_matrix(self, events: Sequence[DisplayEvent]) -> np.ndarray:
+    def design_matrix(self, events: Iterable[DisplayEvent]) -> np.ndarray:
         return _design_matrix(
             events, self.includes_fatigue, self.fatigue_boundaries, self.n_context_features
         )
 
-    def predict_proba(self, events: Sequence[DisplayEvent]) -> np.ndarray:
+    def predict_proba(self, events: Iterable[DisplayEvent]) -> np.ndarray:
         z = self.design_matrix(events) @ np.asarray(self.weights)
         return _sigmoid(z)
 
@@ -72,47 +136,110 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _design(bucket: np.ndarray, context: np.ndarray, include_fatigue: bool, n_buckets: int) -> np.ndarray:
+    """Design rows [1, context, one-hot(bucket)]; bucket 0 is the reference level."""
+    n = len(bucket)
+    cols = [np.ones((n, 1)), context]
+    if include_fatigue:
+        onehot = np.zeros((n, n_buckets - 1))
+        nonzero = bucket > 0
+        onehot[nonzero, bucket[nonzero] - 1] = 1.0
+        cols.append(onehot)
+    return np.hstack(cols)
+
+
 def _design_matrix(
-    events: Sequence[DisplayEvent],
+    events: Iterable[DisplayEvent],
     include_fatigue: bool,
     boundaries: tuple[int, ...],
     n_context: int,
 ) -> np.ndarray:
-    n = len(events)
-    cols = [np.ones(n)]
-    if n_context:
-        bad = next((e for e in events if len(e.features) != n_context), None)
-        if bad is not None:
-            raise ValidationError(
-                f"expected {n_context} context features per event, got {len(bad.features)}"
-            )
-        ctx = np.array([e.features for e in events], dtype=np.float64)
-        cols.append(ctx)
-    if include_fatigue:
-        fat = np.array([e.fatigue for e in events])
-        bucket = assign_clusters(fat, boundaries)
-        onehot = np.zeros((n, len(boundaries)))  # bucket 0 is the reference level
-        nonzero = bucket > 0
-        onehot[nonzero, bucket[nonzero] - 1] = 1.0
-        cols.append(onehot)
-    return np.column_stack(cols)
+    events = DisplayEvents.of(events)
+    if events.n_context != n_context:
+        raise ValidationError(
+            f"expected {n_context} context features per event, got {events.n_context}"
+        )
+    bucket = assign_clusters(events.fatigue, boundaries)
+    return _design(bucket, events.features, include_fatigue, len(boundaries) + 1)
 
 
-def penalized_loglik(weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Mean Bernoulli log-likelihood minus (l2/2) ||w||^2."""
-    z = X @ weights
-    # log(sigmoid(z)) and log(1 - sigmoid(z)) via logaddexp for stability
-    ll = -(np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (1 - y)).mean()
-    return float(ll - 0.5 * l2 * weights @ weights)
+def _softplus_change(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """softplus(z + dz) - softplus(z), accurate to the rounding of dz itself."""
+    # log1p(sigmoid(z) * expm1(dz)) for dz >= 0; mirror through
+    # softplus(x) = x + softplus(-x) for dz < 0, so log1p never sees an
+    # argument near -1. Overflow on huge dz gives inf or nan, which the
+    # line search rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.minimum(dz, 0.0) + np.log1p(_sigmoid(np.where(dz < 0, -z, z)) * np.expm1(np.abs(dz)))
 
 
-def loglik_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+def penalized_loglik(
+    weights: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    l2: float,
+    counts: np.ndarray | None = None,
+    base: np.ndarray | None = None,
+) -> float:
+    """Mean Bernoulli log-likelihood minus (l2/2) ||w||^2.
+
+    Without `counts` each row of `X` is one event and `y` its 0/1
+    outcome. With `counts`, row i stands for `counts[i]` events of which
+    `y[i]` converted, and the mean is taken over all `counts.sum()` events.
+
+    With `base`, returns the objective at `weights` minus the objective at
+    `base`, computed from each row's change of score. It stays accurate
+    when that change is below the rounding error of the objective itself,
+    which the line search of :func:`fit_ctr` needs near the optimum.
+    """
+    n = np.ones_like(y) if counts is None else counts
+    if base is None:
+        z = X @ weights
+        # log(sigmoid(z)) and log(1 - sigmoid(z)) via logaddexp for stability
+        loss = np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (n - y)
+        penalty = weights @ weights
+    else:
+        z, dz = X @ base, X @ (weights - base)
+        loss = _softplus_change(-z, -dz) * y + _softplus_change(z, dz) * (n - y)
+        penalty = (weights - base) @ (weights + base)
+    return float(-loss.sum() / n.sum() - 0.5 * l2 * penalty)
+
+
+def loglik_gradient(
+    weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of :func:`penalized_loglik`, with the same arguments."""
+    n = np.ones_like(y) if counts is None else counts
     p = _sigmoid(X @ weights)
-    return X.T @ (y - p) / len(y) - l2 * weights
+    return X.T @ (y - n * p) / n.sum() - l2 * weights
+
+
+def _sufficient_stats(
+    events: DisplayEvents, include_fatigue: bool, boundaries: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct design rows, their positive counts and their event counts."""
+    y = events.converted.astype(np.float64)
+    n_buckets = len(boundaries) + 1
+    if include_fatigue:
+        bucket = assign_clusters(events.fatigue, boundaries)
+    else:
+        bucket = np.zeros(len(events), dtype=np.intp)
+    if events.n_context == 0:
+        # the design row is a function of the bucket alone
+        counts = np.bincount(bucket, minlength=n_buckets).astype(np.float64)
+        positives = np.bincount(bucket, weights=y, minlength=n_buckets)
+        levels = np.flatnonzero(counts)
+        X = _design(levels, np.empty((len(levels), 0)), include_fatigue, n_buckets)
+        return X, positives[levels], counts[levels]
+    X, row = np.unique(
+        _design(bucket, events.features, include_fatigue, n_buckets), axis=0, return_inverse=True
+    )
+    row = row.reshape(-1)
+    return X, np.bincount(row, weights=y), np.bincount(row).astype(np.float64)
 
 
 def fit_ctr(
-    events: Sequence[DisplayEvent],
+    events: Iterable[DisplayEvent],
     include_fatigue: bool = True,
     l2: float = 0.0,
     max_iters: int = 10_000,
@@ -122,44 +249,44 @@ def fit_ctr(
 ) -> CtrModel:
     """Fit the logistic model by gradient ascent with backtracking.
 
-    The mean penalized log-likelihood is non-decreasing across
-    iterations; convergence is declared when the gradient max-norm
-    drops below `tol`. With `strict`, hitting `max_iters` first raises
+    The ascent runs on the distinct design rows weighted by their event
+    counts, which gives the same objective and gradient as running it
+    event by event. Each step must raise the mean penalized
+    log-likelihood by the Armijo margin, measured as an exact change
+    from the current weights, so the likelihood is non-decreasing across
+    iterations; convergence is declared when the gradient max-norm drops
+    below `tol`. With `strict`, hitting `max_iters` first raises
     :class:`ConvergenceError` (which carries the partial model).
     """
     if l2 < 0:
         raise ValidationError("l2 must be >= 0")
-    y = np.array([1.0 if e.converted else 0.0 for e in events])
-    if len(y) == 0 or y.min() == y.max():
+    events = DisplayEvents.of(events)
+    if len(events) == 0 or events.converted.all() or not events.converted.any():
         raise ValidationError("need at least one positive and one negative event")
-    n_context = len(events[0].features)
-    X = _design_matrix(events, include_fatigue, fatigue_boundaries, n_context)
+    X, y, n = _sufficient_stats(events, include_fatigue, tuple(fatigue_boundaries))
     w = np.zeros(X.shape[1])
-    ll = penalized_loglik(w, X, y, l2)
     grad_norm = np.inf
     step = 4.0
     for _ in range(max_iters):
-        g = loglik_gradient(w, X, y, l2)
+        g = loglik_gradient(w, X, y, l2, n)
         grad_norm = float(np.abs(g).max())
         if grad_norm < tol:
             break
         gg = float(g @ g)
         t = step
         while t > 1e-18:
-            cand = w + t * g
-            cand_ll = penalized_loglik(cand, X, y, l2)
-            if cand_ll >= ll + 0.5 * t * gg:  # Armijo for ascent
+            gain = penalized_loglik(w + t * g, X, y, l2, n, base=w)
+            if gain >= 0.5 * t * gg:  # Armijo for ascent
                 break
             t /= 2
         w = w + t * g
-        ll = penalized_loglik(w, X, y, l2)
         step = min(4.0 * t, 64.0)  # let the step grow back after backtracks
 
     model = CtrModel(
         weights=tuple(float(v) for v in w),
         includes_fatigue=include_fatigue,
         fatigue_boundaries=tuple(fatigue_boundaries),
-        n_context_features=n_context,
+        n_context_features=events.n_context,
     )
     if grad_norm >= tol and strict:
         raise ConvergenceError(grad_norm, model)
@@ -176,29 +303,26 @@ class CalibrationRow:
 
 def calibration_curve(
     model: CtrModel,
-    events: Sequence[DisplayEvent],
+    events: Iterable[DisplayEvent],
     boundaries: tuple[int, ...] | None = None,
 ) -> list[CalibrationRow]:
     """Per-fatigue-bucket empirical conversion rate vs mean prediction."""
     if boundaries is None:
         boundaries = model.fatigue_boundaries
-    fat = np.array([e.fatigue for e in events])
-    y = np.array([1.0 if e.converted else 0.0 for e in events])
-    pred = model.predict_proba(events)
-    bucket = assign_clusters(fat, boundaries)
-    rows = []
-    for b in range(len(boundaries) + 1):
-        mask = bucket == b
-        n = int(mask.sum())
-        if n == 0:
-            rows.append(CalibrationRow(bucket=b, n=0, empirical_rate=None, mean_predicted=None))
-        else:
-            rows.append(
-                CalibrationRow(
-                    bucket=b,
-                    n=n,
-                    empirical_rate=float(y[mask].mean()),
-                    mean_predicted=float(pred[mask].mean()),
-                )
-            )
-    return rows
+    events = DisplayEvents.of(events)
+    n_buckets = len(boundaries) + 1
+    bucket = assign_clusters(events.fatigue, boundaries)
+    counts = np.bincount(bucket, minlength=n_buckets)
+    positives = np.bincount(bucket, weights=events.converted, minlength=n_buckets)
+    predicted = np.bincount(bucket, weights=model.predict_proba(events), minlength=n_buckets)
+    return [
+        CalibrationRow(bucket=b, n=0, empirical_rate=None, mean_predicted=None)
+        if n == 0
+        else CalibrationRow(
+            bucket=b,
+            n=int(n),
+            empirical_rate=float(positives[b] / n),
+            mean_predicted=float(predicted[b] / n),
+        )
+        for b, n in enumerate(counts)
+    ]

@@ -220,3 +220,38 @@ class TestStandaloneCommands:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         models = {r.split(",")[0] for r in rows[1:]}
         assert models == {"no_fatigue", "fatigue"}
+
+
+class TestExitCodes:
+    def test_marginals_on_malformed_log_exits_one_and_names_line(self, tiny_config, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        lines = log.read_text().splitlines()
+        user = json.loads(lines[2])
+        user["n_auctions"] = user["n_auctions"] + 0.7
+        lines[2] = json.dumps(user)
+        log.write_text("\n".join(lines) + "\n")
+        code = run("marginals", "--config", tiny_config, "--log", str(log),
+                   "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_fit_ctr_convergence_failure_exits_two(self, tiny_config, tmp_path, capsys, monkeypatch):
+        from impatience import CtrModel, ConvergenceError
+
+        def failing_fit(*args, **kwargs):
+            raise ConvergenceError(1.0, CtrModel((0.0,), False, (1,), 0))
+
+        monkeypatch.setattr("impatience.cli.fit_ctr", failing_fit)
+        code = run("fit-ctr", "--config", tiny_config, "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_negative_bucket_boundaries_in_config_exit_one(self, tmp_path, capsys):
+        raw = default_experiment_config().to_json()
+        raw["bucket_boundaries"] = [-3, 2]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        code = run("fit-ctr", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert "non-negative" in capsys.readouterr().err

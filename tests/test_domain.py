@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -172,3 +173,53 @@ class TestReadErrors:
     def test_empty_file_rejected(self):
         with pytest.raises(LogFormatError, match="header"):
             read_log(io.StringIO(""))
+
+
+class TestReadInputHoles:
+    """Values `read_log` used to accept or let escape as bare exceptions."""
+
+    HEADER = TestReadErrors.HEADER
+
+    def user_line(self, **overrides) -> str:
+        raw = dict(user_id="a", theta=1.0, exposure_at_start=0, cluster=0, cost=1.0,
+                   value_observed=0.5, value_predicted=0.5, n_auctions=3, n_wins=1)
+        raw.update(overrides)
+        return json.dumps(raw)  # writes NaN/Infinity literals, which json.loads accepts
+
+    def read(self, line: str) -> RandomizedLog:
+        return read_log(io.StringIO(self.HEADER + "\n" + self.user_line(user_id="ok") + "\n" + line + "\n"))
+
+    @pytest.mark.parametrize("field", ["theta", "cost", "value_observed", "value_predicted"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(LogFormatError, match=f"line 3.*{field}"):
+            self.read(self.user_line(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["exposure_at_start", "cluster", "n_auctions", "n_wins"])
+    def test_fractional_counts_not_truncated(self, field):
+        with pytest.raises(LogFormatError, match=f"line 3.*{field}"):
+            self.read(self.user_line(**{field: 0.7 if field != "n_auctions" else 3.7}))
+
+    @pytest.mark.parametrize("field,value", [("cost", "abc"), ("theta", None), ("n_wins", True)])
+    def test_non_numeric_values_report_line(self, field, value):
+        with pytest.raises(LogFormatError, match=f"line 3.*{field}"):
+            self.read(self.user_line(**{field: value}))
+
+    def test_negative_bucket_boundaries_rejected(self):
+        header = self.HEADER.replace("[1,2,3,4,5]", "[-1,2]")
+        with pytest.raises(LogFormatError, match="line 1.*non-negative"):
+            read_log(io.StringIO(header + "\n"))
+        with pytest.raises(ValidationError, match="non-negative"):
+            RandomizedLog(RandomizationSpec(0, 0.3), (), bucket_boundaries=(-1, 2))
+
+    def test_fractional_bucket_boundaries_rejected(self):
+        header = self.HEADER.replace("[1,2,3,4,5]", "[1.5,2]")
+        with pytest.raises(LogFormatError, match="line 1.*integers"):
+            read_log(io.StringIO(header + "\n"))
+
+    @pytest.mark.parametrize("line", ["5", "null", '"text"'])
+    def test_non_object_lines_rejected(self, line):
+        with pytest.raises(LogFormatError, match="line 3.*JSON object"):
+            self.read(line)
+        with pytest.raises(LogFormatError, match="line 1.*JSON object"):
+            read_log(io.StringIO(line + "\n"))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from impatience import (
+    DEFAULT_BUCKETS,
     CalibrationRow,
     ConvergenceError,
     CtrModel,
     DisplayEvent,
+    DisplayEvents,
     ValidationError,
     calibration_curve,
     events_from_trace,
@@ -183,3 +185,138 @@ class TestCalibrationCurve:
         events = events_from_trace(exposure, converted)
         assert [e.fatigue for e in events] == [0, 3, 9]
         assert [e.converted for e in events] == [True, False, True]
+
+
+def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_000):
+    """The ascent of `fit_ctr` run event by event: one design row per event."""
+    events = list(events)
+    n_context = len(events[0].features)
+    X = _design_matrix(events, include_fatigue, DEFAULT_BUCKETS, n_context)
+    y = np.array([1.0 if e.converted else 0.0 for e in events])
+    w = np.zeros(X.shape[1])
+    step = 4.0
+    for _ in range(max_iters):
+        g = loglik_gradient(w, X, y, l2)
+        if np.abs(g).max() < tol:
+            break
+        t = step
+        while t > 1e-18 and penalized_loglik(w + t * g, X, y, l2, base=w) < 0.5 * t * (g @ g):
+            t /= 2
+        w = w + t * g
+        step = min(4.0 * t, 64.0)
+    return w, X, y
+
+
+def context_events(seed, n=300, d_ctx=2):
+    rng = np.random.default_rng(seed)
+    return [
+        DisplayEvent(
+            fatigue=int(rng.integers(0, 8)),
+            converted=bool(rng.random() < 0.3),
+            features=tuple(rng.normal(size=d_ctx)),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestSufficientStatistics:
+    @pytest.mark.parametrize("include_fatigue,l2", [(True, 0.0), (False, 0.0), (True, 0.01)])
+    def test_aggregated_fit_matches_per_event_reference(self, include_fatigue, l2):
+        rng = np.random.default_rng(8)
+        probs = [0.2, 0.15, 0.1, 0.07, 0.05, 0.03, 0.03]
+        events = bernoulli_events(rng, probs, [400, 350, 300, 250, 200, 150, 100])
+        tol = 1e-8
+        model = fit_ctr(events, include_fatigue=include_fatigue, l2=l2, tol=tol)
+        w_ref, X, y = reference_fit(events, include_fatigue, l2=l2, tol=tol)
+        w = np.asarray(model.weights)
+        assert np.abs(loglik_gradient(w, X, y, l2)).max() < tol
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
+
+    def test_context_features_fit_converges(self):
+        # continuous features: every event is its own design row
+        events = context_events(seed=9)
+        tol = 1e-8
+        model = fit_ctr(events, tol=tol)
+        assert model.n_context_features == 2
+        w_ref, X, y = reference_fit(events, tol=tol)
+        w = np.asarray(model.weights)
+        assert len(w) == 1 + 2 + len(DEFAULT_BUCKETS)
+        assert np.abs(loglik_gradient(w, X, y, 0.0)).max() < tol
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
+
+    def test_converges_below_the_rounding_of_the_objective(self):
+        # near the optimum the likelihood gain of a step is far below the
+        # rounding error of the likelihood itself
+        rng = np.random.default_rng(5)
+        events = bernoulli_events(rng, [0.20, 0.15, 0.10, 0.07, 0.05, 0.03], [3000] * 6)
+        model = fit_ctr(events, tol=1e-12)
+        for row in calibration_curve(model, events):
+            assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-9)
+
+    def test_loglik_change_from_base(self):
+        X = _design_matrix(context_events(seed=10, n=50), True, DEFAULT_BUCKETS, 2)
+        y = (np.arange(len(X)) % 3 == 0).astype(float)
+        rng = np.random.default_rng(11)
+        w0 = rng.normal(size=X.shape[1])
+        for l2 in (0.0, 0.1):
+            w1 = w0 + rng.normal(size=X.shape[1])
+            expected = penalized_loglik(w1, X, y, l2) - penalized_loglik(w0, X, y, l2)
+            assert penalized_loglik(w1, X, y, l2, base=w0) == pytest.approx(expected, rel=1e-12)
+            # a step whose gain is about the rounding error of the objective:
+            # the gain equals the first-order term
+            g = loglik_gradient(w0, X, y, l2)
+            w2 = w0 + 1e-14 * g
+            gain = penalized_loglik(w2, X, y, l2, base=w0)
+            assert gain == pytest.approx((w2 - w0) @ g, rel=1e-6)
+
+    def test_counts_equal_repeated_rows(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        w = np.array([-1.0, 0.5])
+        counts, positives = np.array([3.0, 2.0]), np.array([1.0, 2.0])
+        X_rep = np.repeat(X, [3, 2], axis=0)
+        y_rep = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+        for l2 in (0.0, 0.2):
+            assert penalized_loglik(w, X, positives, l2, counts) == pytest.approx(
+                penalized_loglik(w, X_rep, y_rep, l2), rel=1e-14
+            )
+            np.testing.assert_allclose(
+                loglik_gradient(w, X, positives, l2, counts),
+                loglik_gradient(w, X_rep, y_rep, l2),
+                rtol=1e-14,
+            )
+
+
+class TestDisplayEvents:
+    def test_roundtrip_from_list(self):
+        events = context_events(seed=12, n=7)
+        cols = DisplayEvents.of(events)
+        assert len(cols) == 7
+        assert list(cols) == events
+        assert cols[3] == events[3]
+        assert cols[-1] == events[-1]
+        sliced = cols[2:5]
+        assert isinstance(sliced, DisplayEvents)
+        assert list(sliced) == events[2:5]
+        with pytest.raises(IndexError):
+            cols[7]
+        assert DisplayEvents.of(cols) is cols
+        model = CtrModel(
+            weights=(0.1, 0.2, -0.3, 0.0, 0.1, 0.2, 0.3, 0.4),
+            includes_fatigue=True,
+            fatigue_boundaries=DEFAULT_BUCKETS,
+            n_context_features=2,
+        )
+        np.testing.assert_array_equal(model.predict_proba(cols), model.predict_proba(events))
+        np.testing.assert_array_equal(model.predict_proba(sliced), model.predict_proba(events[2:5]))
+
+    def test_trace_events_are_columns(self):
+        events = events_from_trace(np.array([0, 3, 9]), np.array([True, False, True]))
+        assert isinstance(events, DisplayEvents)
+        assert events.features.shape == (3, 0)
+        assert events[1] == DisplayEvent(3, False)
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValidationError):
+            DisplayEvents([0, 1], [True])
+        with pytest.raises(ValidationError):
+            DisplayEvents([0, 1], [True, False], np.zeros((3, 1)))
