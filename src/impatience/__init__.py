@@ -33,6 +33,7 @@ from .estimators import (
     linear_weight,
     marginal_estimate,
     marginal_roi,
+    policy_delta_bootstrap,
     weight_std_profile,
 )
 from .optimizer import (

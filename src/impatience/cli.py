@@ -33,7 +33,7 @@ from .domain import (
     read_log,
     write_log,
 )
-from .estimators import bootstrap_ci, cluster_estimates, weight_std_profile
+from .estimators import cluster_estimates, policy_delta_bootstrap, weight_std_profile
 from .optimizer import ReallocationProblem, predict_policy_delta, solve_reallocation_detailed
 from .predictor import ConvergenceError, calibration_curve, events_from_trace, fit_ctr
 from .simulator import (
@@ -329,29 +329,6 @@ def _policy_from_cap(log: RandomizedLog, cap: float) -> tuple[PolicySpec, float]
     return result.policy, result.objective
 
 
-def _delta_bootstrap(log: RandomizedLog, policy: PolicySpec, resamples: int, seed: int):
-    arr = log.arrays
-    alphas = policy.multiplier_array(log.n_clusters)
-    x = alphas[arr["cluster"]] - 1.0
-    lw = (np.log(arr["theta"]) - log.spec.mu) / log.spec.sigma**2
-    la = np.log(alphas[arr["cluster"]])
-    w_minus_1 = np.exp((2 * la * (np.log(arr["theta"]) - log.spec.mu) - la * la) / (2 * log.spec.sigma**2)) - 1.0
-    per_user = np.stack(
-        [
-            x * arr["value_predicted"] * lw,
-            x * arr["cost"] * lw,
-            arr["value_predicted"] * w_minus_1,
-            arr["cost"] * w_minus_1,
-        ],
-        axis=1,
-    )
-
-    def stat(idx: np.ndarray) -> np.ndarray:
-        return per_user[idx].sum(axis=0)
-
-    return bootstrap_ci(stat, log, n_resamples=resamples, seed=seed)
-
-
 def cmd_offline_eval(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     log, log_hash = _read_log_checked(args.log)
@@ -366,7 +343,7 @@ def cmd_offline_eval(args) -> int:
         policies = [(delta, _policy_from_cap(log, delta)[0]) for delta in sweep]
     for delta, policy in policies:
         cap = policy.cap_delta if delta is None else delta
-        ci = _delta_bootstrap(log, policy, resamples, seed)
+        ci = policy_delta_bootstrap(log, policy, resamples, seed)
         row = [cap]
         for j in range(4):
             row.extend([ci.point[j], ci.low[j], ci.high[j]])

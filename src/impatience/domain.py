@@ -37,7 +37,15 @@ _FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
 
 
 class ValidationError(ValueError):
-    """An object violates one of its declared invariants."""
+    """An object violates one of its declared invariants.
+
+    `user_index`, when set, is the position in a log of the user whose
+    record breaks a log-level invariant.
+    """
+
+    def __init__(self, message: str, user_index: int | None = None):
+        super().__init__(message)
+        self.user_index = user_index
 
 
 class LogFormatError(ValueError):
@@ -144,15 +152,16 @@ class RandomizedLog:
         object.__setattr__(self, "bucket_boundaries", tuple(self.bucket_boundaries))
         _check_boundaries(self.bucket_boundaries)
         seen = set()
-        for u in self.users:
+        for i, u in enumerate(self.users):
             if u.user_id in seen:
-                raise ValidationError(f"duplicate user_id {u.user_id!r}")
+                raise ValidationError(f"duplicate user_id {u.user_id!r}", i)
             seen.add(u.user_id)
             expected = assign_cluster(u.exposure_at_start, self.bucket_boundaries)
             if u.cluster != expected:
                 raise ValidationError(
                     f"user {u.user_id}: cluster {u.cluster} inconsistent with "
-                    f"exposure_at_start {u.exposure_at_start} (expected {expected})"
+                    f"exposure_at_start {u.exposure_at_start} (expected {expected})",
+                    i,
                 )
 
     def __len__(self) -> int:
@@ -318,7 +327,7 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     except (KeyError, TypeError, ValueError) as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
-    users = []
+    users, user_lines = [], []
     for lineno, line in lines:
         line = line.strip()
         if not line:
@@ -356,7 +365,9 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
             )
         except ValidationError as exc:
             raise LogFormatError(str(exc), lineno) from exc
+        user_lines.append(lineno)
     try:
         return RandomizedLog(spec=spec, users=tuple(users), bucket_boundaries=boundaries)
     except ValidationError as exc:
-        raise LogFormatError(str(exc)) from exc
+        lineno = None if exc.user_index is None else user_lines[exc.user_index]
+        raise LogFormatError(str(exc), lineno) from exc

@@ -176,8 +176,7 @@ def marginal_estimate(
     m = arr[selector][mask]
     if m.size == 0:
         return 0.0
-    lw = (np.log(arr["theta"][mask]) - log.spec.mu) / log.spec.sigma**2
-    return compensated_sum(m * lw)
+    return compensated_sum(m * linear_weight(arr["theta"][mask], log.spec))
 
 
 @dataclass(frozen=True)
@@ -218,18 +217,90 @@ class BootstrapResult:
     point: float | np.ndarray
 
 
+class UserSums:
+    """A bootstrap statistic computed from sums over users.
+
+    Row j of the (k, n) matrix `per_user` holds every user's contribution
+    to the j-th sum. With `groups`, one label in [0, n_groups) per user
+    fixed before randomization (such as the exposure cluster), each row
+    is summed within every group. `finish` maps the (R, k, n_groups) sums
+    of R resamples to R statistics; by default it flattens them.
+
+    A whole-user resample enters such sums only through how often it drew
+    each user, so one resample costs a weighted row sum over users, not a
+    gather of its n drawn rows. Sums are pairwise along each group's
+    contiguous users and go through no BLAS call, so they do not depend on
+    the BLAS thread count.
+    """
+
+    def __init__(
+        self,
+        per_user: np.ndarray,
+        groups: np.ndarray | None = None,
+        n_groups: int = 1,
+        finish: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        per_user = np.ascontiguousarray(per_user, dtype=np.float64)
+        if groups is None:
+            self._order = None
+            self._rows = per_user
+            bounds = [0, per_user.shape[1]]
+        else:
+            # users of one group become contiguous, so a group sum is a slice sum
+            self._order = np.argsort(groups, kind="stable")
+            self._rows = np.ascontiguousarray(per_user[:, self._order])
+            bounds = np.searchsorted(groups[self._order], np.arange(n_groups + 1)).tolist()
+        self._segments = tuple(zip(bounds[:-1], bounds[1:]))
+        self._finish = finish
+
+    @property
+    def n_users(self) -> int:
+        return self._rows.shape[1]
+
+    def sums(self, counts: np.ndarray) -> np.ndarray:
+        """(k, n_groups) sums in which user i is counted counts[i] times."""
+        if self._order is not None:
+            counts = counts[self._order]
+        weighted = self._rows * counts
+        out = np.empty((len(self._rows), len(self._segments)))
+        for g, (a, b) in enumerate(self._segments):
+            weighted[:, a:b].sum(axis=1, out=out[:, g])
+        return out
+
+    def resample(self, rng: np.random.Generator, n_resamples: int) -> np.ndarray:
+        """(R, k, n_groups) sums of R whole-user resamples with replacement.
+
+        Each resample draws `rng.integers(0, n, n)`, as the index form of
+        :func:`bootstrap_ci` does, so both consume the same stream.
+        """
+        n = self.n_users
+        out = np.empty((n_resamples, len(self._rows), len(self._segments)))
+        for r in range(n_resamples):
+            counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+            out[r] = self.sums(counts)
+        return out
+
+    def finish(self, sums: np.ndarray) -> np.ndarray:
+        """The statistics of (R, k, n_groups) sums, one row per resample."""
+        if self._finish is None:
+            return sums.reshape(len(sums), -1)
+        return self._finish(sums)
+
+
 def bootstrap_ci(
-    estimator: Callable[[np.ndarray], float | np.ndarray],
+    estimator: Callable[[np.ndarray], float | np.ndarray] | UserSums,
     log: RandomizedLog,
     n_resamples: int = 1000,
     level: float = 0.95,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> BootstrapResult:
     """Percentile interval from whole-user resamples with replacement.
 
     `estimator` maps an index array into the log's users to a scalar
-    or vector statistic; the user is the independence unit, so
-    resampling never splits a user's records.
+    or vector statistic, or is a :class:`UserSums`, whose resamples are
+    reduced from per-user draw counts. Both forms draw the same indices
+    from `seed` (an int or a Generator, which is advanced). The user is
+    the independence unit, so resampling never splits a user's records.
     """
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
@@ -237,17 +308,40 @@ def bootstrap_ci(
         raise ValidationError("level must lie in (0, 1)")
     n = len(log)
     rng = np.random.default_rng(seed)
-    point = np.asarray(estimator(np.arange(n)), dtype=np.float64)
-    stats = np.empty((n_resamples,) + point.shape)
-    for r in range(n_resamples):
-        idx = rng.integers(0, n, n)
-        stats[r] = estimator(idx)
+    if isinstance(estimator, UserSums):
+        if estimator.n_users != n:
+            raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
+        point = estimator.finish(estimator.sums(np.ones(n))[None])[0]
+        stats = estimator.finish(estimator.resample(rng, n_resamples))
+    else:
+        point = np.asarray(estimator(np.arange(n)), dtype=np.float64)
+        stats = np.empty((n_resamples,) + point.shape)
+        for r in range(n_resamples):
+            idx = rng.integers(0, n, n)
+            stats[r] = estimator(idx)
     tail = (1 - level) / 2
     low = np.quantile(stats, tail, axis=0)
     high = np.quantile(stats, 1 - tail, axis=0)
     if point.ndim == 0:
         return BootstrapResult(float(low), float(high), float(point))
     return BootstrapResult(low, high, point)
+
+
+def _cluster_sums(log: RandomizedLog, value_selector: str, rel_threshold: float) -> UserSums:
+    """Per-cluster dcost and dvalue sums, finished to (dcost, dvalue, mROI) per cluster."""
+    arr = log.arrays
+    nc = log.n_clusters
+    lw = linear_weight(arr["theta"], log.spec)
+    scale = np.bincount(arr["cluster"], weights=np.abs(arr["cost"]), minlength=nc)
+
+    def finish(sums: np.ndarray) -> np.ndarray:
+        dcost, dvalue = sums[:, 0], sums[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mroi = np.where(np.abs(dcost) > rel_threshold * scale, dvalue / dcost, np.nan)
+        return np.concatenate([dcost, dvalue, mroi], axis=1)
+
+    per_user = np.stack([arr["cost"] * lw, arr[value_selector] * lw])
+    return UserSums(per_user, groups=arr["cluster"], n_groups=nc, finish=finish)
 
 
 def cluster_estimates(
@@ -260,24 +354,10 @@ def cluster_estimates(
 ) -> list[ClusterRow]:
     """Per-cluster marginal cost/value derivatives, marginal ROI, and CIs."""
     _check_metric(value_selector)
-    arr = log.arrays
     nc = log.n_clusters
-    lw = (np.log(arr["theta"]) - log.spec.mu) / log.spec.sigma**2
-    cost_w = arr["cost"] * lw
-    value_w = arr[value_selector] * lw
-    cluster = arr["cluster"]
-    scale = np.bincount(cluster, weights=np.abs(arr["cost"]), minlength=nc)
-
-    def stat(idx: np.ndarray) -> np.ndarray:
-        c = cluster[idx]
-        dcost = np.bincount(c, weights=cost_w[idx], minlength=nc)
-        dvalue = np.bincount(c, weights=value_w[idx], minlength=nc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mroi = np.where(np.abs(dcost) > rel_threshold * scale, dvalue / dcost, np.nan)
-        return np.concatenate([dcost, dvalue, mroi])
-
+    stat = _cluster_sums(log, value_selector, rel_threshold)
     ci = bootstrap_ci(stat, log, n_resamples=n_resamples, level=level, seed=seed)
-    n_users = np.bincount(cluster, minlength=nc)
+    n_users = np.bincount(log.arrays["cluster"], minlength=nc)
     rows = []
     for c in range(nc):
         # point estimates use compensated sums; bootstrap spread is noise-dominated
@@ -301,6 +381,42 @@ def cluster_estimates(
             )
         )
     return rows
+
+
+def _policy_delta_sums(log: RandomizedLog, policy: PolicySpec) -> UserSums:
+    """Linear and exact value/cost deltas of a policy as sums over users."""
+    arr = log.arrays
+    alphas = policy.multiplier_array(log.n_clusters)
+    x = alphas[arr["cluster"]] - 1.0
+    lw = linear_weight(arr["theta"], log.spec)
+    la = np.log(alphas[arr["cluster"]])
+    w_minus_1 = np.exp((2 * la * (np.log(arr["theta"]) - log.spec.mu) - la * la) / (2 * log.spec.sigma**2)) - 1.0
+    return UserSums(
+        np.stack(
+            [
+                x * arr["value_predicted"] * lw,
+                x * arr["cost"] * lw,
+                arr["value_predicted"] * w_minus_1,
+                arr["cost"] * w_minus_1,
+            ]
+        )
+    )
+
+
+def policy_delta_bootstrap(
+    log: RandomizedLog,
+    policy: PolicySpec,
+    n_resamples: int = 1000,
+    seed: int = 0,
+) -> BootstrapResult:
+    """Bootstrap CIs of a policy's (dvalue_linear, dcost_linear, dvalue_exact, dcost_exact).
+
+    The linear deltas sum (alpha_S - 1) * m_i * linear weight over users,
+    the exact ones m_i * (exact weight - 1); the point is the plain sum
+    over all users.
+    """
+    stat = _policy_delta_sums(log, policy)
+    return bootstrap_ci(stat, log, n_resamples=n_resamples, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import ClusterRow, PolicySpec, RandomizedLog, ValidationError
-from .estimators import _check_metric, compensated_sum, ips_estimate
+from .estimators import _check_metric, compensated_sum, ips_estimate, linear_weight
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def predict_policy_delta(
     arr = log.arrays
     alphas = policy.multiplier_array(log.n_clusters)
     x = alphas[arr["cluster"]] - 1.0
-    lw = (np.log(arr["theta"]) - log.spec.mu) / log.spec.sigma**2
+    lw = linear_weight(arr["theta"], log.spec)
     dvalue_linear = compensated_sum(x * arr[value_selector] * lw)
     dcost_linear = compensated_sum(x * arr["cost"] * lw)
     dvalue_exact = ips_estimate(log, value_selector, policy=policy) - ips_estimate(log, value_selector)

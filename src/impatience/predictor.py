@@ -255,8 +255,11 @@ def fit_ctr(
     log-likelihood by the Armijo margin, measured as an exact change
     from the current weights, so the likelihood is non-decreasing across
     iterations; convergence is declared when the gradient max-norm drops
-    below `tol`. With `strict`, hitting `max_iters` first raises
-    :class:`ConvergenceError` (which carries the partial model).
+    below `tol`. The ascent stops early when backtracking finds no step
+    with any gain, which happens when `tol` is below what the gradient can
+    resolve. With `strict`, stopping above `tol` (at `max_iters` or on
+    such a stall) raises :class:`ConvergenceError` (which carries the
+    partial model).
     """
     if l2 < 0:
         raise ValidationError("l2 must be >= 0")
@@ -273,12 +276,15 @@ def fit_ctr(
         if grad_norm < tol:
             break
         gg = float(g @ g)
-        t = step
+        t, gained = step, False
         while t > 1e-18:
             gain = penalized_loglik(w + t * g, X, y, l2, n, base=w)
             if gain >= 0.5 * t * gg:  # Armijo for ascent
                 break
+            gained = gained or gain > 0
             t /= 2
+        if t <= 1e-18 and not gained:
+            break  # no step along the gradient raises the likelihood: the ascent has stalled
         w = w + t * g
         step = min(4.0 * t, 64.0)  # let the step grow back after backtracks
 

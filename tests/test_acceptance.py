@@ -35,7 +35,7 @@ from impatience import (
     two_auction_demo,
     weight_std_profile,
 )
-from impatience.cli import _delta_bootstrap
+from impatience.estimators import policy_delta_bootstrap as _delta_bootstrap
 from impatience.simulator import (
     BidPolicy,
     default_config,

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import impatience
 from impatience.cli import default_experiment_config, main
 
 
@@ -20,6 +24,15 @@ def tiny_config(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+RUN_COMMANDS = """
+import json, sys
+from impatience.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
 
 
 class TestErrorHandling:
@@ -157,6 +170,37 @@ class TestPipeline:
         marg2 = tmp_path / "marginals2.csv"
         run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marg2))
         assert marg.read_bytes() == marg2.read_bytes()
+
+    def test_bootstrap_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # from about 120k users OpenBLAS 0.3 splits a matrix-vector product
+        # over the users across threads, which changes its last bits; the
+        # bootstrap's sums must not go through one
+        raw = default_experiment_config().to_json()
+        raw["sim"]["n_users"] = 125_000
+        raw["resamples"] = 100
+        cfg, log, policy = tmp_path / "config.json", tmp_path / "log.jsonl", tmp_path / "policy.json"
+        cfg.write_text(json.dumps(raw))
+        policy.write_text(json.dumps({"schema": "impatience-policy/1", "cap_delta": 0.2,
+                                      "multipliers": {"0": 1.2, "1": 1.1, "3": 0.9, "5": 0.8}}))
+        assert run("simulate", "--config", str(cfg), "--out", str(log)) == 0
+        src = os.path.dirname(os.path.dirname(impatience.__file__))
+        outputs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            commands = [
+                ["marginals", "--config", str(cfg), "--log", str(log), "--out", str(out / "marginals.csv")],
+                ["offline-eval", "--config", str(cfg), "--log", str(log),
+                 "--policy", str(policy), "--out", str(out / "eval.csv")],
+            ]
+            # one interpreter per thread count: BLAS reads the variable when it loads
+            subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], env=env,
+                           check=True, capture_output=True, timeout=300)
+            outputs[threads] = [(out / name).read_bytes() for name in ("marginals.csv", "eval.csv")]
+        assert outputs["1"] == outputs["2"]
 
     def test_marginals_csv_has_expected_header(self, tiny_config, tmp_path):
         log = tmp_path / "log.jsonl"

@@ -223,3 +223,16 @@ class TestReadInputHoles:
             self.read(line)
         with pytest.raises(LogFormatError, match="line 1.*JSON object"):
             read_log(io.StringIO(line + "\n"))
+
+    def test_duplicate_user_id_names_its_line(self):
+        # the blank line makes the line number differ from the user's index + 2
+        text = "\n".join([self.HEADER, self.user_line(user_id="a"), "",
+                          self.user_line(user_id="b"), self.user_line(user_id="a")])
+        with pytest.raises(LogFormatError, match="line 5: duplicate user_id 'a'"):
+            read_log(io.StringIO(text + "\n"))
+
+    def test_cluster_inconsistent_with_exposure_names_its_line(self):
+        text = "\n".join([self.HEADER, self.user_line(user_id="a"), "",
+                          self.user_line(user_id="b", exposure_at_start=3, cluster=1)])
+        with pytest.raises(LogFormatError, match="line 4: user b: cluster 1 inconsistent"):
+            read_log(io.StringIO(text + "\n"))

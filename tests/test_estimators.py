@@ -20,8 +20,10 @@ from impatience import (
     linear_weight,
     marginal_estimate,
     marginal_roi,
+    policy_delta_bootstrap,
     weight_std_profile,
 )
+from impatience.estimators import _cluster_sums, _policy_delta_sums
 
 SPEC = RandomizationSpec(0.0, 0.3)
 
@@ -214,6 +216,98 @@ class TestBootstrap:
     def test_resample_floor_enforced(self):
         with pytest.raises(ValidationError):
             bootstrap_ci(lambda idx: 0.0, synth_log(n=10), n_resamples=50)
+
+
+def gather_sums(rows, rng, n_resamples, cluster=None, n_clusters=1):
+    """Reference (R, k, n_clusters) resample sums of the (k, n) per-user
+    `rows`: gather each resample's drawn users, then sum them per cluster."""
+    n = rows.shape[1]
+    cluster = np.zeros(n, dtype=np.int64) if cluster is None else cluster
+    out = []
+    for _ in range(n_resamples):
+        idx = rng.integers(0, n, n)
+        out.append([np.bincount(cluster[idx], weights=row[idx], minlength=n_clusters) for row in rows])
+    return np.array(out)
+
+
+POLICY = PolicySpec({0: 1.2, 1: 1.1, 2: 0.95, 3: 0.9, 4: 0.8, 5: 1.05})
+
+
+def cluster_rows(log):
+    lw = linear_weight(log.arrays["theta"], SPEC)
+    return np.stack([log.arrays["cost"] * lw, log.arrays["value_predicted"] * lw])
+
+
+def policy_delta_rows(log, policy):
+    arr = log.arrays
+    alpha = policy.multiplier_array(log.n_clusters)[arr["cluster"]]
+    lw = linear_weight(arr["theta"], SPEC)
+    w1 = np.empty(len(log))
+    for c, a in enumerate(policy.multiplier_array(log.n_clusters)):
+        mask = arr["cluster"] == c
+        w1[mask] = exact_weight(arr["theta"][mask], SPEC, a) - 1.0
+    return np.stack([(alpha - 1) * arr["value_predicted"] * lw, (alpha - 1) * arr["cost"] * lw,
+                     arr["value_predicted"] * w1, arr["cost"] * w1])
+
+
+class TestResampleCounts:
+    """The count kernel against a gather of every resample's drawn users."""
+
+    def check_close(self, got, rows, seed, cluster=None, n_clusters=1):
+        # the same terms summed in another order: within 1e-12 of the sum of
+        # their magnitudes, which stays meaningful when a sum cancels
+        ref = gather_sums(rows, np.random.default_rng(seed), len(got), cluster, n_clusters)
+        scale = gather_sums(np.abs(rows), np.random.default_rng(seed), len(got), cluster, n_clusters)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_cluster_sums_match_gather(self):
+        log = synth_log(n=3000, seed=21)
+        got = _cluster_sums(log, "value_predicted", 1e-9).resample(np.random.default_rng(4), 200)
+        self.check_close(got, cluster_rows(log), 4, log.arrays["cluster"], log.n_clusters)
+
+    def test_policy_delta_sums_match_gather(self):
+        log = synth_log(n=3000, seed=22)
+        got = _policy_delta_sums(log, POLICY).resample(np.random.default_rng(5), 200)
+        self.check_close(got, policy_delta_rows(log, POLICY), 5)
+
+    @pytest.mark.parametrize("kind", ["cluster", "policy_delta"])
+    def test_consumes_the_same_draws_as_the_index_form(self, kind):
+        log = synth_log(n=1000, seed=23)
+        if kind == "cluster":
+            stat = _cluster_sums(log, "value_predicted", 1e-9)
+        else:
+            stat = _policy_delta_sums(log, POLICY)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        bootstrap_ci(stat, log, n_resamples=150, seed=rng)
+        for _ in range(150):
+            ref.integers(0, len(log), len(log))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_policy_delta_ci_matches_index_form(self):
+        log = synth_log(n=1000, seed=24)
+        rows = policy_delta_rows(log, POLICY)
+        P = np.ascontiguousarray(rows.T)
+        ci = policy_delta_bootstrap(log, POLICY, 150, 8)
+        gathered = bootstrap_ci(lambda idx: P[idx].sum(axis=0), log, n_resamples=150, seed=8)
+        scale = np.abs(rows).sum(axis=1)
+        for a, b in ((ci.low, gathered.low), (ci.high, gathered.high), (ci.point, gathered.point)):
+            assert np.all(np.abs(a - b) <= 1e-12 * scale)
+
+    def test_cluster_finish_is_dcost_dvalue_and_their_ratio(self):
+        log = synth_log(n=3000, seed=25)
+        stat = _cluster_sums(log, "value_predicted", 1e-9)
+        sums = stat.resample(np.random.default_rng(7), 100)
+        stats = stat.finish(sums)
+        nc = log.n_clusters
+        np.testing.assert_array_equal(stats[:, :nc], sums[:, 0])
+        np.testing.assert_array_equal(stats[:, nc:2 * nc], sums[:, 1])
+        np.testing.assert_array_equal(stats[:, 2 * nc:], sums[:, 1] / sums[:, 0])
+
+    def test_statistic_must_cover_the_log(self):
+        stat = _policy_delta_sums(synth_log(n=500), POLICY)
+        with pytest.raises(ValidationError, match="500 users"):
+            bootstrap_ci(stat, synth_log(n=400), n_resamples=100)
 
 
 class TestClusterEstimates:

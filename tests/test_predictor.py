@@ -108,6 +108,33 @@ class TestFitCtr:
         for row in calibration_curve(model, events):
             assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-5)
 
+    def test_unreachable_tol_stops_when_no_step_gains(self, monkeypatch):
+        # tol=1e-17 is below what the gradient resolves (~2e-17 here): once
+        # backtracking finds no step with any gain the fit gives up, instead
+        # of spinning to max_iters (10000 gradients, 20311 likelihoods)
+        import impatience.predictor as predictor
+
+        calls = {"gradient": 0, "loglik": 0}
+        gradient, loglik = predictor.loglik_gradient, predictor.penalized_loglik
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(predictor, "loglik_gradient", counted("gradient", gradient))
+        monkeypatch.setattr(predictor, "penalized_loglik", counted("loglik", loglik))
+        rng = np.random.default_rng(5)
+        events = bernoulli_events(rng, [0.20, 0.15, 0.10, 0.07, 0.05, 0.03], [3000] * 6)
+        with pytest.raises(ConvergenceError) as exc_info:
+            fit_ctr(events, tol=1e-17)
+        assert exc_info.value.grad_norm < 1e-12
+        assert calls["gradient"] <= 1000
+        assert calls["loglik"] <= 3000
+        lenient = fit_ctr(events, tol=1e-17, strict=False)
+        assert lenient.weights == exc_info.value.model.weights
+
     def test_likelihood_nondecreasing_over_refit(self):
         # tighter tolerance can only improve the mean log-likelihood
         rng = np.random.default_rng(6)
