@@ -34,7 +34,7 @@ from .domain import (
     write_log,
 )
 from .estimators import cluster_estimates, policy_delta_bootstrap, weight_std_profile
-from .optimizer import ReallocationProblem, predict_policy_delta, solve_reallocation_detailed
+from .optimizer import ReallocationProblem, solve_reallocation_detailed
 from .predictor import ConvergenceError, calibration_curve, events_from_trace, fit_ctr
 from .simulator import (
     BidPolicy,
@@ -348,11 +348,10 @@ def cmd_offline_eval(args) -> int:
         for j in range(4):
             row.extend([ci.point[j], ci.low[j], ci.high[j]])
         out_rows.append(row)
-        pred = predict_policy_delta(log, policy)
+        dv_lin, dc_lin, dv_exact, dc_exact = ci.point
         print(
-            f"offline-eval: delta={cap:g} dV_lin={pred.dvalue_linear:.2f} "
-            f"dC_lin={pred.dcost_linear:.2e} dV_exact={pred.dvalue_exact:.2f} "
-            f"dC_exact={pred.dcost_exact:.2f}"
+            f"offline-eval: delta={cap:g} dV_lin={dv_lin:.2f} dC_lin={dc_lin:.2e} "
+            f"dV_exact={dv_exact:.2f} dC_exact={dc_exact:.2f}"
         )
     header = ["delta"]
     for name in names:

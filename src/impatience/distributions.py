@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .domain import ValidationError
 
@@ -56,6 +55,8 @@ class Distribution:
 
     def cdf(self, x: float) -> float:
         """P(X <= x); continuous kinds only."""
+        from scipy import stats  # imported on use: it is most of the package's import time
+
         if self.kind == "lognormal":
             return float(stats.lognorm.cdf(x, s=self.sigma, scale=np.exp(self.mu)))
         if self.kind == "uniform":
@@ -78,6 +79,8 @@ class Distribution:
             if b <= 0:
                 return 0.0
             # E[X; X<b] = exp(mu + sigma^2/2) * Phi((ln b - mu - sigma^2)/sigma)
+            from scipy import stats
+
             full_mean = np.exp(self.mu + self.sigma**2 / 2)
             z = (np.log(b) - self.mu - self.sigma**2) / self.sigma
             return float(full_mean * stats.norm.cdf(z))
@@ -92,6 +95,8 @@ class Distribution:
 
     def expected_second_price_profit_quad(self, bid: float, value: float) -> float:
         """Quadrature fallback/oracle for :meth:`expected_second_price_profit`."""
+        from scipy import integrate, stats
+
         if self.kind == "constant":
             return (value - self.value) if bid > self.value else 0.0
         if self.kind == "lognormal":

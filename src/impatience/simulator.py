@@ -33,6 +33,7 @@ from .domain import (
 )
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
+_DRAW_CELLS = 1 << 16  # cells per draw call; any value gives the same stream
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,23 @@ class BidPolicy:
         )
 
 
+def _draw_sorted(draw, pos: np.ndarray, mmax: int) -> np.ndarray:
+    """An (n, mmax) draw with user i's row stored at row pos[i].
+
+    The draw is made in row blocks of about _DRAW_CELLS cells. Consecutive
+    calls consume the generator exactly as one call of the whole size does,
+    so the values are those of a single (n, mmax) draw, and only one block
+    is held besides the result.
+    """
+    n = len(pos)
+    out = np.empty((n, mmax))
+    rows = max(1, _DRAW_CELLS // max(mmax, 1))
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        out[pos[r0:r1]] = draw((r1 - r0, mmax))
+    return out
+
+
 def _simulate_population(
     config: SimConfig,
     spec: RandomizationSpec,
@@ -211,83 +229,117 @@ def _simulate_population(
     the policy: scaling a bid up never consumes different randomness.
     """
     rng = np.random.default_rng(seed)
-    gamma = config.fatigue_decay
-    p0 = config.base_conversion_prob
-    vpc = config.value_per_conversion
-    levels = np.arange(len(config.initial_exposure))
-    probs = np.asarray(config.initial_exposure)
-    act = config._activity_multipliers()
-
-    out: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("theta", "exposure_at_start", "cluster", "cost", "value_observed",
-                        "value_predicted", "n_auctions", "n_wins")
-    }
-    disp_exposure: list[np.ndarray] = []
-    disp_converted: list[np.ndarray] = []
-
+    mult = None if multipliers is None else np.asarray(multipliers)
+    chunks = []
     remaining = config.n_users
     while remaining > 0:
         n = min(remaining, _CHUNK)
         remaining -= n
+        chunks.append(
+            _simulate_chunk(rng, n, config, spec, bucket_boundaries, mult, dynamic, collect_displays)
+        )
 
-        e0 = rng.choice(levels, p=probs, size=n)
-        theta = rng.lognormal(spec.mu, spec.sigma, n)
-        if config.auctions_per_user.kind == "poisson":
-            m = rng.poisson(config.auctions_per_user.mean * act[e0], n)
-        else:
-            m = np.full(n, int(config.auctions_per_user.value))
-        mmax = int(m.max()) if n else 0
-        comp = config.competition.sample(rng, (n, mmax))
-        conv_u = rng.random((n, mmax))
-
-        cluster = assign_clusters(e0, bucket_boundaries)
-        if multipliers is None:
-            alpha = np.ones(n)
-        else:
-            alpha = np.asarray(multipliers)[cluster]
-
-        k = e0.astype(np.float64).copy()
-        cost = np.zeros(n)
-        vobs = np.zeros(n)
-        vpred = np.zeros(n)
-        wins = np.zeros(n, dtype=np.int64)
-        for t in range(mmax):
-            active = m > t
-            p_k = p0 * gamma**k
-            if dynamic and multipliers is not None:
-                cur = assign_clusters(k.astype(np.int64), bucket_boundaries)
-                alpha_t = np.asarray(multipliers)[cur]
-            else:
-                alpha_t = alpha
-            bid = alpha_t * theta * vpc * p_k
-            won = active & (bid > comp[:, t])
-            cost += np.where(won, comp[:, t], 0.0)
-            vpred += np.where(won, vpc * p_k, 0.0)
-            converted = won & (conv_u[:, t] < p_k)
-            vobs += np.where(converted, vpc, 0.0)
-            if collect_displays and won.any():
-                disp_exposure.append(k[won].astype(np.int64))
-                disp_converted.append(converted[won])
-            k += won
-            wins += won
-
-        out["theta"].append(theta)
-        out["exposure_at_start"].append(e0)
-        out["cluster"].append(cluster)
-        out["cost"].append(cost)
-        out["value_observed"].append(vobs)
-        out["value_predicted"].append(vpred)
-        out["n_auctions"].append(m.astype(np.int64))
-        out["n_wins"].append(wins)
-
-    result = {k: (np.concatenate(v) if v else np.array([])) for k, v in out.items()}
+    if chunks:
+        return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    result = {k: np.array([]) for k in ("theta", "exposure_at_start", "cluster", "cost",
+                                         "value_observed", "value_predicted", "n_auctions", "n_wins")}
     if collect_displays:
-        result["display_exposure"] = (
-            np.concatenate(disp_exposure) if disp_exposure else np.array([], dtype=np.int64)
-        )
-        result["display_converted"] = (
-            np.concatenate(disp_converted) if disp_converted else np.array([], dtype=bool)
-        )
+        result["display_exposure"] = np.array([], dtype=np.int64)
+        result["display_converted"] = np.array([], dtype=bool)
+    return result
+
+
+def _simulate_chunk(
+    rng: np.random.Generator,
+    n: int,
+    config: SimConfig,
+    spec: RandomizationSpec,
+    bucket_boundaries: tuple[int, ...],
+    mult: np.ndarray | None,
+    dynamic: bool,
+    collect_displays: bool,
+) -> dict[str, np.ndarray]:
+    """Draw and simulate n users; see `_simulate_population`.
+
+    Users are held in order of auction count, descending, so the users
+    with an auction at step t are a prefix and each step costs only its
+    real auctions. Per-user outputs come back in user order, and the
+    display trace lists each step's winners by user index.
+    """
+    gamma = config.fatigue_decay
+    p0 = config.base_conversion_prob
+    vpc = config.value_per_conversion
+    levels = np.arange(len(config.initial_exposure))
+    e0 = rng.choice(levels, p=np.asarray(config.initial_exposure), size=n)
+    theta = rng.lognormal(spec.mu, spec.sigma, n)
+    if config.auctions_per_user.kind == "poisson":
+        m = rng.poisson(config.auctions_per_user.mean * config._activity_multipliers()[e0], n)
+    else:
+        m = np.full(n, int(config.auctions_per_user.value))
+    mmax = int(m.max())
+    order = np.argsort(-m, kind="stable")  # sorted row j is user order[j]
+    pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
+    pos[order] = np.arange(n)
+    comp = _draw_sorted(lambda size: config.competition.sample(rng, size), pos, mmax)
+    conv_u = _draw_sorted(rng.random, pos, mmax)
+    n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
+
+    cluster = assign_clusters(e0, bucket_boundaries)
+    alpha = np.ones(n) if mult is None else mult[cluster]
+    dynamic = dynamic and mult is not None
+    # exposure stays below its start level plus one win per step; indexed by
+    # exposure k, these tables hold p0 * gamma**k and the multiplier of k's cluster
+    exposures = np.arange(len(levels) + mmax)
+    p_by_exposure = p0 * gamma ** exposures.astype(np.float64)
+    if dynamic:
+        alpha_by_exposure = mult[assign_clusters(exposures, bucket_boundaries)]
+    theta_s = theta[order]
+    bid_scale = alpha[order] * theta_s * vpc  # the bid's left factors, per user
+
+    k = e0[order]
+    cost = np.zeros(n)
+    vobs = np.zeros(n)
+    vpred = np.zeros(n)
+    wins = np.zeros(n, dtype=np.int64)
+    disp_key, disp_exposure = [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
+    disp_converted = [np.array([], dtype=bool)]
+    for t in range(mmax):
+        c = n_active[t]
+        # views of the active prefix: adding to them adds to the users' totals
+        k_t, cost_t, vpred_t, vobs_t, wins_t = k[:c], cost[:c], vpred[:c], vobs[:c], wins[:c]
+        comp_t = comp[:c, t]
+        p_k = p_by_exposure[k_t]
+        if dynamic:
+            bid = alpha_by_exposure[k_t] * theta_s[:c] * vpc * p_k
+        else:
+            bid = bid_scale[:c] * p_k
+        won = bid > comp_t
+        converted = won & (conv_u[:c, t] < p_k)
+        cost_t += np.where(won, comp_t, 0.0)
+        vpred_t += np.where(won, vpc * p_k, 0.0)
+        vobs_t += np.where(converted, vpc, 0.0)
+        if collect_displays:
+            idx = np.flatnonzero(won)
+            disp_key.append(t * n + order[idx])
+            disp_exposure.append(k_t[idx])
+            disp_converted.append(converted[idx])
+        k_t += won
+        wins_t += won
+
+    result = {
+        "theta": theta,
+        "exposure_at_start": e0,
+        "cluster": cluster,
+        "cost": cost[pos],
+        "value_observed": vobs[pos],
+        "value_predicted": vpred[pos],
+        "n_auctions": m.astype(np.int64),
+        "n_wins": wins[pos],
+    }
+    if collect_displays:
+        by_step_then_user = np.argsort(np.concatenate(disp_key))
+        result["display_exposure"] = np.concatenate(disp_exposure)[by_step_then_user]
+        result["display_converted"] = np.concatenate(disp_converted)[by_step_then_user]
     return result
 
 

@@ -227,6 +227,35 @@ class TestPipeline:
         assert len(rows) == 3  # header + two sweep amplitudes
         assert rows[0].startswith("delta,dvalue_linear,")
 
+    def test_offline_eval_prints_the_csv_point_estimates(self, tiny_config, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        ev = tmp_path / "eval.csv"
+        run("simulate", "--config", tiny_config, "--out", str(log))
+        capsys.readouterr()
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(ev)) == 0
+        printed = [
+            dict(field.split("=") for field in line.split()[1:])
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("offline-eval: delta=")
+        ]
+        rows = [l.split(",") for l in ev.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(printed) == len(rows) == 2
+        for shown, row in zip(printed, rows):
+            point = dict(zip(("dV_lin", "dC_lin", "dV_exact", "dC_exact"), map(float, row[1::3])))
+            assert float(shown["delta"]) == float(row[0])
+            for name, fmt in (("dV_lin", ".2f"), ("dC_lin", ".2e"), ("dV_exact", ".2f"), ("dC_exact", ".2f")):
+                assert shown[name] == format(point[name], fmt), name
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = "import sys, impatience.cli; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(impatience.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout.split() == ["False", "False"]
+
 
 class TestStandaloneCommands:
     def test_init_config_roundtrips(self, tmp_path):

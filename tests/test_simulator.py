@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from impatience import (
+    DEFAULT_BUCKETS,
     BidPolicy,
     Distribution,
     PolicySpec,
@@ -17,6 +18,8 @@ from impatience import (
     two_auction_demo,
     write_log,
 )
+from impatience import simulator
+from impatience.domain import assign_clusters
 
 
 def small_config(**overrides) -> SimConfig:
@@ -226,3 +229,117 @@ class TestTwoAuctionDemo:
                 exact = comp.expected_second_price_profit(bid, 100.0)
                 quad = comp.expected_second_price_profit_quad(bid, 100.0)
                 assert exact == pytest.approx(quad, rel=1e-8, abs=1e-10)
+
+
+def padded_reference(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, multipliers=None,
+                     dynamic=False, collect_displays=False):
+    """The simulator's earlier step loop: every user at every step of a
+    chunk padded to its largest auction count, inactive users masked out."""
+    rng = np.random.default_rng(seed)
+    gamma = config.fatigue_decay
+    p0 = config.base_conversion_prob
+    vpc = config.value_per_conversion
+    levels = np.arange(len(config.initial_exposure))
+    probs = np.asarray(config.initial_exposure)
+    act = config._activity_multipliers()
+    keys = ("theta", "exposure_at_start", "cluster", "cost", "value_observed",
+            "value_predicted", "n_auctions", "n_wins")
+    out = {k: [] for k in keys}
+    disp_exposure, disp_converted = [], []
+    remaining = config.n_users
+    while remaining > 0:
+        n = min(remaining, simulator._CHUNK)
+        remaining -= n
+        e0 = rng.choice(levels, p=probs, size=n)
+        theta = rng.lognormal(spec.mu, spec.sigma, n)
+        if config.auctions_per_user.kind == "poisson":
+            m = rng.poisson(config.auctions_per_user.mean * act[e0], n)
+        else:
+            m = np.full(n, int(config.auctions_per_user.value))
+        mmax = int(m.max()) if n else 0
+        comp = config.competition.sample(rng, (n, mmax))
+        conv_u = rng.random((n, mmax))
+        cluster = assign_clusters(e0, bucket_boundaries)
+        alpha = np.ones(n) if multipliers is None else np.asarray(multipliers)[cluster]
+        k = e0.astype(np.float64).copy()
+        cost, vobs, vpred = np.zeros(n), np.zeros(n), np.zeros(n)
+        wins = np.zeros(n, dtype=np.int64)
+        for t in range(mmax):
+            active = m > t
+            p_k = p0 * gamma**k
+            if dynamic and multipliers is not None:
+                alpha_t = np.asarray(multipliers)[assign_clusters(k.astype(np.int64), bucket_boundaries)]
+            else:
+                alpha_t = alpha
+            bid = alpha_t * theta * vpc * p_k
+            won = active & (bid > comp[:, t])
+            cost += np.where(won, comp[:, t], 0.0)
+            vpred += np.where(won, vpc * p_k, 0.0)
+            converted = won & (conv_u[:, t] < p_k)
+            vobs += np.where(converted, vpc, 0.0)
+            if collect_displays and won.any():
+                disp_exposure.append(k[won].astype(np.int64))
+                disp_converted.append(converted[won])
+            k += won
+            wins += won
+        for key, arr in zip(keys, (theta, e0, cluster, cost, vobs, vpred, m.astype(np.int64), wins)):
+            out[key].append(arr)
+    result = {k: (np.concatenate(v) if v else np.array([])) for k, v in out.items()}
+    if collect_displays:
+        result["display_exposure"] = (
+            np.concatenate(disp_exposure) if disp_exposure else np.array([], dtype=np.int64)
+        )
+        result["display_converted"] = (
+            np.concatenate(disp_converted) if disp_converted else np.array([], dtype=bool)
+        )
+    return result
+
+
+MULT = (1.3, 0.7, 1.1, 0.9, 1.0, 0.5)
+WORLDS = {
+    # activity scaling: per-level means 1.5, 4.5 and 13.5; about 22% of users have no auction
+    "poisson_activity": dict(
+        auctions_per_user=Distribution(kind="poisson", mean=6.0), activity_by_exposure=(1.0, 3.0, 9.0)
+    ),
+    "constant": dict(auctions_per_user=Distribution(kind="constant", value=7)),
+    "no_auctions": dict(auctions_per_user=Distribution(kind="constant", value=0)),
+    "no_users": dict(n_users=0),
+    "uniform_competition": dict(competition=Distribution(kind="uniform", low=0.0, high=1.0)),
+    "poisson_competition": dict(competition=Distribution(kind="poisson", mean=0.3)),
+}
+POLICIES = {
+    "base": dict(),
+    "fixed": dict(multipliers=np.array(MULT)),
+    "dynamic": dict(multipliers=np.array(MULT), dynamic=True),
+    "displays": dict(collect_displays=True),
+}
+
+
+def assert_same_bytes(got, ref):
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == ref[key].dtype, key
+        assert got[key].shape == ref[key].shape, key
+        assert got[key].tobytes() == ref[key].tobytes(), key
+
+
+class TestActiveUserLoop:
+    """The step loop over users with auctions left equals the padded loop byte for byte."""
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_matches_padded_loop(self, world, policy):
+        cfg = small_config(**{"n_users": 2500, **WORLDS[world]})
+        for seed in (0, 1):
+            got = simulator._simulate_population(cfg, SPEC, seed, **POLICIES[policy])
+            ref = padded_reference(cfg, SPEC, seed, **POLICIES[policy])
+            assert_same_bytes(got, ref)
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_matches_padded_loop_across_chunks_and_draw_blocks(self, policy, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 700)
+        monkeypatch.setattr(simulator, "_DRAW_CELLS", 50)
+        cfg = small_config(n_users=2500, **WORLDS["poisson_activity"])
+        got = simulator._simulate_population(cfg, SPEC, 3, **POLICIES[policy])
+        ref = padded_reference(cfg, SPEC, 3, **POLICIES[policy])
+        assert_same_bytes(got, ref)
