@@ -13,7 +13,6 @@ from .domain import (
     PolicySpec,
     RandomizationSpec,
     RandomizedLog,
-    UserRecord,
     ValidationError,
     assign_cluster,
     assign_clusters,

@@ -24,16 +24,18 @@ from . import __version__
 from .distributions import Distribution
 from .domain import (
     DEFAULT_BUCKETS,
+    ClusterRow,
     LogFormatError,
     PolicySpec,
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
     _check_boundaries,
+    atomic_write,
     read_log,
     write_log,
 )
-from .estimators import cluster_estimates, policy_delta_bootstrap, weight_std_profile
+from .estimators import cluster_estimates, marginal_roi, policy_delta_bootstrap, weight_std_profile
 from .optimizer import ReallocationProblem, solve_reallocation_detailed
 from .predictor import ConvergenceError, calibration_curve, events_from_trace, fit_ctr
 from .simulator import (
@@ -137,7 +139,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, provenance: dict[str, str], header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# tool=impatience/{__version__}\n")
         for key in sorted(provenance):
             fh.write(f"# {key}={provenance[key]}\n")
@@ -184,7 +186,11 @@ def _write_policy(path: str, policy: PolicySpec, provenance: dict, diagnostic: s
     }
     if diagnostic:
         doc["diagnostic"] = diagnostic
-    with open(path, "w") as fh:
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -284,20 +290,15 @@ def cmd_marginals(args) -> int:
 
 def cmd_optimize(args) -> int:
     rows, prov = _read_marginals_csv(args.marginals)
-    cluster_rows = []
-    for r in rows:
-        cluster_rows.append(
-            (
-                int(r["cluster"]),
-                float(r["dcost"]),
-                float(r["dvalue"]),
-                r["mroi"] != "",
-            )
-        )
-    eligible = tuple((c, dc, dv) for c, dc, dv, ok in cluster_rows if ok and dc > 0)
-    pinned = tuple(c for c, dc, dv, ok in cluster_rows if not (ok and dc > 0))
-    problem = ReallocationProblem(clusters=eligible, cap_delta=args.cap, pinned=pinned)
-    result = solve_reallocation_detailed(problem)
+    try:
+        cluster_rows = [
+            ClusterRow(int(r["cluster"]), None, float(r["dcost"]), float(r["dvalue"]),
+                       mroi=float(r["mroi"]) if r["mroi"] != "" else None)
+            for r in rows
+        ]
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"marginals file {args.marginals} has a malformed row: {exc!r}") from None
+    result = solve_reallocation_detailed(ReallocationProblem.from_rows(cluster_rows, cap_delta=args.cap))
     provenance = {
         "marginals_sha256": _file_sha256(args.marginals),
         "tool": f"impatience/{__version__}",
@@ -314,19 +315,10 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _policy_from_cap(log: RandomizedLog, cap: float) -> tuple[PolicySpec, float]:
-    from .estimators import marginal_estimate, marginal_roi
-
-    rows = []
-    for c in range(log.n_clusters):
-        dcost = marginal_estimate(log, "cost", c)
-        dvalue = marginal_estimate(log, "value_predicted", c)
-        roi = marginal_roi(log, c)
-        rows.append((c, dcost, dvalue, roi.defined))
-    eligible = tuple((c, dc, dv) for c, dc, dv, ok in rows if ok and dc > 0)
-    pinned = tuple(c for c, dc, dv, ok in rows if not (ok and dc > 0))
-    result = solve_reallocation_detailed(ReallocationProblem(eligible, cap, pinned))
-    return result.policy, result.objective
+def _policy_from_cap(log: RandomizedLog, cap: float) -> PolicySpec:
+    rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
+    rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
+    return solve_reallocation_detailed(ReallocationProblem.from_rows(rows, cap)).policy
 
 
 def cmd_offline_eval(args) -> int:
@@ -340,7 +332,7 @@ def cmd_offline_eval(args) -> int:
         policies = [(None, _read_policy(args.policy))]
     else:
         sweep = tuple(args.sweep) if args.sweep else cfg.sweep
-        policies = [(delta, _policy_from_cap(log, delta)[0]) for delta in sweep]
+        policies = [(delta, _policy_from_cap(log, delta)) for delta in sweep]
     for delta, policy in policies:
         cap = policy.cap_delta if delta is None else delta
         ci = policy_delta_bootstrap(log, policy, resamples, seed)
@@ -411,9 +403,7 @@ def cmd_ab(args) -> int:
         report["arms"][name]["rel_dcost"] = dc
         report["arms"][name]["rel_dcost_se"] = dc_se
         print(f"  {name}: dV={dv:+.4%} (se {dv_se:.4%})  dC={dc:+.4%} (se {dc_se:.4%})")
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, report)
     print(f"ab: wrote report to {args.out}")
     return 0
 
@@ -476,9 +466,7 @@ def cmd_fit_ctr(args) -> int:
 
 def cmd_init_config(args) -> int:
     cfg = default_experiment_config()
-    with open(args.out, "w") as fh:
-        json.dump(cfg.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, cfg.to_json())
     print(f"init-config: wrote default config to {args.out}")
     return 0
 

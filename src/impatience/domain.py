@@ -8,11 +8,12 @@ are immutable after construction.
 from __future__ import annotations
 
 import json
-import math
+import os
 from bisect import bisect_right
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -21,19 +22,14 @@ SCHEMA_VERSION = "impatience-log/1"
 #: Default ad-exposure bucket boundaries: buckets {0, 1, 2, 3, 4, 5+}.
 DEFAULT_BUCKETS: tuple[int, ...] = (1, 2, 3, 4, 5)
 
-_USER_FIELDS = (
-    "user_id",
-    "theta",
-    "exposure_at_start",
-    "cluster",
-    "cost",
-    "value_observed",
-    "value_predicted",
-    "n_auctions",
-    "n_wins",
-)
+#: The per-user columns of a log, in field order after `user_id`.
+_COLUMNS = ("theta", "exposure_at_start", "cluster", "cost", "value_observed", "value_predicted",
+            "n_auctions", "n_wins")
+_USER_FIELDS = ("user_id",) + _COLUMNS
 _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
 _FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
+#: The dtype each column is held in.
+_DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
 
 
 class ValidationError(ValueError):
@@ -102,70 +98,78 @@ class RandomizationSpec:
             raise ValidationError(f"sigma must be strictly positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class UserRecord:
-    """Aggregated per-user outcome of one randomized collection period."""
-
-    user_id: str
-    theta: float
-    exposure_at_start: int
-    cluster: int
-    cost: float
-    value_observed: float
-    value_predicted: float
-    n_auctions: int
-    n_wins: int
-
-    def __post_init__(self):
-        # chained comparisons with inf also reject NaN
-        if not 0 < self.theta < math.inf:
-            raise ValidationError(f"user {self.user_id}: theta must be finite and > 0, got {self.theta}")
-        if self.exposure_at_start < 0:
-            raise ValidationError(f"user {self.user_id}: exposure_at_start must be >= 0")
-        if not 0 <= self.cost < math.inf:
-            raise ValidationError(f"user {self.user_id}: cost must be finite and >= 0, got {self.cost}")
-        if not 0 <= self.value_observed < math.inf:
-            raise ValidationError(
-                f"user {self.user_id}: value_observed must be finite and >= 0, got {self.value_observed}"
-            )
-        if not 0 <= self.value_predicted < math.inf:
-            raise ValidationError(
-                f"user {self.user_id}: value_predicted must be finite and >= 0, got {self.value_predicted}"
-            )
-        if not 0 <= self.n_wins <= self.n_auctions:
-            raise ValidationError(
-                f"user {self.user_id}: need 0 <= n_wins <= n_auctions, "
-                f"got n_wins={self.n_wins}, n_auctions={self.n_auctions}"
-            )
+def _no_users(dtype):
+    # columns default to no users, so `RandomizedLog(spec, ())` is the empty log
+    return field(default_factory=lambda: np.empty(0, dtype), kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomizedLog:
-    """An ordered collection of user records under one exploration law."""
+    """Per-user outcomes of one randomized collection period, as columns.
+
+    Row i of every column belongs to the user `user_ids[i]`. The columns
+    are read-only numpy arrays: float64 for theta and the outcomes, int64
+    for exposure, cluster and the auction counts. Construction checks
+    every invariant of the log at once and reports the first user that
+    breaks one.
+    """
 
     spec: RandomizationSpec
-    users: tuple[UserRecord, ...]
+    user_ids: tuple[str, ...]
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS
+    theta: np.ndarray = _no_users(np.float64)
+    exposure_at_start: np.ndarray = _no_users(np.int64)
+    cluster: np.ndarray = _no_users(np.int64)
+    cost: np.ndarray = _no_users(np.float64)
+    value_observed: np.ndarray = _no_users(np.float64)
+    value_predicted: np.ndarray = _no_users(np.float64)
+    n_auctions: np.ndarray = _no_users(np.int64)
+    n_wins: np.ndarray = _no_users(np.int64)
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
+        object.__setattr__(self, "user_ids", tuple(self.user_ids))
         object.__setattr__(self, "bucket_boundaries", tuple(self.bucket_boundaries))
         _check_boundaries(self.bucket_boundaries)
-        seen = set()
-        for i, u in enumerate(self.users):
-            if u.user_id in seen:
-                raise ValidationError(f"duplicate user_id {u.user_id!r}", i)
-            seen.add(u.user_id)
-            expected = assign_cluster(u.exposure_at_start, self.bucket_boundaries)
-            if u.cluster != expected:
-                raise ValidationError(
-                    f"user {u.user_id}: cluster {u.cluster} inconsistent with "
-                    f"exposure_at_start {u.exposure_at_start} (expected {expected})",
-                    i,
-                )
+        n = len(self.user_ids)
+        for name in _COLUMNS:
+            object.__setattr__(self, name, _column(name, getattr(self, name), n))
+        theta, e0, wins = self.theta, self.exposure_at_start, self.n_wins
+        expected = assign_clusters(e0, self.bucket_boundaries)
+        # per-user rules (0 < x < inf also rejects NaN), then rules across users
+        per_user = [
+            ((0 < theta) & (theta < np.inf), "theta must be finite and > 0, got {theta}"),
+            (e0 >= 0, "exposure_at_start must be >= 0"),
+            *(((0 <= getattr(self, f)) & (getattr(self, f) < np.inf), f"{f} must be finite and >= 0, got {{{f}}}")
+              for f in ("cost", "value_observed", "value_predicted")),
+            ((0 <= wins) & (wins <= self.n_auctions),
+             "need 0 <= n_wins <= n_auctions, got n_wins={n_wins}, n_auctions={n_auctions}"),
+        ]
+        across_users = [
+            (_first_occurrences(self.user_ids), "duplicate user_id {user_id!r}"),
+            (self.cluster == expected, "user {user_id}: cluster {cluster} inconsistent with "
+                                       "exposure_at_start {exposure_at_start} (expected {expected})"),
+        ]
+        # report the first user who breaks a rule, under the first rule they break
+        for rules, prefix in ((per_user, "user {user_id}: "), (across_users, "")):
+            ok = np.logical_and.reduce([mask for mask, _ in rules])
+            if not ok.all():
+                i = int(np.argmin(ok))
+                message = prefix + next(m for mask, m in rules if not mask[i])
+                row = {f: getattr(self, f)[i].item() for f in _COLUMNS}
+                raise ValidationError(message.format(user_id=self.user_ids[i], expected=int(expected[i]), **row), i)
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.user_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RandomizedLog):
+            return NotImplemented
+        return (self.spec, self.bucket_boundaries, self.user_ids) == (
+            other.spec, other.bucket_boundaries, other.user_ids
+        ) and all(
+            getattr(self, f).dtype == getattr(other, f).dtype and np.array_equal(getattr(self, f), getattr(other, f))
+            for f in _COLUMNS
+        )
 
     @property
     def n_clusters(self) -> int:
@@ -173,20 +177,36 @@ class RandomizedLog:
 
     @cached_property
     def arrays(self) -> dict[str, np.ndarray]:
-        """Columnar view of the user records (cached, read-only)."""
-        cols = {
-            "theta": np.array([u.theta for u in self.users], dtype=np.float64),
-            "exposure_at_start": np.array([u.exposure_at_start for u in self.users], dtype=np.int64),
-            "cluster": np.array([u.cluster for u in self.users], dtype=np.int64),
-            "cost": np.array([u.cost for u in self.users], dtype=np.float64),
-            "value_observed": np.array([u.value_observed for u in self.users], dtype=np.float64),
-            "value_predicted": np.array([u.value_predicted for u in self.users], dtype=np.float64),
-            "n_auctions": np.array([u.n_auctions for u in self.users], dtype=np.int64),
-            "n_wins": np.array([u.n_wins for u in self.users], dtype=np.int64),
-        }
-        for a in cols.values():
-            a.setflags(write=False)
-        return cols
+        """The per-user columns by field name (read-only)."""
+        return {f: getattr(self, f) for f in _COLUMNS}
+
+
+def _column(name: str, values, n: int) -> np.ndarray:
+    """A read-only copy of one column: int64 counts, float64 otherwise.
+
+    Count columns must already hold integers, so that no fractional
+    count is silently truncated. An empty column holds no value to lose.
+    """
+    dtype = _DTYPES[name]
+    col = np.asarray(values)
+    if col.size and not np.can_cast(col.dtype, dtype):
+        raise ValidationError(f"column {name} cannot be held as {np.dtype(dtype)}, got dtype {col.dtype}")
+    if col.shape != (n,):
+        raise ValidationError(f"column {name} must hold one value per user ({n}), got shape {col.shape}")
+    col = np.array(col, dtype=dtype)
+    col.setflags(write=False)
+    return col
+
+
+def _first_occurrences(user_ids: tuple[str, ...]) -> np.ndarray:
+    """True where a user id has not appeared earlier in the log."""
+    first = np.ones(len(user_ids), dtype=bool)
+    if len(set(user_ids)) < len(user_ids):
+        seen = set()
+        for i, uid in enumerate(user_ids):
+            first[i] = uid not in seen
+            seen.add(uid)
+    return first
 
 
 @dataclass(frozen=True)
@@ -226,7 +246,7 @@ class ClusterRow:
     """Marginal estimates for one ad-exposure cluster."""
 
     cluster: int
-    n_users: int
+    n_users: int | None  # None where unknown, as in a row read back from a marginals CSV
     dcost: float
     dvalue: float
     mroi: float | None
@@ -253,47 +273,52 @@ class PolicyOutcome:
             raise ValidationError("oracle outcomes must carry n_reps and standard errors")
 
 
-def _user_to_json(u: UserRecord) -> str:
-    return json.dumps(
-        {
-            "user_id": u.user_id,
-            "theta": u.theta,
-            "exposure_at_start": u.exposure_at_start,
-            "cluster": u.cluster,
-            "cost": u.cost,
-            "value_observed": u.value_observed,
-            "value_predicted": u.value_predicted,
-            "n_auctions": u.n_auctions,
-            "n_wins": u.n_wins,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@contextmanager
+def atomic_write(path: str) -> Iterator[IO[str]]:
+    """Open `path` for writing text; the file changes only if the block succeeds.
+
+    The text goes to a temporary file in the same directory, which is
+    synced to disk and then replaces `path` in one `os.replace`. A failed
+    write leaves the earlier file as it was and removes the temporary one.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_log(log: RandomizedLog, destination: str | IO[str]) -> None:
     """Write a log as JSONL: one header line, then one line per user."""
-    header = json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "mu": log.spec.mu,
-            "sigma": log.spec.sigma,
-            "bucket_boundaries": list(log.bucket_boundaries),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
     if isinstance(destination, str):
-        with open(destination, "w") as fh:
-            _write_lines(log, header, fh)
+        with atomic_write(destination) as fh:
+            _write_lines(log, fh)
     else:
-        _write_lines(log, header, destination)
+        _write_lines(log, destination)
 
 
-def _write_lines(log: RandomizedLog, header: str, fh: IO[str]) -> None:
-    fh.write(header + "\n")
-    for u in log.users:
-        fh.write(_user_to_json(u) + "\n")
+def _write_lines(log: RandomizedLog, fh: IO[str]) -> None:
+    header = {
+        "schema": SCHEMA_VERSION,
+        "mu": log.spec.mu,
+        "sigma": log.spec.sigma,
+        "bucket_boundaries": list(log.bucket_boundaries),
+    }
+    fh.write(_to_json(header) + "\n")
+    columns = [log.arrays[f].tolist() for f in _COLUMNS]
+    for user_id, *values in zip(log.user_ids, *columns):
+        row = dict(zip(_COLUMNS, values), user_id=user_id)
+        fh.write(_to_json(row) + "\n")
 
 
 def read_log(source: str | IO[str]) -> RandomizedLog:
@@ -327,7 +352,8 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     except (KeyError, TypeError, ValueError) as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
-    users, user_lines = [], []
+    values = {f: [] for f in _USER_FIELDS}
+    user_lines = []
     for lineno, line in lines:
         line = line.strip()
         if not line:
@@ -349,25 +375,27 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         for f in _FLOAT_FIELDS:
             if type(raw[f]) is not float and type(raw[f]) is not int:
                 raise LogFormatError(f"{f} must be a number, got {raw[f]!r}", lineno)
-        try:
-            users.append(
-                UserRecord(
-                    user_id=str(raw["user_id"]),
-                    theta=float(raw["theta"]),
-                    exposure_at_start=raw["exposure_at_start"],
-                    cluster=raw["cluster"],
-                    cost=float(raw["cost"]),
-                    value_observed=float(raw["value_observed"]),
-                    value_predicted=float(raw["value_predicted"]),
-                    n_auctions=raw["n_auctions"],
-                    n_wins=raw["n_wins"],
-                )
-            )
-        except ValidationError as exc:
-            raise LogFormatError(str(exc), lineno) from exc
+        values["user_id"].append(str(raw["user_id"]))
+        for f in _COLUMNS:
+            values[f].append(raw[f])
         user_lines.append(lineno)
+    columns = {f: _parse_column(f, values[f], user_lines) for f in _COLUMNS}
     try:
-        return RandomizedLog(spec=spec, users=tuple(users), bucket_boundaries=boundaries)
+        return RandomizedLog(spec, tuple(values["user_id"]), boundaries, **columns)
     except ValidationError as exc:
         lineno = None if exc.user_index is None else user_lines[exc.user_index]
         raise LogFormatError(str(exc), lineno) from exc
+
+
+def _parse_column(name: str, values: list, user_lines: list[int]) -> np.ndarray:
+    """One log column as an array; a JSON number beyond its dtype names its line."""
+    dtype = _DTYPES[name]
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        for value, lineno in zip(values, user_lines):
+            try:
+                np.array(value, dtype=dtype)
+            except OverflowError:
+                raise LogFormatError(f"{name} is out of range, got {value!r}", lineno) from None
+        raise

@@ -39,19 +39,21 @@ def _check_metric(selector: str) -> str:
     return selector
 
 
-def exact_weight(theta, spec: RandomizationSpec, alpha: float):
+def exact_weight(theta, spec: RandomizationSpec, alpha):
     """Likelihood ratio of the alpha-scaled exploration law vs the logged one.
 
     exp((2 ln(alpha) (ln(theta) - mu) - ln(alpha)^2) / (2 sigma^2));
     reweighting logged outcomes by it estimates the counterfactual
-    total under multiplier alpha without bias.
+    total under multiplier alpha without bias. `alpha` is one multiplier
+    or one per user.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(theta <= 0):
         raise ValidationError("theta must be > 0")
-    if not alpha > 0:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(alpha > 0):
         raise ValidationError(f"alpha must be > 0, got {alpha}")
-    la = math.log(alpha)
+    la = np.log(alpha)
     out = np.exp((2 * la * (np.log(theta) - spec.mu) - la * la) / (2 * spec.sigma**2))
     return float(out) if out.ndim == 0 else out
 
@@ -151,10 +153,7 @@ def ips_estimate(
     if policy is None:
         return compensated_sum(m)
     alphas = policy.multiplier_array(log.n_clusters)
-    theta = arr["theta"][mask]
-    cluster = arr["cluster"][mask]
-    la = np.log(alphas[cluster])
-    w = np.exp((2 * la * (np.log(theta) - log.spec.mu) - la * la) / (2 * log.spec.sigma**2))
+    w = exact_weight(arr["theta"][mask], log.spec, alphas[arr["cluster"][mask]])
     return compensated_sum(m * w)
 
 
@@ -389,8 +388,7 @@ def _policy_delta_sums(log: RandomizedLog, policy: PolicySpec) -> UserSums:
     alphas = policy.multiplier_array(log.n_clusters)
     x = alphas[arr["cluster"]] - 1.0
     lw = linear_weight(arr["theta"], log.spec)
-    la = np.log(alphas[arr["cluster"]])
-    w_minus_1 = np.exp((2 * la * (np.log(arr["theta"]) - log.spec.mu) - la * la) / (2 * log.spec.sigma**2)) - 1.0
+    w_minus_1 = exact_weight(arr["theta"], log.spec, alphas[arr["cluster"]]) - 1.0
     return UserSums(
         np.stack(
             [

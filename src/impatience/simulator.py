@@ -27,7 +27,6 @@ from .domain import (
     PolicySpec,
     RandomizationSpec,
     RandomizedLog,
-    UserRecord,
     ValidationError,
     assign_clusters,
 )
@@ -351,21 +350,8 @@ def simulate_log(
 ) -> RandomizedLog:
     """Run one randomized collection period and aggregate it per user."""
     pop = _simulate_population(config, spec, seed, bucket_boundaries)
-    users = tuple(
-        UserRecord(
-            user_id=f"u{i:08d}",
-            theta=float(pop["theta"][i]),
-            exposure_at_start=int(pop["exposure_at_start"][i]),
-            cluster=int(pop["cluster"][i]),
-            cost=float(pop["cost"][i]),
-            value_observed=float(pop["value_observed"][i]),
-            value_predicted=float(pop["value_predicted"][i]),
-            n_auctions=int(pop["n_auctions"][i]),
-            n_wins=int(pop["n_wins"][i]),
-        )
-        for i in range(config.n_users)
-    )
-    return RandomizedLog(spec=spec, users=users, bucket_boundaries=bucket_boundaries)
+    user_ids = tuple(f"u{i:08d}" for i in range(config.n_users))
+    return RandomizedLog(spec, user_ids, bucket_boundaries, **pop)
 
 
 def simulate_display_trace(

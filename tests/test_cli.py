@@ -82,6 +82,15 @@ class TestSimulate:
         assert run("simulate", "--config", tiny_config, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_users_writes_header_only_log(self, tmp_path):
+        raw = default_experiment_config().to_json()
+        raw["sim"]["n_users"] = 0
+        cfg, out = tmp_path / "config.json", tmp_path / "log.jsonl"
+        cfg.write_text(json.dumps(raw))
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        (header,) = out.read_text().splitlines()
+        assert json.loads(header)["schema"] == "impatience-log/1"
+
     def test_seed_override_changes_output(self, tiny_config, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run("simulate", "--config", tiny_config, "--out", str(a))
@@ -131,6 +140,22 @@ class TestOptimize:
         doc = json.loads(out.read_text())
         assert all(v == 1.0 for v in doc["multipliers"].values())
         assert "diagnostic" in doc
+
+    def test_n_users_column_is_not_needed(self, tmp_path):
+        src = tmp_path / "marginals.csv"
+        src.write_text("cluster,dcost,dvalue,mroi\n0,1.0,2.0,2.0\n1,1.0,0.5,0.5\n2,-1.0,1.0,\n")
+        out = tmp_path / "policy.json"
+        assert run("optimize", "--marginals", str(src), "--out", str(out), "--cap", "0.2") == 0
+        assert json.loads(out.read_text())["multipliers"] == {"0": 1.2, "1": 0.8, "2": 1.0}
+
+    @pytest.mark.parametrize("bad", [{"mroi": "abc"}, {"dcost": ""}])
+    def test_malformed_row_exits_one(self, tmp_path, capsys, bad):
+        src = tmp_path / "marginals.csv"
+        row = dict(zip(["cluster", "n_users", "dcost", "dvalue", "mroi"], [0, 100, 1.0, 2.0, 2.0]), **bad)
+        self.write_marginals(src, [list(row.values()) + [0] * 6, [1, 100, 1.0, 0.5, 0.5] + [0] * 6])
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        assert "malformed row" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["marginals.csv"]
 
 
 class TestPipeline:
@@ -245,6 +270,29 @@ class TestPipeline:
             assert float(shown["delta"]) == float(row[0])
             for name, fmt in (("dV_lin", ".2f"), ("dC_lin", ".2e"), ("dV_exact", ".2f"), ("dC_exact", ".2f")):
                 assert shown[name] == format(point[name], fmt), name
+
+
+class TestAtomicOutputs:
+    def test_failed_csv_write_keeps_earlier_file(self, tiny_config, tmp_path, monkeypatch):
+        out = tmp_path / "profile.csv"
+        argv = ("weight-profile", "--config", tiny_config, "--out", str(out), "--samples", "2000")
+        assert run(*argv) == 0
+        before = out.read_bytes()
+        import impatience.cli as cli
+
+        fmt, calls = cli._fmt, []
+
+        def fail_on_fifth_cell(x):
+            calls.append(x)
+            if len(calls) == 5:
+                raise RuntimeError("formatter failed")
+            return fmt(x)
+
+        monkeypatch.setattr(cli, "_fmt", fail_on_fifth_cell)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            run(*argv, "--alphas", "0.7", "1.3")
+        assert out.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "profile.csv"]
 
 
 class TestImport:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from impatience import (
     PolicySpec,
     RandomizationSpec,
     RandomizedLog,
-    UserRecord,
     ValidationError,
     assign_cluster,
     read_log,
     write_log,
 )
+from impatience import domain
 from impatience.domain import SCHEMA_VERSION
+
+COLUMNS = ("theta", "exposure_at_start", "cluster", "cost", "value_observed",
+           "value_predicted", "n_auctions", "n_wins")
 
 
 def roundtrip(log: RandomizedLog) -> RandomizedLog:
@@ -28,7 +32,7 @@ def roundtrip(log: RandomizedLog) -> RandomizedLog:
     return read_log(buf)
 
 
-def make_user(i: int, **overrides) -> UserRecord:
+def make_user(i: int, **overrides) -> dict:
     exposure = overrides.pop("exposure_at_start", i % 7)
     base = dict(
         user_id=f"u{i}",
@@ -42,7 +46,13 @@ def make_user(i: int, **overrides) -> UserRecord:
         n_wins=min(i, 10),
     )
     base.update(overrides)
-    return UserRecord(**base)
+    return base
+
+
+def make_log(*users: dict, spec=RandomizationSpec(0, 0.3), **kwargs) -> RandomizedLog:
+    """A log whose columns hold the given per-user rows, in order."""
+    columns = {f: np.array([u[f] for u in users]) for f in COLUMNS} if users else {}
+    return RandomizedLog(spec, tuple(u["user_id"] for u in users), **columns, **kwargs)
 
 
 class TestInvariants:
@@ -52,25 +62,176 @@ class TestInvariants:
 
     def test_theta_must_be_positive(self):
         with pytest.raises(ValidationError, match="theta"):
-            make_user(1, theta=0.0)
+            make_log(make_user(1, theta=0.0))
 
     def test_wins_bounded_by_auctions(self):
         with pytest.raises(ValidationError, match="n_wins"):
-            make_user(1, n_auctions=3, n_wins=4)
+            make_log(make_user(1, n_auctions=3, n_wins=4))
 
     def test_duplicate_user_ids_rejected(self):
-        users = (make_user(1), make_user(1))
         with pytest.raises(ValidationError, match="duplicate"):
-            RandomizedLog(RandomizationSpec(0, 0.3), users)
+            make_log(make_user(1), make_user(1))
 
     def test_cluster_must_match_exposure(self):
         with pytest.raises(ValidationError, match="cluster"):
-            RandomizedLog(RandomizationSpec(0, 0.3), (make_user(1, cluster=3),))
+            make_log(make_user(1, cluster=3))
 
     def test_policy_cap_enforced(self):
         with pytest.raises(ValidationError, match="cap"):
             PolicySpec({0: 1.5}, cap_delta=0.2)
         PolicySpec({0: 1.2, 1: 0.8}, cap_delta=0.2)
+
+
+def four_users(**bad) -> list[dict]:
+    """Users u0..u3 (exposures 0, 1, 2, 3) with the overrides in `bad` on u2."""
+    users = [make_user(i) for i in range(4)]
+    users[2].update(bad)
+    return users
+
+
+class TestColumnValidation:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (dict(theta=0.0), "user u2: theta must be finite and > 0, got 0.0"),
+            (dict(theta=-1.5), "user u2: theta must be finite and > 0, got -1.5"),
+            (dict(theta=float("nan")), "user u2: theta must be finite and > 0, got nan"),
+            (dict(theta=float("inf")), "user u2: theta must be finite and > 0, got inf"),
+            (dict(exposure_at_start=-1, cluster=0), "user u2: exposure_at_start must be >= 0"),
+            (dict(cost=-1.0), "user u2: cost must be finite and >= 0, got -1.0"),
+            (dict(cost=float("nan")), "user u2: cost must be finite and >= 0, got nan"),
+            (dict(value_observed=float("inf")), "user u2: value_observed must be finite and >= 0, got inf"),
+            (dict(value_observed=-0.5), "user u2: value_observed must be finite and >= 0, got -0.5"),
+            (dict(value_predicted=float("nan")), "user u2: value_predicted must be finite and >= 0, got nan"),
+            (dict(value_predicted=-2.0), "user u2: value_predicted must be finite and >= 0, got -2.0"),
+            (dict(n_wins=11), "user u2: need 0 <= n_wins <= n_auctions, got n_wins=11, n_auctions=10"),
+            (dict(n_wins=-1), "user u2: need 0 <= n_wins <= n_auctions, got n_wins=-1, n_auctions=10"),
+            (dict(cluster=3), "user u2: cluster 3 inconsistent with exposure_at_start 2 (expected 2)"),
+            (dict(user_id="u0"), "duplicate user_id 'u0'"),
+        ],
+    )
+    def test_rule_names_first_offending_user(self, bad, message):
+        with pytest.raises(ValidationError) as info:
+            make_log(*four_users(**bad))
+        assert str(info.value) == message
+        assert info.value.user_index == 2
+
+    def test_first_offending_user_wins_over_rule_order(self):
+        users = four_users(theta=0.0)
+        users[1]["cost"] = -1.0
+        users[3]["theta"] = 0.0
+        with pytest.raises(ValidationError, match="user u1: cost") as info:
+            make_log(*users)
+        assert info.value.user_index == 1
+
+    def test_earlier_rule_wins_for_one_user(self):
+        with pytest.raises(ValidationError, match="user u2: theta") as info:
+            make_log(*four_users(theta=0.0, cost=-1.0, n_wins=11))
+        assert info.value.user_index == 2
+
+    def test_per_user_rules_come_before_rules_across_users(self):
+        # as when reading a file: a bad row anywhere is reported before a
+        # duplicate id or a cluster mismatch on an earlier user
+        users = four_users(n_wins=11)
+        users[1]["user_id"] = "u0"
+        with pytest.raises(ValidationError, match="n_wins") as info:
+            make_log(*users)
+        assert info.value.user_index == 2
+
+    @pytest.mark.parametrize("name", ["exposure_at_start", "cluster", "n_auctions", "n_wins"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    def test_count_columns_must_hold_int64(self, name, dtype):
+        columns = {f: np.array([make_user(i)[f] for i in range(4)]) for f in COLUMNS}
+        columns[name] = columns[name].astype(dtype)
+        match = f"column {name} cannot be held as int64, got dtype {np.dtype(dtype)}"
+        with pytest.raises(ValidationError, match=match) as info:
+            RandomizedLog(RandomizationSpec(0, 0.3), ("u0", "u1", "u2", "u3"), **columns)
+        assert info.value.user_index is None
+
+    def test_empty_columns_of_any_dtype_make_the_empty_log(self):
+        columns = {f: np.array([], dtype=np.float64) for f in COLUMNS}
+        log = RandomizedLog(RandomizationSpec(0, 0.3), (), **columns)
+        assert log == RandomizedLog(RandomizationSpec(0, 0.3), ())
+        assert log.n_wins.dtype == np.int64
+
+    @pytest.mark.parametrize("values", [["a", "b"], np.array([1.0, 2.0], dtype=object)])
+    def test_value_columns_must_hold_numbers(self, values):
+        with pytest.raises(ValidationError, match="column theta cannot be held as float64"):
+            RandomizedLog(RandomizationSpec(0, 0.3), ("u0", "u1"), theta=values)
+
+    def test_columns_must_hold_one_value_per_user(self):
+        users = four_users()
+        columns = {f: np.array([u[f] for u in users]) for f in COLUMNS}
+        columns["cost"] = columns["cost"][:3]
+        with pytest.raises(ValidationError, match=r"column cost must hold one value per user \(4\), got shape \(3,\)"):
+            RandomizedLog(RandomizationSpec(0, 0.3), ("u0", "u1", "u2", "u3"), **columns)
+        with pytest.raises(ValidationError, match="column theta"):
+            RandomizedLog(RandomizationSpec(0, 0.3), ("u0",))
+
+    def test_columns_are_read_only_copies_with_fixed_dtypes(self):
+        users = four_users()
+        columns = {f: np.array([u[f] for u in users]) for f in COLUMNS}
+        columns["n_wins"] = columns["n_wins"].astype(np.int32)
+        columns["theta"] = columns["theta"].astype(np.float32)
+        log = RandomizedLog(RandomizationSpec(0, 0.3), ("u0", "u1", "u2", "u3"), **columns)
+        assert log.n_wins.dtype == np.int64 and log.theta.dtype == np.float64
+        columns["cost"][0] = 99.0
+        assert log.cost[0] == 0.0
+        with pytest.raises(ValueError):
+            log.cost[0] = 1.0
+        assert all(log.arrays[f] is getattr(log, f) for f in COLUMNS)
+
+    def test_arrays_is_a_cached_property(self):
+        # the benchmark's tracer wraps `RandomizedLog.__dict__["arrays"].func`
+        from functools import cached_property
+
+        assert isinstance(RandomizedLog.__dict__["arrays"], cached_property)
+        log = make_log(*four_users())
+        assert log.arrays is log.arrays
+
+    def test_equality_compares_every_column(self):
+        log = make_log(*four_users())
+        assert log == make_log(*four_users())
+        assert log != make_log(*four_users(cost=2.5))
+        assert log != make_log(*four_users(user_id="x"))
+        assert log != make_log(*four_users(), spec=RandomizationSpec(0, 0.4))
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "log.jsonl")
+        write_log(make_log(*four_users()), path)
+        before = open(path, "rb").read()
+        calls = []
+        to_json = domain._to_json
+
+        def fail_on_third_line(obj):
+            calls.append(obj)
+            if len(calls) == 3:
+                raise RuntimeError("serializer failed")
+            return to_json(obj)
+
+        monkeypatch.setattr(domain, "_to_json", fail_on_third_line)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            write_log(make_log(*four_users(cost=7.0)), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["log.jsonl"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        with pytest.raises(RuntimeError):
+            with domain.atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError
+        assert os.listdir(tmp_path) == []
+
+    def test_write_replaces_file(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        for text in ("first\n", "second\n"):
+            with domain.atomic_write(path) as fh:
+                fh.write(text)
+        assert open(path).read() == "second\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 class TestClusterAssignment:
@@ -102,7 +263,7 @@ class TestRoundTrip:
         assert read_log(buf) == log
 
     def test_single_user(self):
-        log = RandomizedLog(RandomizationSpec(0.1, 0.5), (make_user(3),))
+        log = make_log(make_user(3), spec=RandomizationSpec(0.1, 0.5))
         buf = io.StringIO()
         write_log(log, buf)
         assert len(buf.getvalue().splitlines()) == 2
@@ -129,7 +290,7 @@ class TestRoundTrip:
             exposure = int(rng.integers(0, 12))
             auctions = int(rng.integers(0, 40))
             users.append(
-                UserRecord(
+                dict(
                     user_id=f"u{i}",
                     theta=float(rng.lognormal(mu, sigma)),
                     exposure_at_start=exposure,
@@ -141,7 +302,7 @@ class TestRoundTrip:
                     n_wins=int(rng.integers(0, auctions + 1)),
                 )
             )
-        log = RandomizedLog(RandomizationSpec(mu, sigma), tuple(users))
+        log = make_log(*users, spec=RandomizationSpec(mu, sigma))
         assert roundtrip(log) == log
 
 
@@ -236,3 +397,8 @@ class TestReadInputHoles:
                           self.user_line(user_id="b", exposure_at_start=3, cluster=1)])
         with pytest.raises(LogFormatError, match="line 4: user b: cluster 1 inconsistent"):
             read_log(io.StringIO(text + "\n"))
+
+    @pytest.mark.parametrize("field,value", [("n_auctions", 10**30), ("cost", 10**400)])
+    def test_out_of_range_numbers_name_their_line(self, field, value):
+        with pytest.raises(LogFormatError, match=f"line 3: {field} is out of range"):
+            self.read(self.user_line(**{field: value}))

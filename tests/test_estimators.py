@@ -8,10 +8,9 @@ from impatience import (
     PolicySpec,
     RandomizationSpec,
     RandomizedLog,
-    UserRecord,
     UserSubset,
     ValidationError,
-    assign_cluster,
+    assign_clusters,
     bootstrap_ci,
     cluster_estimates,
     exact_weight,
@@ -34,21 +33,18 @@ def synth_log(n=2000, seed=0, spec=SPEC, value_fn=None, cost_fn=None) -> Randomi
     exposure = rng.integers(0, 8, n)
     cost = rng.exponential(1.0, n) * theta if cost_fn is None else cost_fn(theta, exposure, rng)
     value = cost * 0.8 if value_fn is None else value_fn(cost, theta, exposure, rng)
-    users = tuple(
-        UserRecord(
-            user_id=f"u{i}",
-            theta=float(theta[i]),
-            exposure_at_start=int(exposure[i]),
-            cluster=assign_cluster(int(exposure[i])),
-            cost=float(cost[i]),
-            value_observed=float(value[i]),
-            value_predicted=float(value[i]),
-            n_auctions=5,
-            n_wins=2,
-        )
-        for i in range(n)
+    return RandomizedLog(
+        spec,
+        tuple(f"u{i}" for i in range(n)),
+        theta=theta,
+        exposure_at_start=exposure,
+        cluster=assign_clusters(exposure),
+        cost=cost,
+        value_observed=value,
+        value_predicted=value,
+        n_auctions=np.full(n, 5),
+        n_wins=np.full(n, 2),
     )
-    return RandomizedLog(spec=spec, users=users)
 
 
 class TestExactWeight:
@@ -71,6 +67,17 @@ class TestExactWeight:
             exact_weight(0.0, SPEC, 1.1)
         with pytest.raises(ValidationError):
             exact_weight(1.0, SPEC, 0.0)
+        with pytest.raises(ValidationError):
+            exact_weight(np.ones(3), SPEC, np.array([1.1, 0.0, 0.9]))
+
+    def test_per_user_alpha_matches_one_alpha_per_group(self):
+        rng = np.random.default_rng(3)
+        theta = rng.lognormal(SPEC.mu, SPEC.sigma, 1000)
+        alpha = rng.choice([0.8, 0.95, 1.05, 1.2], size=1000)
+        w = exact_weight(theta, SPEC, alpha)
+        for a in np.unique(alpha):
+            # np.log may round a scalar and an array element differently by one ulp
+            np.testing.assert_allclose(w[alpha == a], exact_weight(theta[alpha == a], SPEC, a), rtol=1e-14)
 
     def test_mean_weight_is_one(self):
         rng = np.random.default_rng(42)
@@ -167,8 +174,8 @@ class TestMarginalEstimate:
         assert marginal_estimate(log, "cost") == 0.0
 
     def test_single_centered_user(self):
-        user = UserRecord("u0", 1.0, 0, 0, 1.0, 1.0, 1.0, 1, 1)
-        log = RandomizedLog(SPEC, (user,))
+        log = RandomizedLog(SPEC, ("u0",), theta=[1.0], exposure_at_start=[0], cluster=[0], cost=[1.0],
+                            value_observed=[1.0], value_predicted=[1.0], n_auctions=[1], n_wins=[1])
         assert marginal_estimate(log, "cost") == 0.0
 
 

@@ -9,9 +9,8 @@ from impatience import (
     RandomizationSpec,
     RandomizedLog,
     ReallocationProblem,
-    UserRecord,
     ValidationError,
-    assign_cluster,
+    assign_clusters,
     ips_estimate,
     predict_policy_delta,
     solve_reallocation,
@@ -180,21 +179,18 @@ class TestPredictPolicyDelta:
         theta = rng.lognormal(spec.mu, spec.sigma, n)
         exposure = rng.integers(0, 7, n)
         cost = rng.exponential(1.0, n)
-        users = tuple(
-            UserRecord(
-                user_id=f"u{i}",
-                theta=float(theta[i]),
-                exposure_at_start=int(exposure[i]),
-                cluster=assign_cluster(int(exposure[i])),
-                cost=float(cost[i]),
-                value_observed=float(0.8 * cost[i]),
-                value_predicted=float(0.8 * cost[i]),
-                n_auctions=3,
-                n_wins=1,
-            )
-            for i in range(n)
+        return RandomizedLog(
+            spec,
+            tuple(f"u{i}" for i in range(n)),
+            theta=theta,
+            exposure_at_start=exposure,
+            cluster=assign_clusters(exposure),
+            cost=cost,
+            value_observed=0.8 * cost,
+            value_predicted=0.8 * cost,
+            n_auctions=np.full(n, 3),
+            n_wins=np.full(n, 1),
         )
-        return RandomizedLog(spec=spec, users=users)
 
     def test_identity_policy_gives_zero_delta(self):
         log = self.make_log()

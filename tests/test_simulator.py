@@ -9,6 +9,7 @@ from impatience import (
     Distribution,
     PolicySpec,
     RandomizationSpec,
+    RandomizedLog,
     SimConfig,
     ValidationError,
     default_config,
@@ -75,6 +76,11 @@ class TestSimulateLog:
         c = simulate_log(cfg, SPEC, seed=124)
         assert log_bytes(a) != log_bytes(c)
 
+    def test_no_users_gives_the_empty_log(self):
+        log = simulate_log(small_config(n_users=0), SPEC, seed=0)
+        assert log == RandomizedLog(SPEC, ())
+        assert log_bytes(log).count("\n") == 1
+
     def test_unwinnable_competition_gives_no_wins(self):
         # competition lower bound above any possible bid
         cfg = small_config(competition=Distribution(kind="uniform", low=1e6, high=2e6))
@@ -133,9 +139,9 @@ class TestSimulateLog:
         # second price: per-user cost is below theta * sum of per-win values
         cfg = small_config()
         log = simulate_log(cfg, SPEC, seed=13)
-        for u in log.users:
-            max_bid = u.theta * cfg.value_per_conversion * cfg.base_conversion_prob
-            assert u.cost <= u.n_wins * max_bid + 1e-9
+        arr = log.arrays
+        max_bid = arr["theta"] * cfg.value_per_conversion * cfg.base_conversion_prob
+        assert np.all(arr["cost"] <= arr["n_wins"] * max_bid + 1e-9)
 
     def test_win_monotonicity_in_theta(self):
         # same seed and competition draws; scaling mu up scales every theta up
