@@ -16,7 +16,6 @@ from .domain import (
     ValidationError,
     assign_cluster,
     assign_clusters,
-    identity_policy,
     read_log,
     write_log,
 )

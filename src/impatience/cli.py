@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +140,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def _writing(path: str):
+    """Report an output file that cannot be written as a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, provenance: dict[str, str], header: list[str], rows: list[list]) -> None:
-    with atomic_write(path) as fh:
+    with _writing(path), atomic_write(path) as fh:
         fh.write(f"# tool=impatience/{__version__}\n")
         for key in sorted(provenance):
             fh.write(f"# {key}={provenance[key]}\n")
@@ -190,7 +201,7 @@ def _write_policy(path: str, policy: PolicySpec, provenance: dict, diagnostic: s
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with atomic_write(path) as fh:
+    with _writing(path), atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -203,12 +214,19 @@ def _read_policy(path: str) -> PolicySpec:
         raise UsageError(f"policy file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"policy file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"policy file {path} does not hold a JSON object")
     if doc.get("schema") != POLICY_SCHEMA:
         raise UsageError(f"unsupported policy schema {doc.get('schema')!r}")
-    return PolicySpec(
-        multipliers={int(k): float(v) for k, v in doc["multipliers"].items()},
-        cap_delta=float(doc["cap_delta"]),
-    )
+    multipliers = doc.get("multipliers")
+    numbers = [doc.get("cap_delta"), *multipliers.values()] if isinstance(multipliers, dict) else [None]
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
+        raise UsageError(f"policy file {path} needs a 'multipliers' object and a 'cap_delta', all finite numbers")
+    try:
+        clusters = [int(k) for k in multipliers]
+    except ValueError:
+        raise UsageError(f"policy file {path}: cluster keys must be integers, got {list(multipliers)}") from None
+    return PolicySpec(dict(zip(clusters, map(float, multipliers.values()))), float(doc["cap_delta"]))
 
 
 def _read_log_checked(path: str | None) -> tuple[RandomizedLog, str]:
@@ -229,7 +247,8 @@ def cmd_simulate(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     log = simulate_log(cfg.sim, cfg.randomization, seed, cfg.bucket_boundaries)
-    write_log(log, args.out)
+    with _writing(args.out):
+        write_log(log, args.out)
     arr = log.arrays
     print(f"simulate: wrote {len(log)} users to {args.out} (seed={seed}, config={cfg_hash[:12]})")
     print(

@@ -237,10 +237,6 @@ class PolicySpec:
         return out
 
 
-def identity_policy(n_clusters: int, cap_delta: float = 0.2) -> PolicySpec:
-    return PolicySpec({c: 1.0 for c in range(n_clusters)}, cap_delta)
-
-
 @dataclass(frozen=True)
 class ClusterRow:
     """Marginal estimates for one ad-exposure cluster."""

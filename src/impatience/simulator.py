@@ -32,7 +32,6 @@ from .domain import (
 )
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
-_DRAW_CELLS = 1 << 16  # cells per draw call; any value gives the same stream
 
 
 @dataclass(frozen=True)
@@ -195,23 +194,6 @@ class BidPolicy:
         )
 
 
-def _draw_sorted(draw, pos: np.ndarray, mmax: int) -> np.ndarray:
-    """An (n, mmax) draw with user i's row stored at row pos[i].
-
-    The draw is made in row blocks of about _DRAW_CELLS cells. Consecutive
-    calls consume the generator exactly as one call of the whole size does,
-    so the values are those of a single (n, mmax) draw, and only one block
-    is held besides the result.
-    """
-    n = len(pos)
-    out = np.empty((n, mmax))
-    rows = max(1, _DRAW_CELLS // max(mmax, 1))
-    for r0 in range(0, n, rows):
-        r1 = min(n, r0 + rows)
-        out[pos[r0:r1]] = draw((r1 - r0, mmax))
-    return out
-
-
 def _simulate_population(
     config: SimConfig,
     spec: RandomizationSpec,
@@ -279,9 +261,12 @@ def _simulate_chunk(
     order = np.argsort(-m, kind="stable")  # sorted row j is user order[j]
     pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
     pos[order] = np.arange(n)
-    comp = _draw_sorted(lambda size: config.competition.sample(rng, size), pos, mmax)
-    conv_u = _draw_sorted(rng.random, pos, mmax)
     n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
+    # step-major cells: step t's auctions are cells start[t]:start[t + 1],
+    # one per active user, in sorted-row order
+    start = np.concatenate(([0], np.cumsum(n_active)))
+    comp = config.competition.sample(rng, int(start[-1]))
+    conv_u = rng.random(int(start[-1]))
 
     cluster = assign_clusters(e0, bucket_boundaries)
     alpha = np.ones(n) if mult is None else mult[cluster]
@@ -303,17 +288,17 @@ def _simulate_chunk(
     disp_key, disp_exposure = [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
     disp_converted = [np.array([], dtype=bool)]
     for t in range(mmax):
-        c = n_active[t]
+        c, lo, hi = n_active[t], start[t], start[t + 1]
         # views of the active prefix: adding to them adds to the users' totals
         k_t, cost_t, vpred_t, vobs_t, wins_t = k[:c], cost[:c], vpred[:c], vobs[:c], wins[:c]
-        comp_t = comp[:c, t]
+        comp_t = comp[lo:hi]
         p_k = p_by_exposure[k_t]
         if dynamic:
             bid = alpha_by_exposure[k_t] * theta_s[:c] * vpc * p_k
         else:
             bid = bid_scale[:c] * p_k
         won = bid > comp_t
-        converted = won & (conv_u[:c, t] < p_k)
+        converted = won & (conv_u[lo:hi] < p_k)
         cost_t += np.where(won, comp_t, 0.0)
         vpred_t += np.where(won, vpc * p_k, 0.0)
         vobs_t += np.where(converted, vpc, 0.0)

@@ -35,6 +35,19 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+POLICY = {"schema": "impatience-policy/1", "cap_delta": 0.2, "multipliers": {"0": 1.1}}
+MALFORMED_POLICIES = {
+    "not_an_object": [POLICY],
+    "no_multipliers": {k: v for k, v in POLICY.items() if k != "multipliers"},
+    "no_cap_delta": {k: v for k, v in POLICY.items() if k != "cap_delta"},
+    "multipliers_not_an_object": {**POLICY, "multipliers": [1.1]},
+    "non_integer_cluster": {**POLICY, "multipliers": {"a": 1.1}},
+    "string_multiplier": {**POLICY, "multipliers": {"0": "x"}},
+    "nan_multiplier": {**POLICY, "multipliers": {"0": float("nan")}},
+    "infinite_cap_delta": {**POLICY, "cap_delta": float("inf")},
+}
+
+
 class TestErrorHandling:
     def test_missing_config_exits_one_and_names_path(self, tmp_path, capsys):
         out = tmp_path / "log.jsonl"
@@ -376,3 +389,24 @@ class TestExitCodes:
         code = run("fit-ctr", "--config", str(cfg), "--out", str(tmp_path / "c.csv"))
         assert code == 1
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", sorted(MALFORMED_POLICIES))
+    def test_malformed_policy_exits_one(self, tiny_config, tmp_path, capsys, probe):
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(MALFORMED_POLICIES[probe]))
+        out = tmp_path / "ab.json"
+        code = run("ab", "--config", tiny_config, "--policy", str(policy), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("impatience:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["init-config", "simulate"])
+    def test_missing_output_directory_exits_one_and_names_target(self, tiny_config, tmp_path, capsys,
+                                                                  command):
+        out = str(tmp_path / "missing" / "out.json")
+        argv = ["init-config"] if command == "init-config" else ["simulate", "--config", tiny_config]
+        assert run(*argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("impatience:")
+        assert out in err
+        assert ".tmp" not in err

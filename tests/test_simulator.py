@@ -1,4 +1,8 @@
+import __future__
+import inspect
 import io
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ from impatience import (
     write_log,
 )
 from impatience import simulator
-from impatience.domain import assign_clusters
+from impatience.domain import assign_cluster, assign_clusters
 
 
 def small_config(**overrides) -> SimConfig:
@@ -237,10 +241,15 @@ class TestTwoAuctionDemo:
                 assert exact == pytest.approx(quad, rel=1e-8, abs=1e-10)
 
 
-def padded_reference(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, multipliers=None,
-                     dynamic=False, collect_displays=False):
-    """The simulator's earlier step loop: every user at every step of a
-    chunk padded to its largest auction count, inactive users masked out."""
+def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, multipliers=None,
+                         dynamic=False, collect_displays=False):
+    """The simulator one user and one auction at a time, over its step-major draws.
+
+    Each chunk draws e0, theta and the auction counts m, then one competing bid
+    and one conversion uniform per real auction. The cells are laid out step by
+    step: at step t each user with an auction left takes one cell, in order of
+    auction count (descending, ties by user index), so the user at rank r reads
+    cell start[t] + r."""
     rng = np.random.default_rng(seed)
     gamma = config.fatigue_decay
     p0 = config.base_conversion_prob
@@ -248,10 +257,11 @@ def padded_reference(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, mult
     levels = np.arange(len(config.initial_exposure))
     probs = np.asarray(config.initial_exposure)
     act = config._activity_multipliers()
+    mult = None if multipliers is None else [float(a) for a in multipliers]
     keys = ("theta", "exposure_at_start", "cluster", "cost", "value_observed",
             "value_predicted", "n_auctions", "n_wins")
     out = {k: [] for k in keys}
-    disp_exposure, disp_converted = [], []
+    displays = []  # (exposure, converted) per won auction, by chunk, step, then user
     remaining = config.n_users
     while remaining > 0:
         n = min(remaining, simulator._CHUNK)
@@ -262,42 +272,43 @@ def padded_reference(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, mult
             m = rng.poisson(config.auctions_per_user.mean * act[e0], n)
         else:
             m = np.full(n, int(config.auctions_per_user.value))
-        mmax = int(m.max()) if n else 0
-        comp = config.competition.sample(rng, (n, mmax))
-        conv_u = rng.random((n, mmax))
+        rank = {user: r for r, user in enumerate(sorted(range(n), key=lambda i: -m[i]))}
+        start = [0]
+        for t in range(int(m.max())):
+            start.append(start[-1] + sum(1 for count in m if count > t))
+        comp = config.competition.sample(rng, start[-1]).tolist()
+        conv_u = rng.random(start[-1]).tolist()
         cluster = assign_clusters(e0, bucket_boundaries)
-        alpha = np.ones(n) if multipliers is None else np.asarray(multipliers)[cluster]
-        k = e0.astype(np.float64).copy()
+        p_by_exposure = (p0 * gamma ** np.arange(len(levels) + int(m.max())).astype(np.float64)).tolist()
         cost, vobs, vpred = np.zeros(n), np.zeros(n), np.zeros(n)
         wins = np.zeros(n, dtype=np.int64)
-        for t in range(mmax):
-            active = m > t
-            p_k = p0 * gamma**k
-            if dynamic and multipliers is not None:
-                alpha_t = np.asarray(multipliers)[assign_clusters(k.astype(np.int64), bucket_boundaries)]
-            else:
-                alpha_t = alpha
-            bid = alpha_t * theta * vpc * p_k
-            won = active & (bid > comp[:, t])
-            cost += np.where(won, comp[:, t], 0.0)
-            vpred += np.where(won, vpc * p_k, 0.0)
-            converted = won & (conv_u[:, t] < p_k)
-            vobs += np.where(converted, vpc, 0.0)
-            if collect_displays and won.any():
-                disp_exposure.append(k[won].astype(np.int64))
-                disp_converted.append(converted[won])
-            k += won
-            wins += won
+        chunk_displays = []
+        for i in range(n):
+            k = int(e0[i])
+            for t in range(int(m[i])):
+                cell = start[t] + rank[i]
+                p_k = p_by_exposure[k]
+                if mult is None:
+                    alpha = 1.0
+                elif dynamic:
+                    alpha = mult[assign_cluster(k, bucket_boundaries)]
+                else:
+                    alpha = mult[cluster[i]]
+                if alpha * theta[i] * vpc * p_k > comp[cell]:
+                    converted = conv_u[cell] < p_k
+                    cost[i] += comp[cell]
+                    vpred[i] += vpc * p_k
+                    vobs[i] += vpc if converted else 0.0
+                    chunk_displays.append((t, i, k, converted))
+                    k += 1
+                    wins[i] += 1
+        displays.extend((k, converted) for _, _, k, converted in sorted(chunk_displays))
         for key, arr in zip(keys, (theta, e0, cluster, cost, vobs, vpred, m.astype(np.int64), wins)):
             out[key].append(arr)
     result = {k: (np.concatenate(v) if v else np.array([])) for k, v in out.items()}
     if collect_displays:
-        result["display_exposure"] = (
-            np.concatenate(disp_exposure) if disp_exposure else np.array([], dtype=np.int64)
-        )
-        result["display_converted"] = (
-            np.concatenate(disp_converted) if disp_converted else np.array([], dtype=bool)
-        )
+        result["display_exposure"] = np.array([k for k, _ in displays], dtype=np.int64)
+        result["display_converted"] = np.array([c for _, c in displays], dtype=bool)
     return result
 
 
@@ -329,8 +340,31 @@ def assert_same_bytes(got, ref):
         assert got[key].tobytes() == ref[key].tobytes(), key
 
 
+def mutate_chunk(monkeypatch, old, new):
+    """Replace `_simulate_chunk` by its source with `old` swapped for `new`."""
+    source = textwrap.dedent(inspect.getsource(simulator._simulate_chunk))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(simulator))
+    code = compile(source.replace(old, new), simulator.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    monkeypatch.setattr(simulator, "_simulate_chunk", namespace["_simulate_chunk"])
+
+
+MUTANTS = {
+    # every step after the first reads its cells t places early
+    "slice_offset": ("c, lo, hi = n_active[t], start[t], start[t + 1]",
+                     "c, lo, hi = n_active[t], start[t] - t, start[t + 1] - t"),
+    # each step also bids for the first user with no auction left
+    "extra_user": ("# count(m > t)\n", "# count(m > t)\n    n_active = np.minimum(n_active + 1, n)\n"),
+    # each step's displays stay in sorted-row order, not user order
+    "display_rows": ("disp_key.append(t * n + order[idx])", "disp_key.append(t * n + idx)"),
+}
+
+
 class TestActiveUserLoop:
-    """The step loop over users with auctions left equals the padded loop byte for byte."""
+    """The active-prefix step loop over step-major draws equals the per-user
+    reference byte for byte."""
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("world", sorted(WORLDS))
@@ -338,14 +372,45 @@ class TestActiveUserLoop:
         cfg = small_config(**{"n_users": 2500, **WORLDS[world]})
         for seed in (0, 1):
             got = simulator._simulate_population(cfg, SPEC, seed, **POLICIES[policy])
-            ref = padded_reference(cfg, SPEC, seed, **POLICIES[policy])
+            ref = reference_population(cfg, SPEC, seed, **POLICIES[policy])
             assert_same_bytes(got, ref)
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_matches_padded_loop_across_chunks_and_draw_blocks(self, policy, monkeypatch):
         monkeypatch.setattr(simulator, "_CHUNK", 700)
-        monkeypatch.setattr(simulator, "_DRAW_CELLS", 50)
         cfg = small_config(n_users=2500, **WORLDS["poisson_activity"])
         got = simulator._simulate_population(cfg, SPEC, 3, **POLICIES[policy])
-        ref = padded_reference(cfg, SPEC, 3, **POLICIES[policy])
+        ref = reference_population(cfg, SPEC, 3, **POLICIES[policy])
         assert_same_bytes(got, ref)
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_reference_catches_mutant(self, mutant, monkeypatch):
+        mutate_chunk(monkeypatch, *MUTANTS[mutant])
+        cfg = small_config(n_users=2500, **WORLDS["poisson_activity"])
+        got = simulator._simulate_population(cfg, SPEC, 0, collect_displays=True)
+        ref = reference_population(cfg, SPEC, 0, collect_displays=True)
+        with pytest.raises(AssertionError):
+            assert_same_bytes(got, ref)
+
+
+class TestMemory:
+    def test_heavy_tailed_activity_memory_scales_with_real_auctions(self):
+        # 0.2% of users average about 3300 auctions and the rest about 3, so a
+        # grid padded to the largest count would hold about 350x the real cells
+        cfg = small_config(
+            n_users=5000,
+            auctions_per_user=Distribution(kind="poisson", mean=10.0),
+            initial_exposure=(0.998, 0.002),
+            activity_by_exposure=(1.0, 1000.0),
+        )
+        tracemalloc.start()
+        try:
+            pop = simulator._simulate_population(cfg, SPEC, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cells = int(pop["n_auctions"].sum())
+        bound = 4 * 16 * cells + 512 * cfg.n_users  # draws: 16 B per real auction
+        padded = 16 * cfg.n_users * int(pop["n_auctions"].max())
+        assert padded >= 10 * bound  # the padded grid would break the bound
+        assert peak < bound
