@@ -59,6 +59,11 @@ class UsageError(Exception):
     pass
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, strings and nulls are not."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment-level knobs shared across subcommands."""
@@ -86,22 +91,40 @@ class ExperimentConfig:
         }
 
     @classmethod
-    def from_json(cls, raw: dict) -> "ExperimentConfig":
+    def from_json(cls, raw) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
         known = {"sim", "randomization", "bucket_boundaries", "resamples", "cap_delta", "sweep", "seed"}
         unknown = set(raw) - known
         if unknown:
             raise ValidationError(f"unknown config keys {sorted(unknown)}")
         if "sim" not in raw or "randomization" not in raw:
             raise ValidationError("config requires 'sim' and 'randomization' sections")
+        if not isinstance(raw["sim"], dict):
+            raise ValidationError(f"config 'sim' must be an object, got {raw['sim']!r}")
         rand = raw["randomization"]
+        if not (isinstance(rand, dict) and _is_number(rand.get("mu")) and _is_number(rand.get("sigma"))):
+            raise ValidationError(f"config 'randomization' must be an object with numbers 'mu' and 'sigma', "
+                                  f"got {rand!r}")
+        for key in ("resamples", "seed"):
+            if key in raw and not (type(raw[key]) is int and raw[key] >= 0):
+                raise ValidationError(f"config '{key}' must be a non-negative integer, got {raw[key]!r}")
+        if "cap_delta" in raw and not _is_number(raw["cap_delta"]):
+            raise ValidationError(f"config 'cap_delta' must be a finite number, got {raw['cap_delta']!r}")
+        sweep = raw.get("sweep", DEFAULT_SWEEP)
+        if not (isinstance(sweep, (list, tuple)) and all(map(_is_number, sweep))):
+            raise ValidationError(f"config 'sweep' must be a list of finite numbers, got {sweep!r}")
+        boundaries = raw.get("bucket_boundaries", DEFAULT_BUCKETS)
+        if not (isinstance(boundaries, (list, tuple)) and all(type(b) is int for b in boundaries)):
+            raise ValidationError(f"config 'bucket_boundaries' must be a list of integers, got {boundaries!r}")
         return cls(
             sim=SimConfig.from_json(raw["sim"]),
             randomization=RandomizationSpec(float(rand["mu"]), float(rand["sigma"])),
-            bucket_boundaries=tuple(raw.get("bucket_boundaries", DEFAULT_BUCKETS)),
-            resamples=int(raw.get("resamples", 1000)),
+            bucket_boundaries=tuple(boundaries),
+            resamples=raw.get("resamples", 1000),
             cap_delta=float(raw.get("cap_delta", 0.2)),
-            sweep=tuple(raw.get("sweep", DEFAULT_SWEEP)),
-            seed=int(raw.get("seed", 0)),
+            sweep=tuple(sweep),
+            seed=raw.get("seed", 0),
         )
 
 
@@ -121,10 +144,8 @@ def _load_config(path: str | None) -> tuple[ExperimentConfig, str]:
     if path is None:
         raise UsageError("--config is required for this command")
     try:
-        with open(path) as fh:
+        with _reading(path), open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_json(raw), _file_sha256(path)
@@ -138,6 +159,15 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+@contextmanager
+def _reading(path: str):
+    """Report an input file that cannot be read as a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 @contextmanager
@@ -163,11 +193,7 @@ def _read_marginals_csv(path: str) -> tuple[list[dict], dict[str, str]]:
     provenance: dict[str, str] = {}
     rows = []
     header: list[str] | None = None
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        raise UsageError(f"marginals file not found: {path}") from None
-    with fh:
+    with _reading(path), open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -208,10 +234,8 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _read_policy(path: str) -> PolicySpec:
     try:
-        with open(path) as fh:
+        with _reading(path), open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"policy file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"policy file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -220,7 +244,7 @@ def _read_policy(path: str) -> PolicySpec:
         raise UsageError(f"unsupported policy schema {doc.get('schema')!r}")
     multipliers = doc.get("multipliers")
     numbers = [doc.get("cap_delta"), *multipliers.values()] if isinstance(multipliers, dict) else [None]
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in numbers):
+    if not all(map(_is_number, numbers)):
         raise UsageError(f"policy file {path} needs a 'multipliers' object and a 'cap_delta', all finite numbers")
     try:
         clusters = [int(k) for k in multipliers]
@@ -232,11 +256,8 @@ def _read_policy(path: str) -> PolicySpec:
 def _read_log_checked(path: str | None) -> tuple[RandomizedLog, str]:
     if path is None:
         raise UsageError("--log is required for this command")
-    try:
-        log = read_log(path)
-    except FileNotFoundError:
-        raise UsageError(f"log file not found: {path}") from None
-    return log, _file_sha256(path)
+    with _reading(path):
+        return read_log(path), _file_sha256(path)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -30,6 +33,8 @@ _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
 _FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
 #: The dtype each column is held in.
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
+#: User lines are written and read in blocks of this many rows.
+_BLOCK = 1 << 10
 
 
 class ValidationError(ValueError):
@@ -271,6 +276,15 @@ class PolicyOutcome:
 
 _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: The fields of a user line in the order `_to_json` writes them (sorted keys).
+_ROW_FIELDS = tuple(sorted(_USER_FIELDS))
+#: One user line as a `%` template: `%d` for counts, `%r` for floats (the
+#: `float.__repr__` that `json` writes for finite floats) and `%s` for the id,
+#: already quoted by `encode_basestring_ascii`. Its output equals `_to_json`'s.
+_ROW = "{" + ",".join(
+    f'"{f}":' + ("%s" if f == "user_id" else "%d" if f in _INT_FIELDS else "%r") for f in _ROW_FIELDS
+) + "}\n"
+
 
 @contextmanager
 def atomic_write(path: str) -> Iterator[IO[str]]:
@@ -311,10 +325,13 @@ def _write_lines(log: RandomizedLog, fh: IO[str]) -> None:
         "bucket_boundaries": list(log.bucket_boundaries),
     }
     fh.write(_to_json(header) + "\n")
-    columns = [log.arrays[f].tolist() for f in _COLUMNS]
-    for user_id, *values in zip(log.user_ids, *columns):
-        row = dict(zip(_COLUMNS, values), user_id=user_id)
-        fh.write(_to_json(row) + "\n")
+    for start in range(0, len(log), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        columns = [
+            map(encode_basestring_ascii, log.user_ids[block]) if f == "user_id" else log.arrays[f][block].tolist()
+            for f in _ROW_FIELDS
+        ]
+        fh.write("".join(map(_ROW.__mod__, zip(*columns))))
 
 
 def read_log(source: str | IO[str]) -> RandomizedLog:
@@ -326,9 +343,9 @@ def read_log(source: str | IO[str]) -> RandomizedLog:
 
 
 def _read_lines(fh: Iterable[str]) -> RandomizedLog:
-    lines = iter(enumerate(fh, start=1))
+    lines = iter(fh)
     try:
-        _, header_line = next(lines)
+        header_line = next(lines)
     except StopIteration:
         raise LogFormatError("empty file: missing header line") from None
     try:
@@ -348,15 +365,74 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     except (KeyError, TypeError, ValueError) as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
-    values = {f: [] for f in _USER_FIELDS}
-    user_lines = []
-    for lineno, line in lines:
-        line = line.strip()
-        if not line:
-            continue
+    user_ids: list[str] = []
+    parts: dict[str, list[np.ndarray]] = {f: [] for f in _COLUMNS}
+    user_lines = []  # the line numbers of each block's users
+    out_of_range = {}  # the first out-of-range value of each column
+    lineno = 2
+    while chunk := list(islice(lines, _BLOCK)):
+        texts, linenos = list(map(str.strip, chunk)), range(lineno, lineno + len(chunk))
+        lineno += len(chunk)
+        if not all(texts):  # skip blank lines
+            texts, linenos = list(compress(texts, texts)), list(compress(linenos, texts))
+            if not texts:
+                continue
+        ids, *columns = _parse_block(texts) or _check_lines(texts, linenos)
+        user_ids.extend(ids)
+        for f, values in zip(_COLUMNS, columns):
+            try:
+                parts[f].append(_parse_column(f, values, linenos))
+            except LogFormatError as exc:
+                out_of_range.setdefault(f, exc)
+        user_lines.append(linenos)
+    if out_of_range:  # reported after every line's syntax and types, first column first
+        raise next(out_of_range[f] for f in _COLUMNS if f in out_of_range)
+    columns = {f: np.concatenate(parts[f]) for f in _COLUMNS if parts[f]}
+    try:
+        return RandomizedLog(spec, tuple(user_ids), boundaries, **columns)
+    except ValidationError as exc:
+        lineno = None if exc.user_index is None else list(chain.from_iterable(user_lines))[exc.user_index]
+        raise LogFormatError(str(exc), lineno) from exc
+
+
+#: A user line's values in `_USER_FIELDS` order, and the JSON types each may have.
+_USER_VALUES = itemgetter(*_USER_FIELDS)
+_JSON_TYPES = [{str}] + [{int} if f in _INT_FIELDS else {int, float} for f in _COLUMNS]
+
+
+def _parse_block(texts: list[str]) -> list[tuple] | None:
+    """The columns of a block of non-blank stripped user lines, parsed in one JSON call.
+
+    Returns None where any line needs the per-line checks. Lines are joined
+    with a newline, which no JSON string may hold, so a string cannot span
+    two lines; every line opens and closes an object, the block gives one
+    object per line and every value is a scalar, so each object is exactly
+    one line.
+    """
+    if not all(s[0] == "{" and s[-1] == "}" for s in texts):
+        return None
+    try:
+        items = json.loads("[" + "\n,".join(texts) + "]")
+    except (ValueError, RecursionError):  # the array nests one level deeper than a line
+        return None
+    if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
+        return None
+    try:
+        columns = list(zip(*map(_USER_VALUES, items)))
+    except KeyError:
+        return None
+    if all(set(map(type, values)) <= types for values, types in zip(columns, _JSON_TYPES)):
+        return columns
+    return None
+
+
+def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
+    """The columns of a block of stripped user lines, checked line by line."""
+    rows = []
+    for lineno, line in zip(linenos, texts):
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the decoder
             raise LogFormatError(f"malformed user line: {exc}", lineno) from exc
         if not isinstance(raw, dict):
             raise LogFormatError("user line must be a JSON object", lineno)
@@ -371,25 +447,17 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         for f in _FLOAT_FIELDS:
             if type(raw[f]) is not float and type(raw[f]) is not int:
                 raise LogFormatError(f"{f} must be a number, got {raw[f]!r}", lineno)
-        values["user_id"].append(str(raw["user_id"]))
-        for f in _COLUMNS:
-            values[f].append(raw[f])
-        user_lines.append(lineno)
-    columns = {f: _parse_column(f, values[f], user_lines) for f in _COLUMNS}
-    try:
-        return RandomizedLog(spec, tuple(values["user_id"]), boundaries, **columns)
-    except ValidationError as exc:
-        lineno = None if exc.user_index is None else user_lines[exc.user_index]
-        raise LogFormatError(str(exc), lineno) from exc
+        rows.append((str(raw["user_id"]), *(raw[f] for f in _COLUMNS)))
+    return list(zip(*rows))
 
 
-def _parse_column(name: str, values: list, user_lines: list[int]) -> np.ndarray:
+def _parse_column(name: str, values, linenos) -> np.ndarray:
     """One log column as an array; a JSON number beyond its dtype names its line."""
     dtype = _DTYPES[name]
     try:
         return np.array(values, dtype=dtype)
     except OverflowError:
-        for value, lineno in zip(values, user_lines):
+        for value, lineno in zip(values, linenos):
             try:
                 np.array(value, dtype=dtype)
             except OverflowError:

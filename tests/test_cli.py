@@ -47,6 +47,29 @@ MALFORMED_POLICIES = {
     "infinite_cap_delta": {**POLICY, "cap_delta": float("inf")},
 }
 
+CONFIG = default_experiment_config().to_json()
+MALFORMED_CONFIGS = {
+    "not_an_object": ([1], "config must be a JSON object"),
+    "randomization_not_an_object": ({**CONFIG, "randomization": [0.0, 0.3]}, "'randomization'"),
+    "string_mu": ({**CONFIG, "randomization": {"mu": "0", "sigma": 0.3}}, "'randomization'"),
+    "string_resamples": ({**CONFIG, "resamples": "many"}, "'resamples' must be a non-negative integer"),
+    "fractional_resamples": ({**CONFIG, "resamples": 10.5}, "'resamples' must be a non-negative integer"),
+    "boolean_resamples": ({**CONFIG, "resamples": True}, "'resamples' must be a non-negative integer"),
+    "string_seed": ({**CONFIG, "seed": "0"}, "'seed' must be a non-negative integer"),
+    "boolean_seed": ({**CONFIG, "seed": False}, "'seed' must be a non-negative integer"),
+    "negative_seed": ({**CONFIG, "seed": -1}, "'seed' must be a non-negative integer"),
+    "string_cap_delta": ({**CONFIG, "cap_delta": "0.2"}, "'cap_delta' must be a finite number"),
+    "nan_cap_delta": ({**CONFIG, "cap_delta": float("nan")}, "'cap_delta' must be a finite number"),
+    "infinite_sweep_entry": ({**CONFIG, "sweep": [0.1, float("inf")]}, "'sweep' must be a list of finite numbers"),
+    "string_sweep_entry": ({**CONFIG, "sweep": [0.1, "x"]}, "'sweep' must be a list of finite numbers"),
+    "sweep_not_a_list": ({**CONFIG, "sweep": 0.1}, "'sweep' must be a list of finite numbers"),
+    "sim_not_an_object": ({**CONFIG, "sim": 5}, "'sim' must be an object"),
+    "string_bucket_boundaries": ({**CONFIG, "bucket_boundaries": "12"},
+                                 "'bucket_boundaries' must be a list of integers"),
+    "fractional_bucket_boundaries": ({**CONFIG, "bucket_boundaries": [1.5, 2]},
+                                     "'bucket_boundaries' must be a list of integers"),
+}
+
 
 class TestErrorHandling:
     def test_missing_config_exits_one_and_names_path(self, tmp_path, capsys):
@@ -410,3 +433,30 @@ class TestExitCodes:
         assert err.startswith("impatience:")
         assert out in err
         assert ".tmp" not in err
+
+    @pytest.mark.parametrize("probe", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_exits_one(self, tmp_path, capsys, probe):
+        doc, message = MALFORMED_CONFIGS[probe]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("impatience: error: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--log", "--policy", "--marginals"])
+    def test_directory_as_input_exits_one_and_names_it(self, tiny_config, tmp_path, capsys, flag):
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        out = str(tmp_path / "out")
+        argv = {
+            "--config": ["simulate", "--config", str(directory)],
+            "--log": ["marginals", "--config", tiny_config, "--log", str(directory)],
+            "--policy": ["ab", "--config", tiny_config, "--policy", str(directory)],
+            "--marginals": ["optimize", "--marginals", str(directory)],
+        }[flag]
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err.startswith(f"impatience: error: cannot read {directory}: ")
+        assert not os.path.exists(out)

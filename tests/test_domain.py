@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -202,18 +203,26 @@ class TestAtomicWrite:
         path = str(tmp_path / "log.jsonl")
         write_log(make_log(*four_users()), path)
         before = open(path, "rb").read()
-        calls = []
-        to_json = domain._to_json
+        writes = []
 
-        def fail_on_third_line(obj):
-            calls.append(obj)
-            if len(calls) == 3:
-                raise RuntimeError("serializer failed")
-            return to_json(obj)
+        def open_failing_on_second_block(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
 
-        monkeypatch.setattr(domain, "_to_json", fail_on_third_line)
-        with pytest.raises(RuntimeError, match="serializer failed"):
+            def failing_write(text):
+                writes.append(text)
+                if len(writes) == 3:  # the header, block 1, then block 2
+                    raise RuntimeError("write failed")
+                return write(text)
+
+            fh.write = failing_write
+            return fh
+
+        monkeypatch.setattr(domain, "_BLOCK", 2)
+        monkeypatch.setattr(domain, "open", open_failing_on_second_block, raising=False)
+        with pytest.raises(RuntimeError, match="write failed"):
             write_log(make_log(*four_users(cost=7.0)), path)
+        assert [text.count("\n") for text in writes] == [1, 2, 2]  # block 1 reached the file
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["log.jsonl"]
 
@@ -402,3 +411,145 @@ class TestReadInputHoles:
     def test_out_of_range_numbers_name_their_line(self, field, value):
         with pytest.raises(LogFormatError, match=f"line 3: {field} is out of range"):
             self.read(self.user_line(**{field: value}))
+
+
+def reference_text(log: RandomizedLog) -> str:
+    """The log with one sorted-key JSON encoder call per line: the bytes the row template must match."""
+    to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    header = {"schema": SCHEMA_VERSION, "mu": log.spec.mu, "sigma": log.spec.sigma,
+              "bucket_boundaries": list(log.bucket_boundaries)}
+    lines = [to_json(header)]
+    columns = [log.arrays[f].tolist() for f in COLUMNS]
+    for user_id, *values in zip(log.user_ids, *columns):
+        lines.append(to_json(dict(zip(COLUMNS, values), user_id=user_id)))
+    return "".join(line + "\n" for line in lines)
+
+
+def block_log(n: int) -> RandomizedLog:
+    """n users with awkward ids and extreme values, cycling through them."""
+    suffixes = ("", '"q', "back\\slash", "\u00e9t\u00e9", "\u2603\U0001f600", "\t")
+    users = []
+    for i in range(n):
+        user = make_user(i, user_id=f"u{i}{suffixes[i % len(suffixes)]}", theta=0.5 + (i % 13) / 7)
+        extreme = i % 5
+        if extreme == 1:
+            user.update(cost=-0.0, theta=5e-324)
+        elif extreme == 2:
+            user.update(value_observed=1e16, value_predicted=0.1)
+        elif extreme == 3:
+            user.update(n_auctions=np.iinfo(np.int64).max)
+        users.append(user)
+    return make_log(*users)
+
+
+B = domain._BLOCK
+
+
+class TestBlockIO:
+    """The row-template writer and the block-parsed reader against the per-line format."""
+
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_writer_matches_json_encoder_bytes(self, n):
+        log = block_log(n)
+        buf = io.StringIO()
+        write_log(log, buf)
+        assert buf.getvalue() == reference_text(log)
+        buf.seek(0)
+        assert read_log(buf) == log
+
+    def lines(self, log: RandomizedLog) -> list[str]:
+        return reference_text(log).splitlines(keepends=True)
+
+    @pytest.mark.parametrize("user", [1, B + 1])
+    @pytest.mark.parametrize("variant", ["extra_key", "reordered_keys", "int_theta", "number_id", "whitespace"])
+    def test_valid_non_canonical_lines_read_as_before(self, user, variant):
+        users = [make_user(i) for i in range(B + 2)]
+        users[user].update(theta=2.0, user_id="7")
+        log = make_log(*users)
+        lines = self.lines(log)
+        row = json.loads(lines[user + 1])
+        lines[user + 1] = {
+            "extra_key": lines[user + 1][:-2] + ',"extra":[1,{"a":null}]}\n',
+            "reordered_keys": json.dumps(dict(reversed(row.items()))) + "\n",
+            "int_theta": lines[user + 1].replace('"theta":2.0', '"theta":2'),
+            "number_id": lines[user + 1].replace('"user_id":"7"', '"user_id":7'),  # read as str(7)
+            "whitespace": " \t" + lines[user + 1][:-1] + "  \n",
+        }[variant]
+        assert lines[user + 1] != self.lines(log)[user + 1]
+        assert read_log(io.StringIO("".join(lines))) == log
+
+    def test_file_without_trailing_newline_reads_as_before(self):
+        log = block_log(B + 1)
+        text = reference_text(log)
+        assert read_log(io.StringIO(text.rstrip("\n"))) == log
+
+    def test_blank_lines_keep_line_numbers(self):
+        lines = self.lines(make_log(*(make_user(i) for i in range(B + 2))))
+        lines[B + 2] = re.sub(r'"n_wins":\d+', '"n_wins":true', lines[B + 2])
+        text = "".join(lines[:3]) + "\n  \t\n" * (B // 2) + "".join(lines[3:])  # B blank lines
+        with pytest.raises(LogFormatError) as info:
+            read_log(io.StringIO(text))
+        assert str(info.value) == f"line {2 * B + 3}: n_wins must be an integer, got True"
+
+    @pytest.mark.parametrize(
+        "row_end,cut",
+        [
+            ("}", ',"theta"'),  # between two fields
+            ("}", '{v"'),  # inside the id "u0}{v": both halves open and close an object
+            (',"x":[{},{}]}', ",{}]"),  # inside an extra key's array: the same
+        ],
+    )
+    def test_row_split_over_two_lines_is_rejected_per_line(self, row_end, cut):
+        users = [make_user(i) for i in range(3)]
+        users[0]["user_id"] = "u0}{v"
+        lines = self.lines(make_log(*users))
+        row = lines[1][:-2] + row_end
+        at = row.index(cut)
+        first, second = row[:at], row[at + cut.startswith(","):]
+        # the split row and a line holding two rows: three lines, three rows
+        lines[1:4] = [first + "\n", second + "\n", lines[2][:-1] + "," + lines[3]]
+        assert len(json.loads("[" + ",".join(line.strip() for line in lines[1:]) + "]")) == 3
+        with pytest.raises(json.JSONDecodeError) as parse:
+            json.loads(first)
+        with pytest.raises(LogFormatError) as info:
+            read_log(io.StringIO("".join(lines)))
+        assert str(info.value) == f"line 2: malformed user line: {parse.value}"
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (lambda line: re.sub(r'"n_wins":\d+', '"n_wins":true', line), "n_wins must be an integer, got True"),
+            (lambda line: re.sub(r'"cost":[^,]+', '"cost":"abc"', line), "cost must be a number, got 'abc'"),
+            (lambda line: line.replace(',"theta":', ',"x":'), "missing fields ['theta']"),
+            (lambda line: "[" + line[:-1] + "]\n", "user line must be a JSON object"),
+            (lambda line: line[:-1] + "," + line, None),  # two rows on one line
+            (lambda line: "{not json\n", None),
+        ],
+    )
+    def test_fault_in_second_block_names_its_line(self, fault, message):
+        lines = self.lines(make_log(*(make_user(i) for i in range(2 * B))))
+        lines[B + 5] = fault(lines[B + 5])
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as parse:
+                json.loads(lines[B + 5])
+            message = f"malformed user line: {parse.value}"
+        with pytest.raises(LogFormatError) as info:
+            read_log(io.StringIO("".join(lines)))
+        assert str(info.value) == f"line {B + 6}: {message}"
+
+    def test_too_deeply_nested_line_names_its_line(self):
+        line = '{"a":' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(LogFormatError, match="line 3: malformed user line: maximum recursion depth"):
+            read_log(io.StringIO("".join(self.lines(make_log(make_user(0)))) + line + "\n"))
+
+    def test_syntax_fault_in_a_later_block_comes_before_an_out_of_range_value(self):
+        lines = self.lines(make_log(*(make_user(i) for i in range(2 * B))))
+        lines[2] = lines[2].replace('"n_auctions":10', f'"n_auctions":{10**30}')
+        lines[B + 5] = "{not json\n"
+        with pytest.raises(LogFormatError, match=f"line {B + 6}: malformed user line"):
+            read_log(io.StringIO("".join(lines)))
+        # the first out-of-range column in field order wins, at its first line
+        del lines[B + 5]
+        lines[B + 5] = re.sub(r'"cost":[^,]+', f'"cost":{10**400}', lines[B + 5])
+        with pytest.raises(LogFormatError, match=f"line {B + 6}: cost is out of range"):
+            read_log(io.StringIO("".join(lines)))
