@@ -39,14 +39,12 @@ from .optimizer import (
     ReallocationProblem,
     SolveResult,
     predict_policy_delta,
-    solve_reallocation,
     solve_reallocation_detailed,
 )
 from .predictor import (
     CalibrationRow,
     ConvergenceError,
     CtrModel,
-    DisplayEvent,
     DisplayEvents,
     calibration_curve,
     events_from_trace,

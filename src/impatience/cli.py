@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .domain import (
     RandomizedLog,
     ValidationError,
     _check_boundaries,
+    _is_number,
     atomic_write,
     read_log,
     write_log,
@@ -57,11 +57,6 @@ DEFAULT_PROFILE_ALPHAS = (0.5, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 2.0)
 
 class UsageError(Exception):
     pass
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans, strings and nulls are not."""
-    return type(value) in (int, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -286,23 +281,10 @@ def cmd_marginals(args) -> int:
     resamples = cfg.resamples if args.resamples is None else args.resamples
     seed = cfg.seed if args.seed is None else args.seed
     rows = cluster_estimates(log, n_resamples=resamples, seed=seed)
-    out_rows = []
-    for r in rows:
-        out_rows.append(
-            [
-                r.cluster,
-                r.n_users,
-                r.dcost,
-                r.dvalue,
-                r.mroi,
-                r.dcost_ci[0],
-                r.dcost_ci[1],
-                r.dvalue_ci[0],
-                r.dvalue_ci[1],
-                r.mroi_ci[0] if r.mroi_ci else None,
-                r.mroi_ci[1] if r.mroi_ci else None,
-            ]
-        )
+    out_rows = [
+        [r.cluster, r.n_users, r.dcost, r.dvalue, r.mroi, *r.dcost_ci, *r.dvalue_ci, *(r.mroi_ci or (None, None))]
+        for r in rows
+    ]
     _write_csv(
         args.out,
         {"config_sha256": cfg_hash, "log_sha256": log_hash, "seed": str(seed)},
@@ -355,12 +337,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _policy_from_cap(log: RandomizedLog, cap: float) -> PolicySpec:
-    rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
-    rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
-    return solve_reallocation_detailed(ReallocationProblem.from_rows(rows, cap)).policy
-
-
 def cmd_offline_eval(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     log, log_hash = _read_log_checked(args.log)
@@ -372,7 +348,11 @@ def cmd_offline_eval(args) -> int:
         policies = [(None, _read_policy(args.policy))]
     else:
         sweep = tuple(args.sweep) if args.sweep else cfg.sweep
-        policies = [(delta, _policy_from_cap(log, delta)) for delta in sweep]
+        rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
+        rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
+        policies = [
+            (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy) for delta in sweep
+        ]
     for delta, policy in policies:
         cap = policy.cap_delta if delta is None else delta
         ci = policy_delta_bootstrap(log, policy, resamples, seed)
@@ -514,6 +494,14 @@ def cmd_init_config(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's seeding requires."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -529,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         return p
 
     p = add("init-config", cmd_init_config, "write the default experiment config")

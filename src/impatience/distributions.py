@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ValidationError
+from .domain import ValidationError, _is_number
+
+_PARAMETERS = ("mu", "sigma", "low", "high", "value", "mean")
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class Distribution:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        for f in ("mu", "sigma", "low", "high", "value", "mean"):
+        for f in _PARAMETERS:
             v = getattr(self, f)
             if v is not None:
                 out[f] = v
@@ -120,8 +122,12 @@ class Distribution:
 
     @classmethod
     def from_json(cls, raw: dict) -> "Distribution":
-        known = {"kind", "mu", "sigma", "low", "high", "value", "mean"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValidationError(f"distribution spec must be a JSON object, got {raw!r}")
+        unknown = set(raw) - {"kind", *_PARAMETERS}
         if unknown:
             raise ValidationError(f"unknown distribution keys {sorted(unknown)}")
-        return cls(**raw)
+        for key in _PARAMETERS:
+            if key in raw and not _is_number(raw[key]):
+                raise ValidationError(f"distribution '{key}' must be a finite number, got {raw[key]!r}")
+        return cls(**{"kind": None, **raw})

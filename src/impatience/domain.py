@@ -8,8 +8,8 @@ are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import os
-from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,11 +69,16 @@ def assign_cluster(exposure_at_start: int, boundaries: tuple[int, ...] = DEFAULT
     `boundaries` are strictly increasing; exposure below boundaries[0]
     maps to bucket 0 and the last bucket is open-ended.
     """
-    return bisect_right(boundaries, exposure_at_start)
+    return int(assign_clusters(exposure_at_start, boundaries))
 
 
 def assign_clusters(exposures: np.ndarray, boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> np.ndarray:
     return np.searchsorted(np.asarray(boundaries), exposures, side="right")
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, strings and nulls are not."""
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _check_boundaries(boundaries: tuple[int, ...]) -> None:
@@ -258,20 +263,14 @@ class ClusterRow:
 
 @dataclass(frozen=True)
 class PolicyOutcome:
-    """Total value and cost attributed to one policy evaluation route."""
+    """Oracle total value and cost of a policy: means over `n_reps` simulated
+    populations, with their standard errors."""
 
     value: float
     cost: float
-    source: str  # "oracle" | "ips_exact" | "ips_linear"
-    n_reps: int | None = None
-    value_se: float | None = None
-    cost_se: float | None = None
-
-    def __post_init__(self):
-        if self.source not in ("oracle", "ips_exact", "ips_linear"):
-            raise ValidationError(f"unknown outcome source {self.source!r}")
-        if self.source == "oracle" and (self.n_reps is None or self.value_se is None or self.cost_se is None):
-            raise ValidationError("oracle outcomes must carry n_reps and standard errors")
+    n_reps: int
+    value_se: float
+    cost_se: float
 
 
 _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

@@ -33,10 +33,9 @@ from .domain import (
 METRICS = ("cost", "value_observed", "value_predicted")
 
 
-def _check_metric(selector: str) -> str:
+def _check_metric(selector: str) -> None:
     if selector not in METRICS:
         raise ValidationError(f"unknown metric selector {selector!r}; expected one of {METRICS}")
-    return selector
 
 
 def exact_weight(theta, spec: RandomizationSpec, alpha):
@@ -285,6 +284,18 @@ class UserSums:
             return sums.reshape(len(sums), -1)
         return self._finish(sums)
 
+    def point(self, exact: bool = False) -> np.ndarray:
+        """The statistic with every user counted once.
+
+        With `exact`, each sum is exactly rounded (a compensated sum over
+        the group's users) instead of pairwise, as a resample's is.
+        """
+        if exact:
+            sums = np.array([[compensated_sum(row[a:b]) for a, b in self._segments] for row in self._rows])
+        else:
+            sums = self.sums(np.ones(self.n_users))
+        return self.finish(sums[None])[0]
+
 
 def bootstrap_ci(
     estimator: Callable[[np.ndarray], float | np.ndarray] | UserSums,
@@ -310,7 +321,7 @@ def bootstrap_ci(
     if isinstance(estimator, UserSums):
         if estimator.n_users != n:
             raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
-        point = estimator.finish(estimator.sums(np.ones(n))[None])[0]
+        point = estimator.point()
         stats = estimator.finish(estimator.resample(rng, n_resamples))
     else:
         point = np.asarray(estimator(np.arange(n)), dtype=np.float64)
@@ -355,14 +366,13 @@ def cluster_estimates(
     _check_metric(value_selector)
     nc = log.n_clusters
     stat = _cluster_sums(log, value_selector, rel_threshold)
+    # point estimates use compensated sums; bootstrap spread is noise-dominated
+    point = stat.point(exact=True)
     ci = bootstrap_ci(stat, log, n_resamples=n_resamples, level=level, seed=seed)
     n_users = np.bincount(log.arrays["cluster"], minlength=nc)
     rows = []
     for c in range(nc):
-        # point estimates use compensated sums; bootstrap spread is noise-dominated
-        dcost = marginal_estimate(log, "cost", c)
-        dvalue = marginal_estimate(log, value_selector, c)
-        roi = marginal_roi(log, c, value_selector, rel_threshold)
+        mroi = point[2 * nc + c]
         mroi_ci = None
         lo, hi = ci.low[2 * nc + c], ci.high[2 * nc + c]
         if np.isfinite(lo) and np.isfinite(hi):
@@ -371,9 +381,9 @@ def cluster_estimates(
             ClusterRow(
                 cluster=c,
                 n_users=int(n_users[c]),
-                dcost=dcost,
-                dvalue=dvalue,
-                mroi=roi.value,
+                dcost=float(point[c]),
+                dvalue=float(point[nc + c]),
+                mroi=None if np.isnan(mroi) else float(mroi),
                 dcost_ci=(float(ci.low[c]), float(ci.high[c])),
                 dvalue_ci=(float(ci.low[nc + c]), float(ci.high[nc + c])),
                 mroi_ci=mroi_ci,

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import ClusterRow, PolicySpec, RandomizedLog, ValidationError
-from .estimators import _check_metric, compensated_sum, ips_estimate, linear_weight
+from .estimators import _policy_delta_sums
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class SolveResult:
     policy: PolicySpec
     objective: float  # linearized total value change
     diagnostic: str | None = None
-
-
-def solve_reallocation(problem: ReallocationProblem) -> PolicySpec:
-    return solve_reallocation_detailed(problem).policy
 
 
 def solve_reallocation_detailed(problem: ReallocationProblem) -> SolveResult:
@@ -131,29 +127,10 @@ class PolicyDelta:
     dcost_exact: float
 
 
-def predict_policy_delta(
-    log: RandomizedLog,
-    policy: PolicySpec,
-    value_selector: str = "value_predicted",
-) -> PolicyDelta:
+def predict_policy_delta(log: RandomizedLog, policy: PolicySpec) -> PolicyDelta:
     """Counterfactual value/cost deltas of a per-cluster multiplier policy.
 
-    The linearized route is sum over users of
-    (alpha_S - 1) * m_i * (ln(theta_i) - mu) / sigma^2; the exact route
-    is the IPS total minus the logged (alpha = 1) baseline.
+    The point of :func:`~impatience.estimators.policy_delta_bootstrap`:
+    the same per-user sums, over every user once.
     """
-    _check_metric(value_selector)
-    arr = log.arrays
-    alphas = policy.multiplier_array(log.n_clusters)
-    x = alphas[arr["cluster"]] - 1.0
-    lw = linear_weight(arr["theta"], log.spec)
-    dvalue_linear = compensated_sum(x * arr[value_selector] * lw)
-    dcost_linear = compensated_sum(x * arr["cost"] * lw)
-    dvalue_exact = ips_estimate(log, value_selector, policy=policy) - ips_estimate(log, value_selector)
-    dcost_exact = ips_estimate(log, "cost", policy=policy) - ips_estimate(log, "cost")
-    return PolicyDelta(
-        dvalue_linear=dvalue_linear,
-        dcost_linear=dcost_linear,
-        dvalue_exact=dvalue_exact,
-        dcost_exact=dcost_exact,
-    )
+    return PolicyDelta(*map(float, _policy_delta_sums(log, policy).point()))

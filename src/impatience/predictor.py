@@ -16,8 +16,6 @@ log-likelihood over all events.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +35,10 @@ class ConvergenceError(RuntimeError):
         self.model = model
 
 
-@dataclass(frozen=True)
-class DisplayEvent:
-    """One won display: optional context features, the fatigue state at
-    display time, and whether a conversion followed."""
-
-    fatigue: int
-    converted: bool
-    features: tuple[float, ...] = ()
-
-
-class DisplayEvents(Sequence):
-    """Display events as columns: fatigue ints, converted bools and an
-    (n, d) context-feature matrix.
-
-    Behaves as a read-only sequence of :class:`DisplayEvent`: integer
-    indexing and iteration yield rows, slicing yields `DisplayEvents`.
-    """
+class DisplayEvents:
+    """Display events as columns: the fatigue state at display time (ints),
+    whether a conversion followed (bools) and an (n, d) context-feature
+    matrix, one row per won display."""
 
     __slots__ = ("fatigue", "converted", "features")
 
@@ -71,36 +56,12 @@ class DisplayEvents(Sequence):
         self.converted = converted
         self.features = features
 
-    @classmethod
-    def of(cls, events: Iterable[DisplayEvent]) -> "DisplayEvents":
-        """Columns of `events`; a `DisplayEvents` is returned as is."""
-        if isinstance(events, DisplayEvents):
-            return events
-        events = list(events)
-        widths = {len(e.features) for e in events}
-        if len(widths) > 1:
-            raise ValidationError(f"events carry differing numbers of context features: {sorted(widths)}")
-        features = np.array([e.features for e in events], dtype=np.float64)
-        return cls(
-            [e.fatigue for e in events],
-            [e.converted for e in events],
-            features.reshape(len(events), widths.pop() if widths else 0),
-        )
-
     @property
     def n_context(self) -> int:
         return self.features.shape[1]
 
     def __len__(self) -> int:
         return len(self.fatigue)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return DisplayEvents(self.fatigue[index], self.converted[index], self.features[index])
-        i = operator.index(index)
-        return DisplayEvent(
-            int(self.fatigue[i]), bool(self.converted[i]), tuple(self.features[i].tolist())
-        )
 
 
 def events_from_trace(exposure: np.ndarray, converted: np.ndarray) -> DisplayEvents:
@@ -117,14 +78,9 @@ class CtrModel:
     fatigue_boundaries: tuple[int, ...]
     n_context_features: int
 
-    def design_matrix(self, events: Iterable[DisplayEvent]) -> np.ndarray:
-        return _design_matrix(
-            events, self.includes_fatigue, self.fatigue_boundaries, self.n_context_features
-        )
-
-    def predict_proba(self, events: Iterable[DisplayEvent]) -> np.ndarray:
-        z = self.design_matrix(events) @ np.asarray(self.weights)
-        return _sigmoid(z)
+    def predict_proba(self, events: DisplayEvents) -> np.ndarray:
+        X = _design_matrix(events, self.includes_fatigue, self.fatigue_boundaries, self.n_context_features)
+        return _sigmoid(X @ np.asarray(self.weights))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -149,12 +105,11 @@ def _design(bucket: np.ndarray, context: np.ndarray, include_fatigue: bool, n_bu
 
 
 def _design_matrix(
-    events: Iterable[DisplayEvent],
+    events: DisplayEvents,
     include_fatigue: bool,
     boundaries: tuple[int, ...],
     n_context: int,
 ) -> np.ndarray:
-    events = DisplayEvents.of(events)
     if events.n_context != n_context:
         raise ValidationError(
             f"expected {n_context} context features per event, got {events.n_context}"
@@ -239,7 +194,7 @@ def _sufficient_stats(
 
 
 def fit_ctr(
-    events: Iterable[DisplayEvent],
+    events: DisplayEvents,
     include_fatigue: bool = True,
     l2: float = 0.0,
     max_iters: int = 10_000,
@@ -263,7 +218,6 @@ def fit_ctr(
     """
     if l2 < 0:
         raise ValidationError("l2 must be >= 0")
-    events = DisplayEvents.of(events)
     if len(events) == 0 or events.converted.all() or not events.converted.any():
         raise ValidationError("need at least one positive and one negative event")
     X, y, n = _sufficient_stats(events, include_fatigue, tuple(fatigue_boundaries))
@@ -309,13 +263,12 @@ class CalibrationRow:
 
 def calibration_curve(
     model: CtrModel,
-    events: Iterable[DisplayEvent],
+    events: DisplayEvents,
     boundaries: tuple[int, ...] | None = None,
 ) -> list[CalibrationRow]:
     """Per-fatigue-bucket empirical conversion rate vs mean prediction."""
     if boundaries is None:
         boundaries = model.fatigue_boundaries
-    events = DisplayEvents.of(events)
     n_buckets = len(boundaries) + 1
     bucket = assign_clusters(events.fatigue, boundaries)
     counts = np.bincount(bucket, minlength=n_buckets)

@@ -16,7 +16,7 @@ and any per-cluster policy multiplier. Winning increments exposure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
+    _is_number,
     assign_clusters,
 )
 
@@ -99,34 +100,30 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, raw: dict) -> "SimConfig":
-        known = {
-            "n_users",
-            "auctions_per_user",
-            "value_per_conversion",
-            "base_conversion_prob",
-            "fatigue_decay",
-            "competition",
-            "initial_exposure",
-            "activity_by_exposure",
-        }
-        unknown = set(raw) - known
+        known = [f.name for f in fields(cls)]
+        unknown = set(raw) - set(known)
         if unknown:
             raise ValidationError(f"unknown sim config keys {sorted(unknown)}")
-        try:
-            return cls(
-                n_users=int(raw["n_users"]),
-                auctions_per_user=Distribution.from_json(raw["auctions_per_user"]),
-                value_per_conversion=float(raw["value_per_conversion"]),
-                base_conversion_prob=float(raw["base_conversion_prob"]),
-                fatigue_decay=float(raw["fatigue_decay"]),
-                competition=Distribution.from_json(raw["competition"]),
-                initial_exposure=tuple(raw["initial_exposure"]),
-                activity_by_exposure=(
-                    tuple(raw["activity_by_exposure"]) if "activity_by_exposure" in raw else None
-                ),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"missing sim config key {exc}") from exc
+        missing = [key for key in known if key not in raw and key != "activity_by_exposure"]
+        if missing:
+            raise ValidationError(f"missing sim config key {missing[0]!r}")
+        # JSON types first, so that no int() or float() truncates or escapes
+        if type(raw["n_users"]) is not int:
+            raise ValidationError(f"sim 'n_users' must be an integer, got {raw['n_users']!r}")
+        floats = ("value_per_conversion", "base_conversion_prob", "fatigue_decay")
+        for key in floats:
+            if not _is_number(raw[key]):
+                raise ValidationError(f"sim '{key}' must be a finite number, got {raw[key]!r}")
+        for key in ("initial_exposure", "activity_by_exposure"):
+            if key in raw and not (isinstance(raw[key], (list, tuple)) and all(map(_is_number, raw[key]))):
+                raise ValidationError(f"sim '{key}' must be a list of finite numbers, got {raw[key]!r}")
+        distributions = {}
+        for key in ("auctions_per_user", "competition"):
+            try:
+                distributions[key] = Distribution.from_json(raw[key])
+            except ValidationError as exc:
+                raise ValidationError(f"sim '{key}': {exc}") from None
+        return cls(**{**raw, **{key: float(raw[key]) for key in floats}, **distributions})
 
 
 def default_config(n_users: int = 100_000) -> SimConfig:
@@ -352,17 +349,14 @@ def simulate_display_trace(
     return pop["display_exposure"], pop["display_converted"]
 
 
-def _rep_seed(seed: int, rep: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed), int(rep)])
-
-
 def _policy_totals(
     config: SimConfig,
     policy: BidPolicy,
     seed,
     bucket_boundaries: tuple[int, ...],
     per_cluster: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+):
+    """Total value and cost of one simulated population, overall or per cluster."""
     mult = None if policy.kind == "impatient_randomized" else np.asarray(policy.multipliers)
     pop = _simulate_population(
         config,
@@ -373,11 +367,38 @@ def _policy_totals(
         dynamic=policy.dynamic,
     )
     if not per_cluster:
-        return np.array([pop["value_predicted"].sum()]), np.array([pop["cost"].sum()])
+        return pop["value_predicted"].sum(), pop["cost"].sum()
     nc = len(bucket_boundaries) + 1
     val = np.bincount(pop["cluster"], weights=pop["value_predicted"], minlength=nc)
     cost = np.bincount(pop["cluster"], weights=pop["cost"], minlength=nc)
     return val, cost
+
+
+def _oracle_reps(
+    config: SimConfig,
+    policy: BidPolicy,
+    n_reps: int,
+    seed: int,
+    bucket_boundaries: tuple[int, ...],
+    per_cluster: bool,
+) -> dict[str, np.ndarray]:
+    """Means and standard errors of `_policy_totals` over independent populations.
+
+    Each population lives only inside its `_policy_totals` call, so one
+    is freed before the next is simulated.
+    """
+    if n_reps < 1:
+        raise ValidationError("n_reps must be >= 1")
+    seeds = (np.random.SeedSequence([int(seed), rep]) for rep in range(n_reps))
+    reps = [_policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster) for rep_seed in seeds]
+    vals, costs = map(np.stack, zip(*reps))
+    ddof = 1 if n_reps > 1 else 0
+    return {
+        "value": vals.mean(axis=0),
+        "cost": costs.mean(axis=0),
+        "value_se": vals.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
+        "cost_se": costs.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
+    }
 
 
 def oracle_policy_outcome(
@@ -388,24 +409,8 @@ def oracle_policy_outcome(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> PolicyOutcome:
     """Ground-truth policy outcome: mean totals over independent populations."""
-    if n_reps < 1:
-        raise ValidationError("n_reps must be >= 1")
-    vals, costs = [], []
-    for r in range(n_reps):
-        v, c = _policy_totals(config, policy, _rep_seed(seed, r), bucket_boundaries, False)
-        vals.append(v[0])
-        costs.append(c[0])
-    vals = np.asarray(vals)
-    costs = np.asarray(costs)
-    ddof = 1 if n_reps > 1 else 0
-    return PolicyOutcome(
-        value=float(vals.mean()),
-        cost=float(costs.mean()),
-        source="oracle",
-        n_reps=n_reps,
-        value_se=float(vals.std(ddof=ddof) / np.sqrt(n_reps)),
-        cost_se=float(costs.std(ddof=ddof) / np.sqrt(n_reps)),
-    )
+    out = _oracle_reps(config, policy, n_reps, seed, bucket_boundaries, per_cluster=False)
+    return PolicyOutcome(n_reps=n_reps, **{key: float(v) for key, v in out.items()})
 
 
 def oracle_cluster_outcomes(
@@ -416,22 +421,7 @@ def oracle_cluster_outcomes(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> dict[str, np.ndarray]:
     """Per-cluster oracle totals (means and standard errors over reps)."""
-    if n_reps < 1:
-        raise ValidationError("n_reps must be >= 1")
-    vals, costs = [], []
-    for r in range(n_reps):
-        v, c = _policy_totals(config, policy, _rep_seed(seed, r), bucket_boundaries, True)
-        vals.append(v)
-        costs.append(c)
-    vals = np.stack(vals)
-    costs = np.stack(costs)
-    ddof = 1 if n_reps > 1 else 0
-    return {
-        "value": vals.mean(axis=0),
-        "cost": costs.mean(axis=0),
-        "value_se": vals.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
-        "cost_se": costs.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
-    }
+    return _oracle_reps(config, policy, n_reps, seed, bucket_boundaries, per_cluster=True)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,12 @@ MALFORMED_POLICIES = {
 }
 
 CONFIG = default_experiment_config().to_json()
+
+
+def with_sim(**changes):
+    return {**CONFIG, "sim": {**CONFIG["sim"], **changes}}
+
+
 MALFORMED_CONFIGS = {
     "not_an_object": ([1], "config must be a JSON object"),
     "randomization_not_an_object": ({**CONFIG, "randomization": [0.0, 0.3]}, "'randomization'"),
@@ -68,6 +74,18 @@ MALFORMED_CONFIGS = {
                                  "'bucket_boundaries' must be a list of integers"),
     "fractional_bucket_boundaries": ({**CONFIG, "bucket_boundaries": [1.5, 2]},
                                      "'bucket_boundaries' must be a list of integers"),
+    "string_n_users": (with_sim(n_users="x"), "sim 'n_users' must be an integer"),
+    "fractional_n_users": (with_sim(n_users=2.7), "sim 'n_users' must be an integer"),
+    "boolean_n_users": (with_sim(n_users=True), "sim 'n_users' must be an integer"),
+    "string_fatigue_decay": (with_sim(fatigue_decay="0.5"), "sim 'fatigue_decay' must be a finite number"),
+    "null_value_per_conversion": (with_sim(value_per_conversion=None),
+                                  "sim 'value_per_conversion' must be a finite number"),
+    "number_initial_exposure": (with_sim(initial_exposure=5), "sim 'initial_exposure' must be a list"),
+    "string_initial_exposure": (with_sim(initial_exposure="abc"), "sim 'initial_exposure' must be a list"),
+    "string_competition_mu": (with_sim(competition={"kind": "lognormal", "mu": "x", "sigma": 1}),
+                              "sim 'competition': distribution 'mu' must be a finite number"),
+    "nan_auctions_mean": (with_sim(auctions_per_user={"kind": "poisson", "mean": float("nan")}),
+                          "sim 'auctions_per_user': distribution 'mean' must be a finite number"),
 }
 
 
@@ -92,6 +110,23 @@ class TestErrorHandling:
         code = run("two-auctions", "--competition", "{not json", "--out", str(tmp_path / "o.csv"))
         assert code == 1
         assert "JSON" in capsys.readouterr().err
+
+    def test_nan_competition_parameter_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run("two-auctions", "--competition", '{"kind":"lognormal","mu":NaN,"sigma":1}', "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("impatience: error: distribution 'mu' must be a finite number")
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_one(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "log.jsonl"
+        with pytest.raises(SystemExit) as exc_info:
+            run("simulate", "--config", tiny_config, "--seed", "-1", "--out", str(out))
+        assert exc_info.value.code == 1
+        assert "impatience simulate: error: argument --seed: seed must be a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -202,7 +203,7 @@ class TestAtomicWrite:
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "log.jsonl")
         write_log(make_log(*four_users()), path)
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
         writes = []
 
         def open_failing_on_second_block(*args, **kwargs):
@@ -223,7 +224,7 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError, match="write failed"):
             write_log(make_log(*four_users(cost=7.0)), path)
         assert [text.count("\n") for text in writes] == [1, 2, 2]  # block 1 reached the file
-        assert open(path, "rb").read() == before
+        assert pathlib.Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["log.jsonl"]
 
     def test_failed_first_write_leaves_nothing(self, tmp_path):
@@ -239,7 +240,7 @@ class TestAtomicWrite:
         for text in ("first\n", "second\n"):
             with domain.atomic_write(path) as fh:
                 fh.write(text)
-        assert open(path).read() == "second\n"
+        assert pathlib.Path(path).read_text() == "second\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
 

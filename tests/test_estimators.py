@@ -325,13 +325,28 @@ class TestClusterEstimates:
         assert sum(r.n_users for r in rows) == len(log)
 
     def test_point_estimates_match_direct_marginals(self):
+        # both are exactly rounded sums of the same terms, so they agree to the bit
         log = synth_log(n=2000, seed=5)
         rows = cluster_estimates(log, n_resamples=200, seed=0)
         for r in rows:
-            assert r.dcost == pytest.approx(marginal_estimate(log, "cost", r.cluster), rel=1e-10)
-            assert r.dvalue == pytest.approx(
-                marginal_estimate(log, "value_predicted", r.cluster), rel=1e-10
-            )
+            assert r.dcost == marginal_estimate(log, "cost", r.cluster)
+            assert r.dvalue == marginal_estimate(log, "value_predicted", r.cluster)
+            assert r.mroi == marginal_roi(log, r.cluster).value
+
+    def test_undefined_mroi_matches_marginal_roi(self):
+        # cluster 0 spends nothing and cluster 5 keeps no users: mROI is undefined in both
+        def no_cost_at_exposure_0(theta, exposure, rng):
+            return np.where(exposure == 0, 0.0, rng.exponential(1.0, len(theta)))
+
+        full = synth_log(n=1000, seed=7, cost_fn=no_cost_at_exposure_0)
+        keep = full.cluster != 5
+        ids = tuple(u for u, k in zip(full.user_ids, keep) if k)
+        log = RandomizedLog(SPEC, ids, **{f: column[keep] for f, column in full.arrays.items()})
+        rows = cluster_estimates(log, n_resamples=100, seed=0)
+        assert rows[5].n_users == 0
+        assert rows[0].mroi is None and rows[5].mroi is None
+        for r in rows:
+            assert r.mroi == marginal_roi(log, r.cluster).value
 
     def test_ci_brackets_point(self):
         log = synth_log(n=3000, seed=6)

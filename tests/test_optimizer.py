@@ -12,8 +12,8 @@ from impatience import (
     ValidationError,
     assign_clusters,
     ips_estimate,
+    policy_delta_bootstrap,
     predict_policy_delta,
-    solve_reallocation,
     solve_reallocation_detailed,
 )
 
@@ -107,7 +107,7 @@ class TestSolveInvariants:
         rng = np.random.default_rng(23)
         for _ in range(100):
             problem = self.rand_problem(rng, int(rng.integers(2, 9)))
-            policy = solve_reallocation(problem)
+            policy = solve_reallocation_detailed(problem).policy
             for alpha in policy.multipliers.values():
                 assert 0.8 - 1e-12 <= alpha <= 1.2 + 1e-12
             total_dc = sum(dc for _, dc, _ in problem.clusters)
@@ -161,7 +161,7 @@ class TestSolveInvariants:
         rows[0] = ClusterRow(0, 10, 1.0, 2.0, 2.0, (0, 0), (0, 0), (0, 0))
         problem = ReallocationProblem.from_rows(rows)
         assert problem.pinned == (1,)
-        policy = solve_reallocation(problem)
+        policy = solve_reallocation_detailed(problem).policy
         assert policy.multipliers[1] == 1.0
 
     def test_rejects_nonpositive_cost_slope(self):
@@ -220,3 +220,10 @@ class TestPredictPolicyDelta:
         d = predict_policy_delta(log, policy)
         expected = ips_estimate(log, "cost", policy=policy) - ips_estimate(log, "cost")
         assert d.dcost_exact == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_the_bootstrap_point(self):
+        log = self.make_log(seed=7)
+        policy = PolicySpec({c: 1.0 + 0.05 * (-1) ** c for c in range(6)})
+        d = predict_policy_delta(log, policy)
+        point = policy_delta_bootstrap(log, policy, 100).point
+        assert [d.dvalue_linear, d.dcost_linear, d.dvalue_exact, d.dcost_exact] == point.tolist()

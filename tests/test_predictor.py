@@ -8,7 +8,6 @@ from impatience import (
     CalibrationRow,
     ConvergenceError,
     CtrModel,
-    DisplayEvent,
     DisplayEvents,
     ValidationError,
     calibration_curve,
@@ -21,22 +20,33 @@ from impatience.predictor import _design_matrix, _sigmoid
 
 
 def bernoulli_events(rng, probs_by_bucket, counts_by_bucket):
-    events = []
-    for bucket, (p, n) in enumerate(zip(probs_by_bucket, counts_by_bucket)):
-        conv = rng.random(n) < p
-        events.extend(DisplayEvent(fatigue=bucket, converted=bool(c)) for c in conv)
-    return events
+    """counts_by_bucket[b] events at fatigue b, each converting with probs_by_bucket[b]."""
+    converted = [rng.random(n) < p for p, n in zip(probs_by_bucket, counts_by_bucket)]
+    return DisplayEvents(np.repeat(np.arange(len(converted)), counts_by_bucket), np.concatenate(converted))
+
+
+def context_events(seed, n=300, d_ctx=2):
+    """n events with a random fatigue, conversion and d_ctx normal context features."""
+    rng = np.random.default_rng(seed)
+    rows = [(rng.integers(0, 8), rng.random() < 0.3, rng.normal(size=d_ctx)) for _ in range(n)]
+    fatigue, converted, features = zip(*rows)
+    return DisplayEvents(fatigue, converted, np.reshape(features, (n, d_ctx)))
+
+
+def separable_events():
+    """50 converting events at fatigue 0, then 50 non-converting at fatigue 5."""
+    return DisplayEvents([0] * 50 + [5] * 50, [True] * 50 + [False] * 50)
 
 
 class TestDesignMatrix:
     def test_intercept_only_without_fatigue(self):
-        events = [DisplayEvent(0, True), DisplayEvent(3, False)]
+        events = DisplayEvents([0, 3], [True, False])
         X = _design_matrix(events, include_fatigue=False, boundaries=(1, 2), n_context=0)
         assert X.shape == (2, 1)
         assert np.all(X == 1.0)
 
     def test_bucket_zero_is_reference_level(self):
-        events = [DisplayEvent(0, True), DisplayEvent(1, False), DisplayEvent(9, True)]
+        events = DisplayEvents([0, 1, 9], [True, False, True])
         X = _design_matrix(events, include_fatigue=True, boundaries=(1, 2, 3, 4, 5), n_context=0)
         assert X.shape == (3, 6)
         assert np.array_equal(X[0], [1, 0, 0, 0, 0, 0])
@@ -44,25 +54,16 @@ class TestDesignMatrix:
         assert np.array_equal(X[2], [1, 0, 0, 0, 0, 1])
 
     def test_context_features_shape_checked(self):
-        events = [DisplayEvent(0, True, features=(1.0, 2.0)), DisplayEvent(1, False, features=(3.0,))]
-        with pytest.raises(ValidationError):
+        events = DisplayEvents([0, 1], [True, False], [[1.0], [3.0]])
+        with pytest.raises(ValidationError, match="expected 2 context features"):
             _design_matrix(events, include_fatigue=False, boundaries=(1,), n_context=2)
 
 
 class TestGradientAndLikelihood:
     def make_problem(self, seed=0, n=400, d_ctx=2):
-        rng = np.random.default_rng(seed)
-        events = [
-            DisplayEvent(
-                fatigue=int(rng.integers(0, 8)),
-                converted=bool(rng.random() < 0.3),
-                features=tuple(rng.normal(size=d_ctx)),
-            )
-            for _ in range(n)
-        ]
+        events = context_events(seed, n, d_ctx)
         X = _design_matrix(events, include_fatigue=True, boundaries=(1, 2, 3, 4, 5), n_context=d_ctx)
-        y = np.array([1.0 if e.converted else 0.0 for e in events])
-        return X, y
+        return X, events.converted.astype(np.float64)
 
     def test_gradient_matches_central_differences(self):
         X, y = self.make_problem()
@@ -97,8 +98,8 @@ class TestFitCtr:
         rng = np.random.default_rng(4)
         events = bernoulli_events(rng, [0.12], [4000])
         model = fit_ctr(events, include_fatigue=False, tol=1e-9)
-        rate = sum(e.converted for e in events) / len(events)
-        assert model.predict_proba(events[:1])[0] == pytest.approx(rate, rel=1e-6)
+        rate = events.converted.sum() / len(events)
+        assert model.predict_proba(events)[0] == pytest.approx(rate, rel=1e-6)
 
     def test_saturated_model_matches_per_bucket_rates(self):
         rng = np.random.default_rng(5)
@@ -140,7 +141,7 @@ class TestFitCtr:
         rng = np.random.default_rng(6)
         events = bernoulli_events(rng, [0.3, 0.1], [500, 500])
         X = _design_matrix(events, True, (1, 2, 3, 4, 5), 0)
-        y = np.array([1.0 if e.converted else 0.0 for e in events])
+        y = events.converted.astype(np.float64)
         lls = []
         for tol in (1e-3, 1e-6, 1e-8):
             m = fit_ctr(events, tol=tol)
@@ -151,9 +152,7 @@ class TestFitCtr:
     def test_separable_data_without_penalty_diverges_but_classifies(self):
         # perfectly separated: the unpenalized MLE runs off to infinity,
         # so the capped fit raises, yet the partial model has 100% accuracy
-        events = [DisplayEvent(0, True) for _ in range(50)] + [
-            DisplayEvent(5, False) for _ in range(50)
-        ]
+        events = separable_events()
         with pytest.raises(ConvergenceError) as exc_info:
             fit_ctr(events, l2=0.0, max_iters=200, tol=1e-12)
         err = exc_info.value
@@ -166,33 +165,26 @@ class TestFitCtr:
         assert lenient.weights == err.model.weights
 
     def test_l2_penalty_restores_convergence_on_separable_data(self):
-        events = [DisplayEvent(0, True) for _ in range(50)] + [
-            DisplayEvent(5, False) for _ in range(50)
-        ]
+        events = separable_events()
         model = fit_ctr(events, l2=0.01, tol=1e-8)
         assert all(math.isfinite(w) for w in model.weights)
 
     def test_rejects_single_class(self):
-        events = [DisplayEvent(0, True) for _ in range(10)]
+        events = DisplayEvents([0] * 10, [True] * 10)
         with pytest.raises(ValidationError):
             fit_ctr(events)
         with pytest.raises(ValidationError):
-            fit_ctr([])
+            fit_ctr(DisplayEvents([], []))
 
     def test_rejects_negative_penalty(self):
-        events = [DisplayEvent(0, True), DisplayEvent(0, False)]
+        events = DisplayEvents([0, 0], [True, False])
         with pytest.raises(ValidationError):
             fit_ctr(events, l2=-1.0)
 
 
 class TestCalibrationCurve:
     def test_counts_and_rates(self):
-        events = [
-            DisplayEvent(0, True),
-            DisplayEvent(0, False),
-            DisplayEvent(2, True),
-            DisplayEvent(7, False),
-        ]
+        events = DisplayEvents([0, 0, 2, 7], [True, False, True, False])
         model = CtrModel(
             weights=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             includes_fatigue=True,
@@ -210,16 +202,14 @@ class TestCalibrationCurve:
         exposure = np.array([0, 3, 9])
         converted = np.array([True, False, True])
         events = events_from_trace(exposure, converted)
-        assert [e.fatigue for e in events] == [0, 3, 9]
-        assert [e.converted for e in events] == [True, False, True]
+        assert events.fatigue.tolist() == [0, 3, 9]
+        assert events.converted.tolist() == [True, False, True]
 
 
 def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_000):
     """The ascent of `fit_ctr` run event by event: one design row per event."""
-    events = list(events)
-    n_context = len(events[0].features)
-    X = _design_matrix(events, include_fatigue, DEFAULT_BUCKETS, n_context)
-    y = np.array([1.0 if e.converted else 0.0 for e in events])
+    X = _design_matrix(events, include_fatigue, DEFAULT_BUCKETS, events.n_context)
+    y = events.converted.astype(np.float64)
     w = np.zeros(X.shape[1])
     step = 4.0
     for _ in range(max_iters):
@@ -232,18 +222,6 @@ def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_0
         w = w + t * g
         step = min(4.0 * t, 64.0)
     return w, X, y
-
-
-def context_events(seed, n=300, d_ctx=2):
-    rng = np.random.default_rng(seed)
-    return [
-        DisplayEvent(
-            fatigue=int(rng.integers(0, 8)),
-            converted=bool(rng.random() < 0.3),
-            features=tuple(rng.normal(size=d_ctx)),
-        )
-        for _ in range(n)
-    ]
 
 
 class TestSufficientStatistics:
@@ -314,33 +292,18 @@ class TestSufficientStatistics:
 
 
 class TestDisplayEvents:
-    def test_roundtrip_from_list(self):
-        events = context_events(seed=12, n=7)
-        cols = DisplayEvents.of(events)
-        assert len(cols) == 7
-        assert list(cols) == events
-        assert cols[3] == events[3]
-        assert cols[-1] == events[-1]
-        sliced = cols[2:5]
-        assert isinstance(sliced, DisplayEvents)
-        assert list(sliced) == events[2:5]
-        with pytest.raises(IndexError):
-            cols[7]
-        assert DisplayEvents.of(cols) is cols
-        model = CtrModel(
-            weights=(0.1, 0.2, -0.3, 0.0, 0.1, 0.2, 0.3, 0.4),
-            includes_fatigue=True,
-            fatigue_boundaries=DEFAULT_BUCKETS,
-            n_context_features=2,
-        )
-        np.testing.assert_array_equal(model.predict_proba(cols), model.predict_proba(events))
-        np.testing.assert_array_equal(model.predict_proba(sliced), model.predict_proba(events[2:5]))
+    def test_columns_take_their_dtypes(self):
+        events = DisplayEvents([0, 3], [1, 0], [[0.5], [-1.0]])
+        assert len(events) == 2 and events.n_context == 1
+        assert events.fatigue.dtype == np.int64
+        assert events.converted.dtype == bool and events.converted.tolist() == [True, False]
+        assert events.features.dtype == np.float64
 
     def test_trace_events_are_columns(self):
         events = events_from_trace(np.array([0, 3, 9]), np.array([True, False, True]))
         assert isinstance(events, DisplayEvents)
         assert events.features.shape == (3, 0)
-        assert events[1] == DisplayEvent(3, False)
+        assert (events.fatigue[1], events.converted[1]) == (3, False)
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValidationError):

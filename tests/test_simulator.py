@@ -18,6 +18,7 @@ from impatience import (
     ValidationError,
     default_config,
     default_randomization,
+    oracle_cluster_outcomes,
     oracle_policy_outcome,
     simulate_log,
     two_auction_demo,
@@ -63,6 +64,19 @@ class TestConfigValidation:
     def test_json_roundtrip(self):
         cfg = default_config()
         assert SimConfig.from_json(cfg.to_json()) == cfg
+
+    def test_missing_key_named(self):
+        raw = default_config().to_json()
+        del raw["fatigue_decay"]
+        with pytest.raises(ValidationError, match="missing sim config key 'fatigue_decay'"):
+            SimConfig.from_json(raw)
+
+    def test_integer_json_numbers_become_floats(self):
+        raw = {**default_config().to_json(), "value_per_conversion": 10, "initial_exposure": [0, 1]}
+        raw.pop("activity_by_exposure")
+        cfg = SimConfig.from_json(raw)
+        assert type(cfg.value_per_conversion) is float and cfg.value_per_conversion == 10.0
+        assert cfg.initial_exposure == (0.0, 1.0)
 
     def test_unknown_key_rejected(self):
         raw = default_config().to_json()
@@ -198,9 +212,22 @@ class TestOraclePolicyOutcome:
     def test_outcome_carries_replication_metadata(self):
         cfg = small_config(n_users=2000)
         out = oracle_policy_outcome(cfg, BidPolicy.impatient(SPEC), n_reps=3, seed=4)
-        assert out.source == "oracle"
         assert out.n_reps == 3
-        assert out.value_se is not None and out.cost_se is not None
+        assert out.value_se > 0 and out.cost_se > 0
+
+    @pytest.mark.parametrize("n_reps", [1, 3])
+    def test_totals_are_the_sum_of_the_cluster_totals(self, n_reps):
+        cfg = small_config(n_users=3000)
+        policy = BidPolicy(kind="cluster_multiplier", randomization=SPEC, multipliers=(0.9, 1.0, 1.1, 1.2, 0.8, 1.0))
+        total = oracle_policy_outcome(cfg, policy, n_reps=n_reps, seed=5)
+        by_cluster = oracle_cluster_outcomes(cfg, policy, n_reps=n_reps, seed=5)
+        assert total.value == pytest.approx(by_cluster["value"].sum(), rel=1e-12)
+        assert total.cost == pytest.approx(by_cluster["cost"].sum(), rel=1e-12)
+
+    def test_rejects_no_reps(self):
+        for oracle in (oracle_policy_outcome, oracle_cluster_outcomes):
+            with pytest.raises(ValidationError, match="n_reps"):
+                oracle(small_config(n_users=10), BidPolicy.impatient(SPEC), n_reps=0, seed=0)
 
 
 class TestTwoAuctionDemo:
