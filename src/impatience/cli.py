@@ -15,9 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,9 +136,7 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_config(path: str | None) -> tuple[ExperimentConfig, str]:
-    if path is None:
-        raise UsageError("--config is required for this command")
+def _load_config(path: str) -> tuple[ExperimentConfig, str]:
     try:
         with _reading(path), open(path) as fh:
             raw = json.load(fh)
@@ -248,9 +247,7 @@ def _read_policy(path: str) -> PolicySpec:
     return PolicySpec(dict(zip(clusters, map(float, multipliers.values()))), float(doc["cap_delta"]))
 
 
-def _read_log_checked(path: str | None) -> tuple[RandomizedLog, str]:
-    if path is None:
-        raise UsageError("--log is required for this command")
+def _read_log_checked(path: str) -> tuple[RandomizedLog, str]:
     with _reading(path):
         return read_log(path), _file_sha256(path)
 
@@ -314,11 +311,11 @@ def cmd_optimize(args) -> int:
     rows, prov = _read_marginals_csv(args.marginals)
     try:
         cluster_rows = [
-            ClusterRow(int(r["cluster"]), None, float(r["dcost"]), float(r["dvalue"]),
-                       mroi=float(r["mroi"]) if r["mroi"] != "" else None)
+            ClusterRow(int(r["cluster"]), None, _finite(r["dcost"]), _finite(r["dvalue"]),
+                       mroi=_finite(r["mroi"]) if r["mroi"] != "" else None)
             for r in rows
         ]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"marginals file {args.marginals} has a malformed row: {exc!r}") from None
     result = solve_reallocation_detailed(ReallocationProblem.from_rows(cluster_rows, cap_delta=args.cap))
     provenance = {
@@ -390,40 +387,27 @@ def cmd_ab(args) -> int:
     cfg, cfg_hash = _load_config(args.config)
     policy = _read_policy(args.policy)
     seed = cfg.seed if args.seed is None else args.seed
-    sim = cfg.sim
-    if args.users_per_arm is not None:
-        raw = sim.to_json()
-        raw["n_users"] = args.users_per_arm
-        sim = SimConfig.from_json(raw)
+    sim = cfg.sim if args.users_per_arm is None else replace(cfg.sim, n_users=args.users_per_arm)
     n_clusters = len(cfg.bucket_boundaries) + 1
-    baseline_policy = BidPolicy.impatient(cfg.randomization)
-    fixed = BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters)
-    dynamic = BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters, dynamic=True)
-    outcomes = {}
-    for name, pol, arm_seed in (
-        ("baseline", baseline_policy, seed),
-        ("fixed_factor", fixed, seed + 1),
-        ("dynamic_factor", dynamic, seed + 2),
-    ):
-        outcomes[name] = oracle_policy_outcome(sim, pol, args.reps, arm_seed, cfg.bucket_boundaries)
-    report = {"tool": f"impatience/{__version__}", "config_sha256": cfg_hash, "seed": seed,
-              "n_reps": args.reps, "users_per_arm": sim.n_users, "arms": {}}
-    for name, out in outcomes.items():
-        report["arms"][name] = {
-            "value": out.value,
-            "cost": out.cost,
-            "value_se": out.value_se,
-            "cost_se": out.cost_se,
-        }
+    outcomes = {
+        name: oracle_policy_outcome(sim, pol, args.reps, arm_seed, cfg.bucket_boundaries)
+        for name, pol, arm_seed in (
+            ("baseline", BidPolicy.impatient(cfg.randomization), seed),
+            ("fixed_factor", BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters), seed + 1),
+            ("dynamic_factor", BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters, dynamic=True),
+             seed + 2),
+        )
+    }
     print(f"ab: {sim.n_users} users/arm x {args.reps} reps")
-    for name in ("fixed_factor", "dynamic_factor"):
-        dv, dv_se, dc, dc_se = _relative_delta(outcomes[name], outcomes["baseline"])
-        report["arms"][name]["rel_dvalue"] = dv
-        report["arms"][name]["rel_dvalue_se"] = dv_se
-        report["arms"][name]["rel_dcost"] = dc
-        report["arms"][name]["rel_dcost_se"] = dc_se
-        print(f"  {name}: dV={dv:+.4%} (se {dv_se:.4%})  dC={dc:+.4%} (se {dc_se:.4%})")
-    _write_json(args.out, report)
+    arms = {}
+    for name, out in outcomes.items():
+        arms[name] = {"value": out.value, "cost": out.cost, "value_se": out.value_se, "cost_se": out.cost_se}
+        if name != "baseline":
+            dv, dv_se, dc, dc_se = _relative_delta(out, outcomes["baseline"])
+            arms[name].update(rel_dvalue=dv, rel_dvalue_se=dv_se, rel_dcost=dc, rel_dcost_se=dc_se)
+            print(f"  {name}: dV={dv:+.4%} (se {dv_se:.4%})  dC={dc:+.4%} (se {dc_se:.4%})")
+    _write_json(args.out, {"tool": f"impatience/{__version__}", "config_sha256": cfg_hash, "seed": seed,
+                           "n_reps": args.reps, "users_per_arm": sim.n_users, "arms": arms})
     print(f"ab: wrote report to {args.out}")
     return 0
 
@@ -502,6 +486,14 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _finite(text: str) -> float:
+    """A float flag or CSV cell: a finite number, as every computation on it needs."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -535,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("optimize", cmd_optimize, "solve the capped cost-neutral reallocation")
     p.add_argument("--marginals", required=True)
-    p.add_argument("--cap", type=float, default=0.2)
+    p.add_argument("--cap", type=_finite, default=0.2)
     p.add_argument("--out", required=True)
 
     p = add("offline-eval", cmd_offline_eval, "offline policy deltas across an amplitude sweep")
@@ -543,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--policy", default=None, help="evaluate this policy instead of a sweep")
-    p.add_argument("--sweep", type=float, nargs="+", default=None)
+    p.add_argument("--sweep", type=_finite, nargs="+", default=None)
     p.add_argument("--resamples", type=int, default=None)
 
     p = add("ab", cmd_ab, "simulated A/B: baseline vs fixed- and dynamic-factor policy")
@@ -556,20 +548,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("weight-profile", cmd_weight_profile, "importance-weight std vs multiplier")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alphas", type=float, nargs="+", default=None)
+    p.add_argument("--alphas", type=_finite, nargs="+", default=None)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = add("two-auctions", cmd_two_auctions, "repeated-auction bid shading illustration")
-    p.add_argument("--value", type=float, default=100.0)
+    p.add_argument("--value", type=_finite, default=100.0)
     p.add_argument("--competition", required=True, help='JSON, e.g. {"kind":"uniform","low":0,"high":100}')
     p.add_argument("--competition2", default=None, help="second-auction competition (defaults to the first)")
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=_finite, default=0.1)
     p.add_argument("--out", required=True)
 
     p = add("fit-ctr", cmd_fit_ctr, "fit CTR models with/without fatigue; calibration curves")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--l2", type=float, default=0.0)
+    p.add_argument("--l2", type=_finite, default=0.0)
 
     return parser
 

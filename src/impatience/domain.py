@@ -356,6 +356,9 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     if header.get("schema") != SCHEMA_VERSION:
         raise LogFormatError(f"unsupported schema {header.get('schema')!r}", 1)
     try:
+        if not (_is_number(header.get("mu")) and _is_number(header.get("sigma"))):
+            raise ValidationError(f"mu and sigma must be finite numbers, got mu={header.get('mu')!r}, "
+                                  f"sigma={header.get('sigma')!r}")
         spec = RandomizationSpec(float(header["mu"]), float(header["sigma"]))
         boundaries = tuple(header["bucket_boundaries"])
         if not all(type(b) is int for b in boundaries):

@@ -31,6 +31,10 @@ from .domain import (
 )
 
 METRICS = ("cost", "value_observed", "value_predicted")
+#: Coverage of every bootstrap percentile interval.
+CI_LEVEL = 0.95
+#: mROI is defined where |dcost| exceeds this fraction of the summed |cost|.
+ROI_REL_THRESHOLD = 1e-9
 
 
 def _check_metric(selector: str) -> None:
@@ -156,25 +160,29 @@ def ips_estimate(
     return compensated_sum(m * w)
 
 
-def marginal_estimate(
-    log: RandomizedLog,
-    selector: str,
-    cluster: int | Sequence[int] | None = None,
-) -> float:
+def _cluster_mask(log: RandomizedLog, cluster: int | None) -> np.ndarray:
+    """The users of one cluster, or every user when `cluster` is None."""
+    if cluster is None:
+        return np.ones(len(log), dtype=bool)
+    return log.arrays["cluster"] == cluster
+
+
+def marginal_estimate(log: RandomizedLog, selector: str, cluster: int | None = None) -> float:
     """Linearized estimate of d(total metric)/d(alpha) at alpha = 1 on a cluster."""
     _check_metric(selector)
-    if cluster is None:
-        subset = UserSubset.all_users()
-    elif isinstance(cluster, (int, np.integer)):
-        subset = UserSubset.from_clusters([cluster])
-    else:
-        subset = UserSubset.from_clusters(cluster)
-    mask = subset.mask(log)
+    mask = _cluster_mask(log, cluster)
     arr = log.arrays
-    m = arr[selector][mask]
-    if m.size == 0:
-        return 0.0
-    return compensated_sum(m * linear_weight(arr["theta"][mask], log.spec))
+    return compensated_sum(arr[selector][mask] * linear_weight(arr["theta"][mask], log.spec))
+
+
+def _mroi(dcost, dvalue, scale):
+    """dvalue / dcost where |dcost| > ROI_REL_THRESHOLD * scale, NaN elsewhere.
+
+    `scale` is the sum of |cost| over the users in dcost, so a cluster
+    that spends nothing has no mROI.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(dcost) > ROI_REL_THRESHOLD * scale, np.divide(dvalue, dcost), np.nan)
 
 
 @dataclass(frozen=True)
@@ -191,21 +199,13 @@ class MarginalRoi:
         return self.value is not None
 
 
-def marginal_roi(
-    log: RandomizedLog,
-    cluster: int | None,
-    value_selector: str = "value_predicted",
-    rel_threshold: float = 1e-9,
-) -> MarginalRoi:
+def marginal_roi(log: RandomizedLog, cluster: int | None) -> MarginalRoi:
     """Marginal ROI on a cluster: marginal value per marginal unit of spend."""
-    _check_metric(value_selector)
-    num = marginal_estimate(log, value_selector, cluster)
+    num = marginal_estimate(log, "value_predicted", cluster)
     den = marginal_estimate(log, "cost", cluster)
-    mask = UserSubset.all_users().mask(log) if cluster is None else (log.arrays["cluster"] == cluster)
-    scale = float(np.abs(log.arrays["cost"][mask]).sum())
-    if abs(den) < rel_threshold * scale or scale == 0.0:
-        return MarginalRoi(value=None, numerator=num, denominator=den)
-    return MarginalRoi(value=num / den, numerator=num, denominator=den)
+    scale = np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum()
+    roi = float(_mroi(den, num, scale))
+    return MarginalRoi(value=None if math.isnan(roi) else roi, numerator=num, denominator=den)
 
 
 @dataclass(frozen=True)
@@ -301,10 +301,9 @@ def bootstrap_ci(
     estimator: Callable[[np.ndarray], float | np.ndarray] | UserSums,
     log: RandomizedLog,
     n_resamples: int = 1000,
-    level: float = 0.95,
     seed: int | np.random.Generator = 0,
 ) -> BootstrapResult:
-    """Percentile interval from whole-user resamples with replacement.
+    """Percentile interval (CI_LEVEL) from whole-user resamples with replacement.
 
     `estimator` maps an index array into the log's users to a scalar
     or vector statistic, or is a :class:`UserSums`, whose resamples are
@@ -314,8 +313,6 @@ def bootstrap_ci(
     """
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
-    if not 0 < level < 1:
-        raise ValidationError("level must lie in (0, 1)")
     n = len(log)
     rng = np.random.default_rng(seed)
     if isinstance(estimator, UserSums):
@@ -329,7 +326,7 @@ def bootstrap_ci(
         for r in range(n_resamples):
             idx = rng.integers(0, n, n)
             stats[r] = estimator(idx)
-    tail = (1 - level) / 2
+    tail = (1 - CI_LEVEL) / 2
     low = np.quantile(stats, tail, axis=0)
     high = np.quantile(stats, 1 - tail, axis=0)
     if point.ndim == 0:
@@ -337,7 +334,7 @@ def bootstrap_ci(
     return BootstrapResult(low, high, point)
 
 
-def _cluster_sums(log: RandomizedLog, value_selector: str, rel_threshold: float) -> UserSums:
+def _cluster_sums(log: RandomizedLog) -> UserSums:
     """Per-cluster dcost and dvalue sums, finished to (dcost, dvalue, mROI) per cluster."""
     arr = log.arrays
     nc = log.n_clusters
@@ -346,29 +343,19 @@ def _cluster_sums(log: RandomizedLog, value_selector: str, rel_threshold: float)
 
     def finish(sums: np.ndarray) -> np.ndarray:
         dcost, dvalue = sums[:, 0], sums[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mroi = np.where(np.abs(dcost) > rel_threshold * scale, dvalue / dcost, np.nan)
-        return np.concatenate([dcost, dvalue, mroi], axis=1)
+        return np.concatenate([dcost, dvalue, _mroi(dcost, dvalue, scale)], axis=1)
 
-    per_user = np.stack([arr["cost"] * lw, arr[value_selector] * lw])
+    per_user = np.stack([arr["cost"] * lw, arr["value_predicted"] * lw])
     return UserSums(per_user, groups=arr["cluster"], n_groups=nc, finish=finish)
 
 
-def cluster_estimates(
-    log: RandomizedLog,
-    n_resamples: int = 1000,
-    level: float = 0.95,
-    seed: int = 0,
-    value_selector: str = "value_predicted",
-    rel_threshold: float = 1e-9,
-) -> list[ClusterRow]:
+def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0) -> list[ClusterRow]:
     """Per-cluster marginal cost/value derivatives, marginal ROI, and CIs."""
-    _check_metric(value_selector)
     nc = log.n_clusters
-    stat = _cluster_sums(log, value_selector, rel_threshold)
+    stat = _cluster_sums(log)
     # point estimates use compensated sums; bootstrap spread is noise-dominated
     point = stat.point(exact=True)
-    ci = bootstrap_ci(stat, log, n_resamples=n_resamples, level=level, seed=seed)
+    ci = bootstrap_ci(stat, log, n_resamples=n_resamples, seed=seed)
     n_users = np.bincount(log.arrays["cluster"], minlength=nc)
     rows = []
     for c in range(nc):

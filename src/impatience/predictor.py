@@ -7,11 +7,11 @@ model overpredict on recently exposed users, which the calibration
 curve makes visible.
 
 Display events are held as columns (:class:`DisplayEvents`). The fit
-runs on sufficient statistics: events that share a design row are
-merged into one row with a trial count and a positive count, so with
-fatigue as the only feature the ascent touches one row per exposure
-bucket whatever the number of events. The objective is still the mean
-log-likelihood over all events.
+runs on sufficient statistics: a design row is a function of the
+exposure bucket alone, so the events of one bucket are merged into one
+row with a trial count and a positive count, and the ascent touches one
+row per bucket whatever the number of events. The objective is still
+the mean log-likelihood over all events.
 """
 
 from __future__ import annotations
@@ -36,29 +36,18 @@ class ConvergenceError(RuntimeError):
 
 
 class DisplayEvents:
-    """Display events as columns: the fatigue state at display time (ints),
-    whether a conversion followed (bools) and an (n, d) context-feature
-    matrix, one row per won display."""
+    """Display events as columns: the fatigue state at display time (ints)
+    and whether a conversion followed (bools), one row per won display."""
 
-    __slots__ = ("fatigue", "converted", "features")
+    __slots__ = ("fatigue", "converted")
 
-    def __init__(self, fatigue, converted, features=None):
+    def __init__(self, fatigue, converted):
         fatigue = np.asarray(fatigue, dtype=np.int64)
         converted = np.asarray(converted, dtype=bool)
-        n = len(fatigue)
-        features = np.empty((n, 0)) if features is None else np.asarray(features, dtype=np.float64)
-        if fatigue.ndim != 1 or converted.shape != (n,) or features.ndim != 2 or len(features) != n:
-            raise ValidationError(
-                f"columns disagree: fatigue {fatigue.shape}, converted {converted.shape}, "
-                f"features {features.shape}"
-            )
+        if fatigue.ndim != 1 or converted.shape != fatigue.shape:
+            raise ValidationError(f"columns disagree: fatigue {fatigue.shape}, converted {converted.shape}")
         self.fatigue = fatigue
         self.converted = converted
-        self.features = features
-
-    @property
-    def n_context(self) -> int:
-        return self.features.shape[1]
 
     def __len__(self) -> int:
         return len(self.fatigue)
@@ -71,15 +60,15 @@ def events_from_trace(exposure: np.ndarray, converted: np.ndarray) -> DisplayEve
 
 @dataclass(frozen=True)
 class CtrModel:
-    """Logistic conversion model; prediction = logistic(weights . features)."""
+    """Logistic conversion model; prediction = logistic(weights . design row)."""
 
     weights: tuple[float, ...]
     includes_fatigue: bool
     fatigue_boundaries: tuple[int, ...]
-    n_context_features: int
 
     def predict_proba(self, events: DisplayEvents) -> np.ndarray:
-        X = _design_matrix(events, self.includes_fatigue, self.fatigue_boundaries, self.n_context_features)
+        bucket = assign_clusters(events.fatigue, self.fatigue_boundaries)
+        X = _design(bucket, self.includes_fatigue, len(self.fatigue_boundaries) + 1)
         return _sigmoid(X @ np.asarray(self.weights))
 
 
@@ -92,30 +81,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _design(bucket: np.ndarray, context: np.ndarray, include_fatigue: bool, n_buckets: int) -> np.ndarray:
-    """Design rows [1, context, one-hot(bucket)]; bucket 0 is the reference level."""
-    n = len(bucket)
-    cols = [np.ones((n, 1)), context]
-    if include_fatigue:
-        onehot = np.zeros((n, n_buckets - 1))
-        nonzero = bucket > 0
-        onehot[nonzero, bucket[nonzero] - 1] = 1.0
-        cols.append(onehot)
-    return np.hstack(cols)
-
-
-def _design_matrix(
-    events: DisplayEvents,
-    include_fatigue: bool,
-    boundaries: tuple[int, ...],
-    n_context: int,
-) -> np.ndarray:
-    if events.n_context != n_context:
-        raise ValidationError(
-            f"expected {n_context} context features per event, got {events.n_context}"
-        )
-    bucket = assign_clusters(events.fatigue, boundaries)
-    return _design(bucket, events.features, include_fatigue, len(boundaries) + 1)
+def _design(bucket: np.ndarray, include_fatigue: bool, n_buckets: int) -> np.ndarray:
+    """Design rows [1, one-hot(bucket)]; bucket 0 is the reference level."""
+    if not include_fatigue:
+        return np.ones((len(bucket), 1))
+    X = np.eye(n_buckets)[bucket]
+    X[:, 0] = 1.0  # bucket 0's one-hot column becomes the intercept
+    return X
 
 
 def _softplus_change(z: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -172,25 +144,16 @@ def loglik_gradient(
 def _sufficient_stats(
     events: DisplayEvents, include_fatigue: bool, boundaries: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct design rows, their positive counts and their event counts."""
-    y = events.converted.astype(np.float64)
+    """The design rows of the buckets that hold events, their positive counts and their event counts."""
     n_buckets = len(boundaries) + 1
     if include_fatigue:
         bucket = assign_clusters(events.fatigue, boundaries)
     else:
         bucket = np.zeros(len(events), dtype=np.intp)
-    if events.n_context == 0:
-        # the design row is a function of the bucket alone
-        counts = np.bincount(bucket, minlength=n_buckets).astype(np.float64)
-        positives = np.bincount(bucket, weights=y, minlength=n_buckets)
-        levels = np.flatnonzero(counts)
-        X = _design(levels, np.empty((len(levels), 0)), include_fatigue, n_buckets)
-        return X, positives[levels], counts[levels]
-    X, row = np.unique(
-        _design(bucket, events.features, include_fatigue, n_buckets), axis=0, return_inverse=True
-    )
-    row = row.reshape(-1)
-    return X, np.bincount(row, weights=y), np.bincount(row).astype(np.float64)
+    counts = np.bincount(bucket, minlength=n_buckets).astype(np.float64)
+    positives = np.bincount(bucket, weights=events.converted.astype(np.float64), minlength=n_buckets)
+    levels = np.flatnonzero(counts)
+    return _design(levels, include_fatigue, n_buckets), positives[levels], counts[levels]
 
 
 def fit_ctr(
@@ -200,7 +163,6 @@ def fit_ctr(
     max_iters: int = 10_000,
     tol: float = 1e-7,
     fatigue_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
-    strict: bool = True,
 ) -> CtrModel:
     """Fit the logistic model by gradient ascent with backtracking.
 
@@ -212,12 +174,11 @@ def fit_ctr(
     iterations; convergence is declared when the gradient max-norm drops
     below `tol`. The ascent stops early when backtracking finds no step
     with any gain, which happens when `tol` is below what the gradient can
-    resolve. With `strict`, stopping above `tol` (at `max_iters` or on
-    such a stall) raises :class:`ConvergenceError` (which carries the
-    partial model).
+    resolve. Stopping above `tol` (at `max_iters` or on such a stall)
+    raises :class:`ConvergenceError`, which carries the partial model.
     """
-    if l2 < 0:
-        raise ValidationError("l2 must be >= 0")
+    if not 0 <= l2 < np.inf:  # also rejects NaN
+        raise ValidationError(f"l2 must be finite and >= 0, got {l2}")
     if len(events) == 0 or events.converted.all() or not events.converted.any():
         raise ValidationError("need at least one positive and one negative event")
     X, y, n = _sufficient_stats(events, include_fatigue, tuple(fatigue_boundaries))
@@ -246,9 +207,8 @@ def fit_ctr(
         weights=tuple(float(v) for v in w),
         includes_fatigue=include_fatigue,
         fatigue_boundaries=tuple(fatigue_boundaries),
-        n_context_features=events.n_context,
     )
-    if grad_norm >= tol and strict:
+    if grad_norm >= tol:
         raise ConvergenceError(grad_norm, model)
     return model
 
@@ -261,14 +221,9 @@ class CalibrationRow:
     mean_predicted: float | None
 
 
-def calibration_curve(
-    model: CtrModel,
-    events: DisplayEvents,
-    boundaries: tuple[int, ...] | None = None,
-) -> list[CalibrationRow]:
+def calibration_curve(model: CtrModel, events: DisplayEvents) -> list[CalibrationRow]:
     """Per-fatigue-bucket empirical conversion rate vs mean prediction."""
-    if boundaries is None:
-        boundaries = model.fatigue_boundaries
+    boundaries = model.fatigue_boundaries
     n_buckets = len(boundaries) + 1
     bucket = assign_clusters(events.fatigue, boundaries)
     counts = np.bincount(bucket, minlength=n_buckets)

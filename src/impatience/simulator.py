@@ -58,6 +58,9 @@ class SimConfig:
             raise ValidationError("n_users must be >= 0")
         if self.auctions_per_user.kind not in ("poisson", "constant"):
             raise ValidationError("auctions_per_user must be poisson or constant")
+        count = self.auctions_per_user.value
+        if self.auctions_per_user.kind == "constant" and not (count >= 0 and float(count).is_integer()):
+            raise ValidationError(f"a constant auctions_per_user must be a non-negative integer, got {count}")
         if not self.value_per_conversion > 0:
             raise ValidationError("value_per_conversion must be > 0")
         if not 0 < self.base_conversion_prob < 1:

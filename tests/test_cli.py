@@ -128,6 +128,25 @@ class TestErrorHandling:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--l2", ["fit-ctr", "--config", "CONFIG"]),
+        ("--value", ["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}']),
+        ("--step", ["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}']),
+        ("--cap", ["optimize", "--marginals", "MARGINALS"]),
+        ("--sweep", ["offline-eval", "--config", "CONFIG", "--log", "LOG"]),
+        ("--alphas", ["weight-profile", "--config", "CONFIG"]),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exits_one(self, tiny_config, tmp_path, capsys, flag, argv, value):
+        # each of these ran on and exited 0 with NaN output, or ended in a traceback
+        argv = [{"CONFIG": tiny_config, "MARGINALS": "m.csv", "LOG": "log.jsonl"}.get(a, a) for a in argv]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(*argv, f"{flag}={value}", "--out", str(out))
+        assert exc_info.value.code == 1
+        assert f"error: argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run()
@@ -219,7 +238,8 @@ class TestOptimize:
         assert run("optimize", "--marginals", str(src), "--out", str(out), "--cap", "0.2") == 0
         assert json.loads(out.read_text())["multipliers"] == {"0": 1.2, "1": 0.8, "2": 1.0}
 
-    @pytest.mark.parametrize("bad", [{"mroi": "abc"}, {"dcost": ""}])
+    @pytest.mark.parametrize("bad", [{"mroi": "abc"}, {"dcost": ""}, {"dvalue": "nan"}, {"dcost": "inf"},
+                                     {"mroi": "-inf"}])
     def test_malformed_row_exits_one(self, tmp_path, capsys, bad):
         src = tmp_path / "marginals.csv"
         row = dict(zip(["cluster", "n_users", "dcost", "dvalue", "mroi"], [0, 100, 1.0, 2.0, 2.0]), **bad)
@@ -432,7 +452,7 @@ class TestExitCodes:
         from impatience import CtrModel, ConvergenceError
 
         def failing_fit(*args, **kwargs):
-            raise ConvergenceError(1.0, CtrModel((0.0,), False, (1,), 0))
+            raise ConvergenceError(1.0, CtrModel((0.0,), False, (1,)))
 
         monkeypatch.setattr("impatience.cli.fit_ctr", failing_fit)
         code = run("fit-ctr", "--config", tiny_config, "--out", str(tmp_path / "c.csv"))

@@ -1,0 +1,180 @@
+"""Property test: a malformed input file ends in exit code 1 or 2 and a
+message on stderr, never in an exception that escapes `main`.
+
+Small valid config, log, marginals and policy files are made once; each
+example changes one or two places in one of them (drops a key, list
+entry or line, or puts another JSON value there) and runs every
+subcommand that reads that file. The replacement values are wrong JSON types and numbers
+outside the domain of every field: negative, fractional, NaN and
+infinite. Large valid sizes are left out, since they only make a run
+long.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from impatience.cli import default_experiment_config, main
+
+DROP = "<drop>"  # the mutation that deletes the place instead of replacing it
+JSON_VALUES = [DROP, None, True, "x", [], {}, -1, 0, 0.5, 2.5, -1e308, math.nan, math.inf, -math.inf]
+CELL_VALUES = [DROP, "", "x", "-1", "0", "2.5", "-1e308", "nan", "inf", "-inf"]
+
+CONFIG = default_experiment_config().to_json()
+CONFIG["sim"].update(n_users=60, auctions_per_user={"kind": "poisson", "mean": 4.0})
+CONFIG.update(resamples=100, sweep=[0.1])
+POLICY = {"schema": "impatience-policy/1", "cap_delta": 0.2,
+          "multipliers": {"0": 1.1, "1": 0.9, "5": 1.2}, "provenance": {"tool": "test"}}
+
+
+def places(doc, prefix=()):
+    """The path of every value inside a JSON document, the document itself first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from places(value, prefix + (key,))
+
+
+def mutate(doc, changes):
+    """A copy of `doc` with the value at each (path, value) change dropped or
+    replaced in turn; a path that an earlier change removed is skipped."""
+    doc = copy.deepcopy(doc)
+    for path, value in changes:
+        if not path:
+            doc = value
+            continue
+        *parents, last = path
+        node = doc
+        try:  # the place must still exist, inside an object or a list
+            for key in parents:
+                node = node[key]
+            node[last]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(node, (dict, list)):  # a string that an earlier change put there
+            continue
+        if value == DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Valid config, log, marginals and policy files, and their parsed contents."""
+    d = tmp_path_factory.mktemp("inputs")
+    files = {name: str(d / name) for name in ("config.json", "log.jsonl", "marginals.csv", "policy.json")}
+    with open(files["config.json"], "w") as fh:
+        json.dump(CONFIG, fh)
+    with open(files["policy.json"], "w") as fh:
+        json.dump(POLICY, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", files["config.json"], "--out", files["log.jsonl"]]) == 0
+        assert main(["marginals", "--config", files["config.json"], "--log", files["log.jsonl"],
+                     "--out", files["marginals.csv"]]) == 0
+    with open(files["log.jsonl"]) as fh:
+        log_lines = [json.loads(line) for line in fh]
+    with open(files["marginals.csv"]) as fh:
+        marginal_rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+    return files, {"config": CONFIG, "log": log_lines, "marginals": marginal_rows, "policy": POLICY}
+
+
+def commands(files, out):
+    """Each kind of input file and the subcommands that read it."""
+    config, log, policy = files["config.json"], files["log.jsonl"], files["policy.json"]
+    return {
+        "config": [
+            ["simulate", "--config", config, "--out", out],
+            ["offline-eval", "--config", config, "--log", log, "--out", out],
+            ["fit-ctr", "--config", config, "--out", out],
+        ],
+        "log": [["marginals", "--config", config, "--log", log, "--out", out],
+                ["offline-eval", "--config", config, "--log", log, "--policy", policy, "--out", out]],
+        "marginals": [["optimize", "--marginals", files["marginals.csv"], "--out", out]],
+        "policy": [["ab", "--config", config, "--policy", policy, "--reps", "1", "--users-per-arm", "30",
+                    "--out", out],
+                   ["offline-eval", "--config", config, "--log", log, "--policy", policy, "--out", out]],
+    }
+
+
+def write(kind, doc, path):
+    with open(path, "w") as fh:
+        if kind == "log":
+            fh.write("".join(json.dumps(line) + "\n" for line in doc))
+        elif kind == "marginals":
+            fh.write("# log_sha256=0\n" + "".join(",".join(row) + "\n" for row in doc))
+        else:
+            json.dump(doc, fh)
+
+
+def check_exits_cleanly(inputs, kind, changes):
+    files, docs = inputs
+    with tempfile.TemporaryDirectory() as d:
+        name = {"config": "config.json", "log": "log.jsonl", "marginals": "marginals.csv",
+                "policy": "policy.json"}[kind]
+        files = {**files, name: os.path.join(d, name)}
+        write(kind, mutate(docs[kind], changes), files[name])
+        for argv in commands(files, os.path.join(d, "out"))[kind]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv
+            if code != 0:
+                assert err.getvalue().startswith("impatience:"), (argv, err.getvalue())
+
+
+HEADER_KEYS = ("schema", "mu", "sigma", "bucket_boundaries")
+USER_KEYS = ("user_id", "theta", "exposure_at_start", "cluster", "cost", "value_observed", "value_predicted",
+             "n_auctions", "n_wins")
+#: Places in the log: the header, its keys and boundaries, and the first, second and last user line.
+LOG_PATHS = [(0,), *((0, k) for k in HEADER_KEYS), *((0, "bucket_boundaries", j) for j in range(5)),
+             *(p for i in (1, 2, CONFIG["sim"]["n_users"]) for p in [(i,), *((i, k) for k in USER_KEYS)])]
+#: Places in the marginals table: the header row, the first and last cluster row, and each of their cells.
+MARGINALS_PATHS = [p for i in (0, 1, 6) for p in [(i,), *((i, j) for j in range(11))]]
+
+SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def changes(paths, values):
+    return st.lists(st.tuples(st.sampled_from(list(paths)), st.sampled_from(values)), min_size=1, max_size=2)
+
+
+@SETTINGS
+@given(changes=changes(places(CONFIG), JSON_VALUES))
+@example(changes=[(("sim", "activity_by_exposure"), DROP),
+                  (("sim", "auctions_per_user"), {"kind": "constant", "value": 2.5})])
+@example(changes=[(("sim", "activity_by_exposure"), DROP),
+                  (("sim", "auctions_per_user"), {"kind": "constant", "value": -2})])
+def test_mutated_config_exits_cleanly(inputs, changes):
+    check_exits_cleanly(inputs, "config", changes)
+
+
+@SETTINGS
+@given(changes=changes(places(POLICY), JSON_VALUES))
+def test_mutated_policy_exits_cleanly(inputs, changes):
+    check_exits_cleanly(inputs, "policy", changes)
+
+
+@SETTINGS
+@given(changes=changes(LOG_PATHS, JSON_VALUES))
+@example(changes=[((0, "mu"), "0.5")])
+@example(changes=[((0, "sigma"), True)])
+def test_mutated_log_exits_cleanly(inputs, changes):
+    check_exits_cleanly(inputs, "log", changes)
+
+
+@SETTINGS
+@given(changes=changes(MARGINALS_PATHS, CELL_VALUES))
+@example(changes=[((1, 3), "nan")])
+@example(changes=[((1, 2), "inf")])
+def test_mutated_marginals_exit_cleanly(inputs, changes):
+    check_exits_cleanly(inputs, "marginals", changes)

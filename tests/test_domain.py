@@ -345,6 +345,12 @@ class TestReadErrors:
         with pytest.raises(LogFormatError, match="header"):
             read_log(io.StringIO(""))
 
+    @pytest.mark.parametrize("key,value", [("mu", "0.5"), ("sigma", True), ("sigma", None), ("mu", float("nan"))])
+    def test_header_mu_and_sigma_must_be_numbers(self, key, value):
+        header = {**json.loads(self.HEADER), key: value}
+        with pytest.raises(LogFormatError, match="line 1: invalid header: mu and sigma must be finite numbers"):
+            read_log(io.StringIO(json.dumps(header) + "\n"))
+
 
 class TestReadInputHoles:
     """Values `read_log` used to accept or let escape as bare exceptions."""

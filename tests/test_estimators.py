@@ -216,7 +216,7 @@ class TestBootstrap:
         # mean of ln(theta), sigma=0.3, n=1e4: width ~ 2 * 1.96 * 0.3 / 100
         log = synth_log(n=10_000, seed=11)
         lt = np.log(log.arrays["theta"])
-        ci = bootstrap_ci(lambda idx: float(lt[idx].mean()), log, n_resamples=1000, level=0.95, seed=1)
+        ci = bootstrap_ci(lambda idx: float(lt[idx].mean()), log, n_resamples=1000, seed=1)
         width = ci.high - ci.low
         assert width == pytest.approx(0.01176, rel=0.20)
 
@@ -270,7 +270,7 @@ class TestResampleCounts:
 
     def test_cluster_sums_match_gather(self):
         log = synth_log(n=3000, seed=21)
-        got = _cluster_sums(log, "value_predicted", 1e-9).resample(np.random.default_rng(4), 200)
+        got = _cluster_sums(log).resample(np.random.default_rng(4), 200)
         self.check_close(got, cluster_rows(log), 4, log.arrays["cluster"], log.n_clusters)
 
     def test_policy_delta_sums_match_gather(self):
@@ -282,7 +282,7 @@ class TestResampleCounts:
     def test_consumes_the_same_draws_as_the_index_form(self, kind):
         log = synth_log(n=1000, seed=23)
         if kind == "cluster":
-            stat = _cluster_sums(log, "value_predicted", 1e-9)
+            stat = _cluster_sums(log)
         else:
             stat = _policy_delta_sums(log, POLICY)
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
@@ -303,7 +303,7 @@ class TestResampleCounts:
 
     def test_cluster_finish_is_dcost_dvalue_and_their_ratio(self):
         log = synth_log(n=3000, seed=25)
-        stat = _cluster_sums(log, "value_predicted", 1e-9)
+        stat = _cluster_sums(log)
         sums = stat.resample(np.random.default_rng(7), 100)
         stats = stat.finish(sums)
         nc = log.n_clusters

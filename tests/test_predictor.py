@@ -10,13 +10,14 @@ from impatience import (
     CtrModel,
     DisplayEvents,
     ValidationError,
+    assign_clusters,
     calibration_curve,
     events_from_trace,
     fit_ctr,
     loglik_gradient,
     penalized_loglik,
 )
-from impatience.predictor import _design_matrix, _sigmoid
+from impatience.predictor import _design, _sigmoid
 
 
 def bernoulli_events(rng, probs_by_bucket, counts_by_bucket):
@@ -25,12 +26,20 @@ def bernoulli_events(rng, probs_by_bucket, counts_by_bucket):
     return DisplayEvents(np.repeat(np.arange(len(converted)), counts_by_bucket), np.concatenate(converted))
 
 
-def context_events(seed, n=300, d_ctx=2):
-    """n events with a random fatigue, conversion and d_ctx normal context features."""
+def design(events, include_fatigue=True, boundaries=DEFAULT_BUCKETS):
+    """The per-event design matrix of the fatigue model."""
+    return _design(assign_clusters(events.fatigue, boundaries), include_fatigue, len(boundaries) + 1)
+
+
+def continuous_problem(seed, n, d_ctx=2):
+    """A per-event design [1, d_ctx normal columns, fatigue one-hot] and 0/1
+    outcomes of n random events: every row distinct, so no two merge."""
     rng = np.random.default_rng(seed)
     rows = [(rng.integers(0, 8), rng.random() < 0.3, rng.normal(size=d_ctx)) for _ in range(n)]
     fatigue, converted, features = zip(*rows)
-    return DisplayEvents(fatigue, converted, np.reshape(features, (n, d_ctx)))
+    onehot = design(DisplayEvents(fatigue, converted))[:, 1:]
+    X = np.hstack([np.ones((n, 1)), np.reshape(features, (n, d_ctx)), onehot])
+    return X, np.asarray(converted, dtype=np.float64)
 
 
 def separable_events():
@@ -41,32 +50,22 @@ def separable_events():
 class TestDesignMatrix:
     def test_intercept_only_without_fatigue(self):
         events = DisplayEvents([0, 3], [True, False])
-        X = _design_matrix(events, include_fatigue=False, boundaries=(1, 2), n_context=0)
+        X = design(events, include_fatigue=False, boundaries=(1, 2))
         assert X.shape == (2, 1)
         assert np.all(X == 1.0)
 
     def test_bucket_zero_is_reference_level(self):
         events = DisplayEvents([0, 1, 9], [True, False, True])
-        X = _design_matrix(events, include_fatigue=True, boundaries=(1, 2, 3, 4, 5), n_context=0)
+        X = design(events, include_fatigue=True, boundaries=(1, 2, 3, 4, 5))
         assert X.shape == (3, 6)
         assert np.array_equal(X[0], [1, 0, 0, 0, 0, 0])
         assert np.array_equal(X[1], [1, 1, 0, 0, 0, 0])
         assert np.array_equal(X[2], [1, 0, 0, 0, 0, 1])
 
-    def test_context_features_shape_checked(self):
-        events = DisplayEvents([0, 1], [True, False], [[1.0], [3.0]])
-        with pytest.raises(ValidationError, match="expected 2 context features"):
-            _design_matrix(events, include_fatigue=False, boundaries=(1,), n_context=2)
-
 
 class TestGradientAndLikelihood:
-    def make_problem(self, seed=0, n=400, d_ctx=2):
-        events = context_events(seed, n, d_ctx)
-        X = _design_matrix(events, include_fatigue=True, boundaries=(1, 2, 3, 4, 5), n_context=d_ctx)
-        return X, events.converted.astype(np.float64)
-
     def test_gradient_matches_central_differences(self):
-        X, y = self.make_problem()
+        X, y = continuous_problem(seed=0, n=400)
         rng = np.random.default_rng(1)
         for l2 in (0.0, 0.05):
             w = rng.normal(scale=0.5, size=X.shape[1])
@@ -133,14 +132,15 @@ class TestFitCtr:
         assert exc_info.value.grad_norm < 1e-12
         assert calls["gradient"] <= 1000
         assert calls["loglik"] <= 3000
-        lenient = fit_ctr(events, tol=1e-17, strict=False)
-        assert lenient.weights == exc_info.value.model.weights
+        # the error carries the partial model, fitted as far as the data resolve
+        for row in calibration_curve(exc_info.value.model, events):
+            assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-9)
 
     def test_likelihood_nondecreasing_over_refit(self):
         # tighter tolerance can only improve the mean log-likelihood
         rng = np.random.default_rng(6)
         events = bernoulli_events(rng, [0.3, 0.1], [500, 500])
-        X = _design_matrix(events, True, (1, 2, 3, 4, 5), 0)
+        X = design(events)
         y = events.converted.astype(np.float64)
         lls = []
         for tol in (1e-3, 1e-6, 1e-8):
@@ -160,9 +160,6 @@ class TestFitCtr:
         pred = err.model.predict_proba(events)
         assert np.all(pred[:50] > 0.5)
         assert np.all(pred[50:] < 0.5)
-        # non-strict mode returns the same partial model instead of raising
-        lenient = fit_ctr(events, l2=0.0, max_iters=200, tol=1e-12, strict=False)
-        assert lenient.weights == err.model.weights
 
     def test_l2_penalty_restores_convergence_on_separable_data(self):
         events = separable_events()
@@ -181,6 +178,13 @@ class TestFitCtr:
         with pytest.raises(ValidationError):
             fit_ctr(events, l2=-1.0)
 
+    @pytest.mark.parametrize("l2", [math.nan, math.inf])
+    def test_rejects_non_finite_penalty(self, l2):
+        # NaN fails `l2 < 0` too: the ascent would never take a step
+        events = DisplayEvents([0, 0], [True, False])
+        with pytest.raises(ValidationError, match="l2 must be finite and >= 0"):
+            fit_ctr(events, l2=l2)
+
 
 class TestCalibrationCurve:
     def test_counts_and_rates(self):
@@ -189,7 +193,6 @@ class TestCalibrationCurve:
             weights=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
             includes_fatigue=True,
             fatigue_boundaries=(1, 2, 3, 4, 5),
-            n_context_features=0,
         )
         rows = calibration_curve(model, events)
         assert len(rows) == 6
@@ -208,7 +211,7 @@ class TestCalibrationCurve:
 
 def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_000):
     """The ascent of `fit_ctr` run event by event: one design row per event."""
-    X = _design_matrix(events, include_fatigue, DEFAULT_BUCKETS, events.n_context)
+    X = design(events, include_fatigue)
     y = events.converted.astype(np.float64)
     w = np.zeros(X.shape[1])
     step = 4.0
@@ -237,18 +240,6 @@ class TestSufficientStatistics:
         assert np.abs(loglik_gradient(w, X, y, l2)).max() < tol
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
 
-    def test_context_features_fit_converges(self):
-        # continuous features: every event is its own design row
-        events = context_events(seed=9)
-        tol = 1e-8
-        model = fit_ctr(events, tol=tol)
-        assert model.n_context_features == 2
-        w_ref, X, y = reference_fit(events, tol=tol)
-        w = np.asarray(model.weights)
-        assert len(w) == 1 + 2 + len(DEFAULT_BUCKETS)
-        assert np.abs(loglik_gradient(w, X, y, 0.0)).max() < tol
-        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
-
     def test_converges_below_the_rounding_of_the_objective(self):
         # near the optimum the likelihood gain of a step is far below the
         # rounding error of the likelihood itself
@@ -259,7 +250,7 @@ class TestSufficientStatistics:
             assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-9)
 
     def test_loglik_change_from_base(self):
-        X = _design_matrix(context_events(seed=10, n=50), True, DEFAULT_BUCKETS, 2)
+        X, _ = continuous_problem(seed=10, n=50)
         y = (np.arange(len(X)) % 3 == 0).astype(float)
         rng = np.random.default_rng(11)
         w0 = rng.normal(size=X.shape[1])
@@ -293,20 +284,18 @@ class TestSufficientStatistics:
 
 class TestDisplayEvents:
     def test_columns_take_their_dtypes(self):
-        events = DisplayEvents([0, 3], [1, 0], [[0.5], [-1.0]])
-        assert len(events) == 2 and events.n_context == 1
+        events = DisplayEvents([0, 3], [1, 0])
+        assert len(events) == 2
         assert events.fatigue.dtype == np.int64
         assert events.converted.dtype == bool and events.converted.tolist() == [True, False]
-        assert events.features.dtype == np.float64
 
     def test_trace_events_are_columns(self):
         events = events_from_trace(np.array([0, 3, 9]), np.array([True, False, True]))
-        assert isinstance(events, DisplayEvents)
-        assert events.features.shape == (3, 0)
+        assert isinstance(events, DisplayEvents) and len(events) == 3
         assert (events.fatigue[1], events.converted[1]) == (3, False)
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValidationError):
             DisplayEvents([0, 1], [True])
         with pytest.raises(ValidationError):
-            DisplayEvents([0, 1], [True, False], np.zeros((3, 1)))
+            DisplayEvents([[0, 1]], [True, False])

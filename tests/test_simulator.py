@@ -84,6 +84,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="unknown"):
             SimConfig.from_json(raw)
 
+    @pytest.mark.parametrize("count", [7, 7.0])
+    def test_constant_auction_count_may_be_a_whole_float(self, count):
+        cfg = small_config(auctions_per_user=Distribution(kind="constant", value=count))
+        assert simulate_log(cfg, SPEC, 0).n_auctions.tolist() == [7] * cfg.n_users
+
+    @pytest.mark.parametrize("count", [2.5, -2])
+    def test_constant_auction_count_must_be_a_non_negative_integer(self, count):
+        # 2.5 was read as 2 auctions; -2 ended in a numpy ValueError
+        with pytest.raises(ValidationError, match="constant auctions_per_user must be a non-negative integer"):
+            small_config(auctions_per_user=Distribution(kind="constant", value=count))
+
 
 class TestSimulateLog:
     def test_deterministic_identical_bytes(self):
