@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from .domain import (
     RandomizedLog,
     ValidationError,
     _check_boundaries,
+    _is_integer,
     _is_number,
+    _json_object,
     atomic_write,
     read_log,
     write_log,
@@ -45,6 +47,7 @@ from .simulator import (
     BidPolicy,
     SimConfig,
     default_config,
+    default_randomization,
     oracle_policy_outcome,
     simulate_display_trace,
     simulate_log,
@@ -73,59 +76,45 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("resamples", "seed"):
+            if not (_is_integer(getattr(self, key)) and getattr(self, key) >= 0):
+                raise ValidationError(f"config '{key}' must be a non-negative integer, got {getattr(self, key)!r}")
+        if not _is_number(self.cap_delta):
+            raise ValidationError(f"config 'cap_delta' must be a finite number, got {self.cap_delta!r}")
+        if not (isinstance(self.sweep, (list, tuple)) and all(map(_is_number, self.sweep))):
+            raise ValidationError(f"config 'sweep' must be a list of finite numbers, got {self.sweep!r}")
         _check_boundaries(self.bucket_boundaries)
+        for key, convert in (("bucket_boundaries", tuple), ("resamples", int), ("cap_delta", float),
+                             ("sweep", tuple), ("seed", int)):
+            object.__setattr__(self, key, convert(getattr(self, key)))
 
     def to_json(self) -> dict:
-        return {
-            "sim": self.sim.to_json(),
-            "randomization": {"mu": self.randomization.mu, "sigma": self.randomization.sigma},
-            "bucket_boundaries": list(self.bucket_boundaries),
-            "resamples": self.resamples,
-            "cap_delta": self.cap_delta,
-            "sweep": list(self.sweep),
-            "seed": self.seed,
-        }
+        return _json_object(self)
 
     @classmethod
     def from_json(cls, raw) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {"sim", "randomization", "bucket_boundaries", "resamples", "cap_delta", "sweep", "seed"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys {sorted(unknown)}")
         if "sim" not in raw or "randomization" not in raw:
             raise ValidationError("config requires 'sim' and 'randomization' sections")
-        if not isinstance(raw["sim"], dict):
-            raise ValidationError(f"config 'sim' must be an object, got {raw['sim']!r}")
-        rand = raw["randomization"]
-        if not (isinstance(rand, dict) and _is_number(rand.get("mu")) and _is_number(rand.get("sigma"))):
-            raise ValidationError(f"config 'randomization' must be an object with numbers 'mu' and 'sigma', "
-                                  f"got {rand!r}")
-        for key in ("resamples", "seed"):
-            if key in raw and not (type(raw[key]) is int and raw[key] >= 0):
-                raise ValidationError(f"config '{key}' must be a non-negative integer, got {raw[key]!r}")
-        if "cap_delta" in raw and not _is_number(raw["cap_delta"]):
-            raise ValidationError(f"config 'cap_delta' must be a finite number, got {raw['cap_delta']!r}")
-        sweep = raw.get("sweep", DEFAULT_SWEEP)
-        if not (isinstance(sweep, (list, tuple)) and all(map(_is_number, sweep))):
-            raise ValidationError(f"config 'sweep' must be a list of finite numbers, got {sweep!r}")
-        boundaries = raw.get("bucket_boundaries", DEFAULT_BUCKETS)
-        if not (isinstance(boundaries, (list, tuple)) and all(type(b) is int for b in boundaries)):
-            raise ValidationError(f"config 'bucket_boundaries' must be a list of integers, got {boundaries!r}")
-        return cls(
-            sim=SimConfig.from_json(raw["sim"]),
-            randomization=RandomizationSpec(float(rand["mu"]), float(rand["sigma"])),
-            bucket_boundaries=tuple(boundaries),
-            resamples=raw.get("resamples", 1000),
-            cap_delta=float(raw.get("cap_delta", 0.2)),
-            sweep=tuple(sweep),
-            seed=raw.get("seed", 0),
-        )
+        for key in ("sim", "randomization"):
+            if not isinstance(raw[key], dict):
+                raise ValidationError(f"config '{key}' must be an object, got {raw[key]!r}")
+        unknown = set(raw["randomization"]) - {"mu", "sigma"}
+        if unknown:
+            raise ValidationError(f"unknown randomization keys {sorted(unknown)}")
+        try:
+            spec = RandomizationSpec(raw["randomization"].get("mu"), raw["randomization"].get("sigma"))
+        except ValidationError as exc:
+            raise ValidationError(f"config 'randomization': {exc}") from None
+        return cls(**{**raw, "sim": SimConfig.from_json(raw["sim"]), "randomization": spec})
 
 
 def default_experiment_config() -> ExperimentConfig:
-    return ExperimentConfig(sim=default_config(), randomization=RandomizationSpec(0.0, 0.3))
+    return ExperimentConfig(sim=default_config(), randomization=default_randomization())
 
 
 def _file_sha256(path: str) -> str:
@@ -136,13 +125,15 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_config(path: str) -> tuple[ExperimentConfig, str]:
+def _load_config(args) -> tuple[ExperimentConfig, str]:
+    """The --config file with the flags that override its fields, checked as one config."""
     try:
-        with _reading(path), open(path) as fh:
+        with _reading(args.config), open(args.config) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_json(raw), _file_sha256(path)
+        raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
+    flags = {key: value for key in ("seed", "resamples", "sweep") if (value := getattr(args, key, None)) is not None}
+    return replace(ExperimentConfig.from_json(raw), **flags), _file_sha256(args.config)
 
 
 def _fmt(x) -> str:
@@ -257,13 +248,12 @@ def _read_log_checked(path: str) -> tuple[RandomizedLog, str]:
 
 
 def cmd_simulate(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    log = simulate_log(cfg.sim, cfg.randomization, seed, cfg.bucket_boundaries)
+    cfg, cfg_hash = _load_config(args)
+    log = simulate_log(cfg.sim, cfg.randomization, cfg.seed, cfg.bucket_boundaries)
     with _writing(args.out):
         write_log(log, args.out)
     arr = log.arrays
-    print(f"simulate: wrote {len(log)} users to {args.out} (seed={seed}, config={cfg_hash[:12]})")
+    print(f"simulate: wrote {len(log)} users to {args.out} (seed={cfg.seed}, config={cfg_hash[:12]})")
     print(
         f"  totals: cost={arr['cost'].sum():.2f} value_observed={arr['value_observed'].sum():.2f} "
         f"value_predicted={arr['value_predicted'].sum():.2f} "
@@ -273,18 +263,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_marginals(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
+    cfg, cfg_hash = _load_config(args)
     log, log_hash = _read_log_checked(args.log)
-    resamples = cfg.resamples if args.resamples is None else args.resamples
-    seed = cfg.seed if args.seed is None else args.seed
-    rows = cluster_estimates(log, n_resamples=resamples, seed=seed)
+    rows = cluster_estimates(log, n_resamples=cfg.resamples, seed=cfg.seed)
     out_rows = [
         [r.cluster, r.n_users, r.dcost, r.dvalue, r.mroi, *r.dcost_ci, *r.dvalue_ci, *(r.mroi_ci or (None, None))]
         for r in rows
     ]
     _write_csv(
         args.out,
-        {"config_sha256": cfg_hash, "log_sha256": log_hash, "seed": str(seed)},
+        {"config_sha256": cfg_hash, "log_sha256": log_hash, "seed": str(cfg.seed)},
         [
             "cluster",
             "n_users",
@@ -335,24 +323,22 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_offline_eval(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
+    cfg, cfg_hash = _load_config(args)
     log, log_hash = _read_log_checked(args.log)
-    resamples = cfg.resamples if args.resamples is None else args.resamples
-    seed = cfg.seed if args.seed is None else args.seed
     names = ("dvalue_linear", "dcost_linear", "dvalue_exact", "dcost_exact")
     out_rows = []
     if args.policy:
         policies = [(None, _read_policy(args.policy))]
     else:
-        sweep = tuple(args.sweep) if args.sweep else cfg.sweep
         rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
         rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
         policies = [
-            (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy) for delta in sweep
+            (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy)
+            for delta in cfg.sweep
         ]
     for delta, policy in policies:
         cap = policy.cap_delta if delta is None else delta
-        ci = policy_delta_bootstrap(log, policy, resamples, seed)
+        ci = policy_delta_bootstrap(log, policy, cfg.resamples, cfg.seed)
         row = [cap]
         for j in range(4):
             row.extend([ci.point[j], ci.low[j], ci.high[j]])
@@ -367,7 +353,7 @@ def cmd_offline_eval(args) -> int:
         header.extend([name, f"{name}_ci_low", f"{name}_ci_high"])
     _write_csv(
         args.out,
-        {"config_sha256": cfg_hash, "log_sha256": log_hash, "seed": str(seed)},
+        {"config_sha256": cfg_hash, "log_sha256": log_hash, "seed": str(cfg.seed)},
         header,
         out_rows,
     )
@@ -384,18 +370,17 @@ def _relative_delta(treated, baseline):
 
 
 def cmd_ab(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
+    cfg, cfg_hash = _load_config(args)
     policy = _read_policy(args.policy)
-    seed = cfg.seed if args.seed is None else args.seed
     sim = cfg.sim if args.users_per_arm is None else replace(cfg.sim, n_users=args.users_per_arm)
     n_clusters = len(cfg.bucket_boundaries) + 1
     outcomes = {
         name: oracle_policy_outcome(sim, pol, args.reps, arm_seed, cfg.bucket_boundaries)
         for name, pol, arm_seed in (
-            ("baseline", BidPolicy.impatient(cfg.randomization), seed),
-            ("fixed_factor", BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters), seed + 1),
+            ("baseline", BidPolicy.impatient(cfg.randomization), cfg.seed),
+            ("fixed_factor", BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters), cfg.seed + 1),
             ("dynamic_factor", BidPolicy.from_policy_spec(cfg.randomization, policy, n_clusters, dynamic=True),
-             seed + 2),
+             cfg.seed + 2),
         )
     }
     print(f"ab: {sim.n_users} users/arm x {args.reps} reps")
@@ -406,20 +391,19 @@ def cmd_ab(args) -> int:
             dv, dv_se, dc, dc_se = _relative_delta(out, outcomes["baseline"])
             arms[name].update(rel_dvalue=dv, rel_dvalue_se=dv_se, rel_dcost=dc, rel_dcost_se=dc_se)
             print(f"  {name}: dV={dv:+.4%} (se {dv_se:.4%})  dC={dc:+.4%} (se {dc_se:.4%})")
-    _write_json(args.out, {"tool": f"impatience/{__version__}", "config_sha256": cfg_hash, "seed": seed,
+    _write_json(args.out, {"tool": f"impatience/{__version__}", "config_sha256": cfg_hash, "seed": cfg.seed,
                            "n_reps": args.reps, "users_per_arm": sim.n_users, "arms": arms})
     print(f"ab: wrote report to {args.out}")
     return 0
 
 
 def cmd_weight_profile(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    cfg, cfg_hash = _load_config(args)
     alphas = tuple(args.alphas) if args.alphas else DEFAULT_PROFILE_ALPHAS
-    rows = weight_std_profile(cfg.randomization, alphas, n_samples=args.samples, seed=seed)
+    rows = weight_std_profile(cfg.randomization, alphas, n_samples=args.samples, seed=cfg.seed)
     _write_csv(
         args.out,
-        {"config_sha256": cfg_hash, "seed": str(seed), "n_samples": str(args.samples)},
+        {"config_sha256": cfg_hash, "seed": str(cfg.seed), "n_samples": str(args.samples)},
         ["alpha", "std_exact", "std_linear"],
         [[r.alpha, r.std_exact, r.std_linear] for r in rows],
     )
@@ -448,9 +432,8 @@ def cmd_two_auctions(args) -> int:
 
 
 def cmd_fit_ctr(args) -> int:
-    cfg, cfg_hash = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    exposure, converted = simulate_display_trace(cfg.sim, cfg.randomization, seed)
+    cfg, cfg_hash = _load_config(args)
+    exposure, converted = simulate_display_trace(cfg.sim, cfg.randomization, cfg.seed)
     events = events_from_trace(exposure, converted)
     out_rows = []
     for name, include in (("no_fatigue", False), ("fatigue", True)):
@@ -460,7 +443,7 @@ def cmd_fit_ctr(args) -> int:
             out_rows.append([name, row.bucket, row.n, row.empirical_rate, row.mean_predicted])
     _write_csv(
         args.out,
-        {"config_sha256": cfg_hash, "seed": str(seed), "n_events": str(len(events))},
+        {"config_sha256": cfg_hash, "seed": str(cfg.seed), "n_events": str(len(events))},
         ["model", "bucket", "n", "empirical_rate", "mean_predicted"],
         out_rows,
     )
@@ -506,61 +489,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"impatience {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, reads_config=True):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+        if reads_config:
+            p.add_argument("--config", required=True)
+            p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+        p.add_argument("--out", required=True)
         return p
 
-    p = add("init-config", cmd_init_config, "write the default experiment config")
-    p.add_argument("--out", required=True)
-
-    p = add("simulate", cmd_simulate, "simulate a randomized log")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
+    add("init-config", cmd_init_config, "write the default experiment config", reads_config=False)
+    add("simulate", cmd_simulate, "simulate a randomized log")
 
     p = add("marginals", cmd_marginals, "per-cluster marginal ROI with bootstrap CIs")
-    p.add_argument("--config", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--resamples", type=int, default=None)
 
-    p = add("optimize", cmd_optimize, "solve the capped cost-neutral reallocation")
+    p = add("optimize", cmd_optimize, "solve the capped cost-neutral reallocation", reads_config=False)
     p.add_argument("--marginals", required=True)
     p.add_argument("--cap", type=_finite, default=0.2)
-    p.add_argument("--out", required=True)
 
     p = add("offline-eval", cmd_offline_eval, "offline policy deltas across an amplitude sweep")
-    p.add_argument("--config", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--policy", default=None, help="evaluate this policy instead of a sweep")
-    p.add_argument("--sweep", type=_finite, nargs="+", default=None)
+    policy_or_sweep = p.add_mutually_exclusive_group()
+    policy_or_sweep.add_argument("--policy", default=None, help="evaluate this policy instead of a sweep")
+    policy_or_sweep.add_argument("--sweep", type=_finite, nargs="+", default=None)
     p.add_argument("--resamples", type=int, default=None)
 
     p = add("ab", cmd_ab, "simulated A/B: baseline vs fixed- and dynamic-factor policy")
-    p.add_argument("--config", required=True)
     p.add_argument("--policy", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--users-per-arm", type=int, default=None)
 
     p = add("weight-profile", cmd_weight_profile, "importance-weight std vs multiplier")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--alphas", type=_finite, nargs="+", default=None)
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = add("two-auctions", cmd_two_auctions, "repeated-auction bid shading illustration")
+    p = add("two-auctions", cmd_two_auctions, "repeated-auction bid shading illustration", reads_config=False)
     p.add_argument("--value", type=_finite, default=100.0)
     p.add_argument("--competition", required=True, help='JSON, e.g. {"kind":"uniform","low":0,"high":100}')
     p.add_argument("--competition2", default=None, help="second-auction competition (defaults to the first)")
     p.add_argument("--step", type=_finite, default=0.1)
-    p.add_argument("--out", required=True)
 
     p = add("fit-ctr", cmd_fit_ctr, "fit CTR models with/without fatigue; calibration curves")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--l2", type=_finite, default=0.0)
 
     return parser

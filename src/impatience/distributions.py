@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ValidationError, _is_number
+from .domain import ValidationError, _is_number, _json_object
 
 _PARAMETERS = ("mu", "sigma", "low", "high", "value", "mean")
 
@@ -31,6 +31,10 @@ class Distribution:
     mean: float | None = None
 
     def __post_init__(self):
+        for key in _PARAMETERS:
+            value = getattr(self, key)
+            if value is not None and not _is_number(value):
+                raise ValidationError(f"distribution '{key}' must be a finite number, got {value!r}")
         if self.kind == "lognormal":
             if self.mu is None or self.sigma is None or self.sigma <= 0:
                 raise ValidationError("lognormal requires finite mu and sigma > 0")
@@ -38,7 +42,7 @@ class Distribution:
             if self.low is None or self.high is None or not self.low < self.high:
                 raise ValidationError("uniform requires low < high")
         elif self.kind == "constant":
-            if self.value is None or not np.isfinite(self.value):
+            if self.value is None:
                 raise ValidationError("constant requires a finite value")
         elif self.kind == "poisson":
             if self.mean is None or self.mean < 0:
@@ -113,12 +117,7 @@ class Distribution:
         return float(out)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for f in _PARAMETERS:
-            v = getattr(self, f)
-            if v is not None:
-                out[f] = v
-        return out
+        return _json_object(self)
 
     @classmethod
     def from_json(cls, raw: dict) -> "Distribution":
@@ -127,7 +126,4 @@ class Distribution:
         unknown = set(raw) - {"kind", *_PARAMETERS}
         if unknown:
             raise ValidationError(f"unknown distribution keys {sorted(unknown)}")
-        for key in _PARAMETERS:
-            if key in raw and not _is_number(raw[key]):
-                raise ValidationError(f"distribution '{key}' must be a finite number, got {raw[key]!r}")
         return cls(**{"kind": None, **raw})

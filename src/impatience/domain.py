@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
@@ -77,11 +78,22 @@ def assign_clusters(exposures: np.ndarray, boundaries: tuple[int, ...] = DEFAULT
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans, strings and nulls are not."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A finite real number that a float can hold, numpy scalars included; booleans,
+    strings and nulls are not."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def _check_boundaries(boundaries: tuple[int, ...]) -> None:
+def _is_integer(value) -> bool:
+    """An integer, numpy integers included; booleans are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_boundaries(boundaries) -> None:
+    if not (isinstance(boundaries, (list, tuple)) and all(map(_is_integer, boundaries))):
+        raise ValidationError(f"'bucket_boundaries' must be a list of integers, got {boundaries!r}")
     if len(boundaries) == 0:
         raise ValidationError("bucket boundaries must be non-empty")
     if boundaries[0] < 0:
@@ -102,10 +114,12 @@ class RandomizationSpec:
     sigma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mu):
-            raise ValidationError(f"mu must be finite, got {self.mu}")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
+        if not (_is_number(self.mu) and _is_number(self.sigma)):
+            raise ValidationError(f"mu and sigma must be finite numbers, got mu={self.mu!r}, sigma={self.sigma!r}")
+        if not self.sigma > 0:
             raise ValidationError(f"sigma must be strictly positive, got {self.sigma}")
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def _no_users(dtype):
@@ -273,6 +287,13 @@ class PolicyOutcome:
     cost_se: float
 
 
+def _json_object(config) -> dict:
+    """A config dataclass as a JSON object: tuples as lists, None fields left out."""
+    return asdict(config, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items if value is not None
+    })
+
+
 _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: The fields of a user line in the order `_to_json` writes them (sorted keys).
@@ -356,15 +377,10 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     if header.get("schema") != SCHEMA_VERSION:
         raise LogFormatError(f"unsupported schema {header.get('schema')!r}", 1)
     try:
-        if not (_is_number(header.get("mu")) and _is_number(header.get("sigma"))):
-            raise ValidationError(f"mu and sigma must be finite numbers, got mu={header.get('mu')!r}, "
-                                  f"sigma={header.get('sigma')!r}")
-        spec = RandomizationSpec(float(header["mu"]), float(header["sigma"]))
-        boundaries = tuple(header["bucket_boundaries"])
-        if not all(type(b) is int for b in boundaries):
-            raise ValidationError(f"bucket boundaries must be integers, got {list(boundaries)}")
+        spec = RandomizationSpec(header.get("mu"), header.get("sigma"))
+        boundaries = header["bucket_boundaries"]
         _check_boundaries(boundaries)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
     user_ids: list[str] = []

@@ -434,6 +434,8 @@ def weight_std_profile(
     counterpart |alpha - 1| * std((ln(theta) - mu) / sigma^2) grows
     linearly.
     """
+    if n_samples < 2:  # each std has ddof=1
+        raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
     theta = rng.lognormal(spec.mu, spec.sigma, n_samples)
     lin_std = float(np.std(linear_weight(theta, spec), ddof=1))

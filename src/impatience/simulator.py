@@ -28,11 +28,15 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
+    _is_integer,
     _is_number,
+    _json_object,
     assign_clusters,
 )
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
+_FLOAT_FIELDS = ("value_per_conversion", "base_conversion_prob", "fatigue_decay")
+_MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 0.15 ms per grid point
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,20 @@ class SimConfig:
     activity_by_exposure: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_exposure", tuple(float(p) for p in self.initial_exposure))
-        if self.activity_by_exposure is not None:
-            object.__setattr__(
-                self, "activity_by_exposure", tuple(float(w) for w in self.activity_by_exposure)
-            )
+        if not _is_integer(self.n_users):
+            raise ValidationError(f"sim 'n_users' must be an integer, got {self.n_users!r}")
+        object.__setattr__(self, "n_users", int(self.n_users))
+        for key in _FLOAT_FIELDS:
+            if not _is_number(getattr(self, key)):
+                raise ValidationError(f"sim '{key}' must be a finite number, got {getattr(self, key)!r}")
+            object.__setattr__(self, key, float(getattr(self, key)))
+        for key in ("initial_exposure", "activity_by_exposure"):
+            values = getattr(self, key)
+            if values is None and key == "activity_by_exposure":
+                continue
+            if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
+                raise ValidationError(f"sim '{key}' must be a list of finite numbers, got {values!r}")
+            object.__setattr__(self, key, tuple(map(float, values)))
         if self.n_users < 0:
             raise ValidationError("n_users must be >= 0")
         if self.auctions_per_user.kind not in ("poisson", "constant"):
@@ -68,7 +81,7 @@ class SimConfig:
         if not 0 < self.fatigue_decay <= 1:
             raise ValidationError("fatigue_decay must lie in (0, 1]")
         probs = np.asarray(self.initial_exposure)
-        if probs.ndim != 1 or len(probs) == 0 or np.any(probs < 0) or abs(probs.sum() - 1) > 1e-9:
+        if len(probs) == 0 or np.any(probs < 0) or abs(probs.sum() - 1) > 1e-9:
             raise ValidationError("initial_exposure must be a probability vector")
         if self.activity_by_exposure is not None:
             w = np.asarray(self.activity_by_exposure)
@@ -88,18 +101,7 @@ class SimConfig:
         return w / float(w @ probs)
 
     def to_json(self) -> dict:
-        out = {
-            "n_users": self.n_users,
-            "auctions_per_user": self.auctions_per_user.to_json(),
-            "value_per_conversion": self.value_per_conversion,
-            "base_conversion_prob": self.base_conversion_prob,
-            "fatigue_decay": self.fatigue_decay,
-            "competition": self.competition.to_json(),
-            "initial_exposure": list(self.initial_exposure),
-        }
-        if self.activity_by_exposure is not None:
-            out["activity_by_exposure"] = list(self.activity_by_exposure)
-        return out
+        return _json_object(self)
 
     @classmethod
     def from_json(cls, raw: dict) -> "SimConfig":
@@ -110,23 +112,13 @@ class SimConfig:
         missing = [key for key in known if key not in raw and key != "activity_by_exposure"]
         if missing:
             raise ValidationError(f"missing sim config key {missing[0]!r}")
-        # JSON types first, so that no int() or float() truncates or escapes
-        if type(raw["n_users"]) is not int:
-            raise ValidationError(f"sim 'n_users' must be an integer, got {raw['n_users']!r}")
-        floats = ("value_per_conversion", "base_conversion_prob", "fatigue_decay")
-        for key in floats:
-            if not _is_number(raw[key]):
-                raise ValidationError(f"sim '{key}' must be a finite number, got {raw[key]!r}")
-        for key in ("initial_exposure", "activity_by_exposure"):
-            if key in raw and not (isinstance(raw[key], (list, tuple)) and all(map(_is_number, raw[key]))):
-                raise ValidationError(f"sim '{key}' must be a list of finite numbers, got {raw[key]!r}")
         distributions = {}
         for key in ("auctions_per_user", "competition"):
             try:
                 distributions[key] = Distribution.from_json(raw[key])
             except ValidationError as exc:
                 raise ValidationError(f"sim '{key}': {exc}") from None
-        return cls(**{**raw, **{key: float(raw[key]) for key in floats}, **distributions})
+        return cls(**{**raw, **distributions})
 
 
 def default_config(n_users: int = 100_000) -> SimConfig:
@@ -205,9 +197,10 @@ def _simulate_population(
 ) -> dict[str, np.ndarray]:
     """Vectorized simulation; one sequential RNG stream, chunked for memory.
 
-    All randomness for a chunk is drawn up front in a fixed order, so
-    outcomes for a user are a deterministic function of the draws and
-    the policy: scaling a bid up never consumes different randomness.
+    All randomness for a chunk is drawn in a fixed order and amount that
+    no policy changes, so outcomes for a user are a deterministic function
+    of the draws and the policy: scaling a bid up never consumes
+    different randomness.
     """
     rng = np.random.default_rng(seed)
     mult = None if multipliers is None else np.asarray(multipliers)
@@ -263,10 +256,10 @@ def _simulate_chunk(
     pos[order] = np.arange(n)
     n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
     # step-major cells: step t's auctions are cells start[t]:start[t + 1],
-    # one per active user, in sorted-row order
+    # one per active user, in sorted-row order; the conversion uniforms follow
+    # `comp` in the stream, drawn one step at a time so that one step's are held
     start = np.concatenate(([0], np.cumsum(n_active)))
     comp = config.competition.sample(rng, int(start[-1]))
-    conv_u = rng.random(int(start[-1]))
 
     cluster = assign_clusters(e0, bucket_boundaries)
     alpha = np.ones(n) if mult is None else mult[cluster]
@@ -298,7 +291,7 @@ def _simulate_chunk(
         else:
             bid = bid_scale[:c] * p_k
         won = bid > comp_t
-        converted = won & (conv_u[lo:hi] < p_k)
+        converted = won & (rng.random(c) < p_k)
         cost_t += np.where(won, comp_t, 0.0)
         vpred_t += np.where(won, vpc * p_k, 0.0)
         vobs_t += np.where(converted, vpc, 0.0)
@@ -449,8 +442,11 @@ def two_auction_demo(
     """
     if grid_step <= 0:
         raise ValidationError("grid_step must be > 0")
+    points = ticket_value / grid_step
+    if not points <= _MAX_GRID_POINTS:  # NaN and infinity too
+        raise ValidationError(f"ticket_value / grid_step must be at most {_MAX_GRID_POINTS}, got {points:g}")
     comp2 = second_competition if second_competition is not None else competition
-    n = max(1, int(round(ticket_value / grid_step)))
+    n = max(1, int(round(points)))
     bids = np.linspace(0.0, ticket_value, n + 1)
     afternoon_if_lost = comp2.expected_second_price_profit(ticket_value, ticket_value)
     profit = np.array(

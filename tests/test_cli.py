@@ -1,12 +1,15 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import impatience
-from impatience.cli import default_experiment_config, main
+from impatience import ValidationError
+from impatience.cli import ExperimentConfig, default_experiment_config, main
 
 
 @pytest.fixture
@@ -66,6 +69,7 @@ MALFORMED_CONFIGS = {
     "negative_seed": ({**CONFIG, "seed": -1}, "'seed' must be a non-negative integer"),
     "string_cap_delta": ({**CONFIG, "cap_delta": "0.2"}, "'cap_delta' must be a finite number"),
     "nan_cap_delta": ({**CONFIG, "cap_delta": float("nan")}, "'cap_delta' must be a finite number"),
+    "huge_integer_cap_delta": ({**CONFIG, "cap_delta": 10**400}, "'cap_delta' must be a finite number"),
     "infinite_sweep_entry": ({**CONFIG, "sweep": [0.1, float("inf")]}, "'sweep' must be a list of finite numbers"),
     "string_sweep_entry": ({**CONFIG, "sweep": [0.1, "x"]}, "'sweep' must be a list of finite numbers"),
     "sweep_not_a_list": ({**CONFIG, "sweep": 0.1}, "'sweep' must be a list of finite numbers"),
@@ -86,7 +90,22 @@ MALFORMED_CONFIGS = {
                               "sim 'competition': distribution 'mu' must be a finite number"),
     "nan_auctions_mean": (with_sim(auctions_per_user={"kind": "poisson", "mean": float("nan")}),
                           "sim 'auctions_per_user': distribution 'mean' must be a finite number"),
+    "unknown_randomization_key": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 0.3, "sigmaa": 0.9}},
+                                  "unknown randomization keys ['sigmaa']"),
 }
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("resamples", -5, "'resamples' must be a non-negative integer"),
+    ("seed", True, "'seed' must be a non-negative integer"),
+    ("cap_delta", float("nan"), "'cap_delta' must be a finite number"),
+    ("sweep", ("x",), "'sweep' must be a list of finite numbers"),
+    ("bucket_boundaries", (1.5, 2), "'bucket_boundaries' must be a list of integers"),
+])
+def test_config_built_in_code_is_checked(field, value, message):
+    # the rules a config file must meet hold for a config built in code
+    with pytest.raises(ValidationError, match=message):
+        replace(default_experiment_config(), **{field: value})
 
 
 class TestErrorHandling:
@@ -145,6 +164,39 @@ class TestErrorHandling:
             run(*argv, f"{flag}={value}", "--out", str(out))
         assert exc_info.value.code == 1
         assert f"error: argument {flag}: expected a finite number, got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["init-config", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["optimize", "--marginals", "m.csv", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["two-auctions", "--competition", "{}", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["offline-eval", "--config", "c.json", "--log", "l.jsonl", "--policy", "p.json", "--sweep", "0.3"],
+         "argument --sweep: not allowed with argument --policy"),
+    ])
+    def test_flag_that_would_be_ignored_exits_one(self, tmp_path, capsys, argv, message):
+        # --seed where no config is read, and a sweep next to the one policy evaluated
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc_info:
+            run(*argv, "--out", str(out))
+        assert exc_info.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["weight-profile", "--config", "CONFIG", "--samples", "-1"], "n_samples must be >= 2, got -1"),
+        (["weight-profile", "--config", "CONFIG", "--samples", "0"], "n_samples must be >= 2, got 0"),
+        (["weight-profile", "--config", "CONFIG", "--samples", "1"], "n_samples must be >= 2, got 1"),
+        (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--value", "1e308",
+          "--step", "1e-300"], "ticket_value / grid_step must be at most 1000000, got inf"),
+        (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--step", "1e-5"],
+         "ticket_value / grid_step must be at most 1000000, got 1e+07"),
+        (["marginals", "--config", "CONFIG", "--log", "l.jsonl", "--resamples", "-5"],
+         "config 'resamples' must be a non-negative integer, got -5"),
+    ])
+    def test_out_of_range_flag_exits_one(self, tiny_config, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(*[tiny_config if a == "CONFIG" else a for a in argv], "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"impatience: error: {message}")
         assert not out.exists()
 
     def test_missing_subcommand_exits_one(self, capsys):
@@ -342,6 +394,7 @@ class TestPipeline:
         rows = [l for l in ev.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 3  # header + two sweep amplitudes
         assert rows[0].startswith("delta,dvalue_linear,")
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.05", "0.1"]  # the flag's sweep, not the config's
 
     def test_offline_eval_prints_the_csv_point_estimates(self, tiny_config, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
@@ -400,8 +453,10 @@ class TestStandaloneCommands:
     def test_init_config_roundtrips(self, tmp_path):
         out = tmp_path / "config.json"
         assert run("init-config", "--out", str(out)) == 0
-        raw = json.loads(out.read_text())
-        assert raw == default_experiment_config().to_json()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "da9dfb6a68cfd204d56af656a729b8567a9bb3795a6cb1bc6e03ec814064ae78"
+        )
+        assert ExperimentConfig.from_json(json.loads(out.read_text())) == default_experiment_config()
 
     def test_weight_profile(self, tiny_config, tmp_path):
         out = tmp_path / "profile.csv"

@@ -62,6 +62,14 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="sigma"):
             RandomizationSpec(mu=0.0, sigma=0.0)
 
+    def test_spec_holds_floats(self):
+        # numpy scalars are numbers too, and an int mu is written to a log header as 0.0
+        spec = RandomizationSpec(0, np.float64(0.3))
+        assert (type(spec.mu), type(spec.sigma)) == (float, float)
+        buf = io.StringIO()
+        write_log(RandomizedLog(spec, ()), buf)
+        assert buf.getvalue() == '{"bucket_boundaries":[1,2,3,4,5],"mu":0.0,"schema":"impatience-log/1","sigma":0.3}\n'
+
     def test_theta_must_be_positive(self):
         with pytest.raises(ValidationError, match="theta"):
             make_log(make_user(1, theta=0.0))
@@ -345,11 +353,15 @@ class TestReadErrors:
         with pytest.raises(LogFormatError, match="header"):
             read_log(io.StringIO(""))
 
-    @pytest.mark.parametrize("key,value", [("mu", "0.5"), ("sigma", True), ("sigma", None), ("mu", float("nan"))])
+    @pytest.mark.parametrize("key,value", [("mu", "0.5"), ("sigma", True), ("sigma", None), ("mu", float("nan")),
+                                           ("mu", True)])
     def test_header_mu_and_sigma_must_be_numbers(self, key, value):
         header = {**json.loads(self.HEADER), key: value}
         with pytest.raises(LogFormatError, match="line 1: invalid header: mu and sigma must be finite numbers"):
             read_log(io.StringIO(json.dumps(header) + "\n"))
+        # the same rule holds for a spec built in code
+        with pytest.raises(ValidationError, match="mu and sigma must be finite numbers"):
+            RandomizationSpec(**{"mu": 0.0, "sigma": 0.3, key: value})
 
 
 class TestReadInputHoles:

@@ -89,6 +89,28 @@ class TestConfigValidation:
         cfg = small_config(auctions_per_user=Distribution(kind="constant", value=count))
         assert simulate_log(cfg, SPEC, 0).n_auctions.tolist() == [7] * cfg.n_users
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_users", "x", "sim 'n_users' must be an integer"),
+        ("n_users", True, "sim 'n_users' must be an integer"),
+        ("value_per_conversion", None, "sim 'value_per_conversion' must be a finite number"),
+        ("fatigue_decay", float("nan"), "sim 'fatigue_decay' must be a finite number"),
+        ("initial_exposure", "abc", "sim 'initial_exposure' must be a list of finite numbers"),
+        ("activity_by_exposure", (1.0, float("inf"), 1.0), "sim 'activity_by_exposure' must be a list of finite"),
+    ])
+    def test_fields_built_in_code_are_checked(self, field, value, message):
+        # the rules `from_json` applied to JSON documents hold for a config built in code
+        with pytest.raises(ValidationError, match=message):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("lognormal", dict(mu=float("nan"), sigma=1.0), "distribution 'mu' must be a finite number"),
+        ("uniform", dict(low=0.0, high=float("inf")), "distribution 'high' must be a finite number"),
+        ("poisson", dict(mean="3"), "distribution 'mean' must be a finite number"),
+    ])
+    def test_distribution_parameters_must_be_finite_numbers(self, kind, params, message):
+        with pytest.raises(ValidationError, match=message):
+            Distribution(kind=kind, **params)
+
     @pytest.mark.parametrize("count", [2.5, -2])
     def test_constant_auction_count_must_be_a_non_negative_integer(self, count):
         # 2.5 was read as 2 auctions; -2 ended in a numpy ValueError
