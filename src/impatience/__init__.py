@@ -14,7 +14,6 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
-    assign_cluster,
     assign_clusters,
     read_log,
     write_log,

@@ -362,6 +362,10 @@ def cmd_offline_eval(args) -> int:
 
 
 def _relative_delta(treated, baseline):
+    for name in ("value", "cost"):
+        if getattr(baseline, name) == 0:
+            raise ValidationError(f"the baseline arm's {name} is 0, so a relative delta is undefined; "
+                                  "each arm needs users who win auctions")
     dv = treated.value / baseline.value - 1.0
     dc = treated.cost / baseline.cost - 1.0
     dv_se = np.hypot(treated.value_se / baseline.value, treated.value * baseline.value_se / baseline.value**2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +11,25 @@ import numpy as np
 from .domain import ValidationError, _is_number, _json_object
 
 _PARAMETERS = ("mu", "sigma", "low", "high", "value", "mean")
+_SQRT2 = math.sqrt(2.0)
+#: The largest x whose exp(x) is a finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _normal_cdf(z: float) -> float:
+    """Phi(z), the standard normal CDF."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _erfcx(t: float) -> float:
+    """exp(t^2) * erfc(t) for t >= 0, finite where exp(t^2) overflows."""
+    if t < 26.0:
+        return math.exp(t * t) * math.erfc(t)
+    # Laplace's continued fraction for erfc; 8 levels reach double precision from t = 26 on
+    f = t
+    for k in range(8, 0, -1):
+        f = t + 0.5 * k / f
+    return 1.0 / (math.sqrt(math.pi) * f)
 
 
 @dataclass(frozen=True)
@@ -61,12 +82,10 @@ class Distribution:
 
     def cdf(self, x: float) -> float:
         """P(X <= x); continuous kinds only."""
-        from scipy import stats  # imported on use: it is most of the package's import time
-
         if self.kind == "lognormal":
-            return float(stats.lognorm.cdf(x, s=self.sigma, scale=np.exp(self.mu)))
+            return _normal_cdf((math.log(x) - self.mu) / self.sigma) if x > 0 else 0.0
         if self.kind == "uniform":
-            return float(stats.uniform.cdf(x, loc=self.low, scale=self.high - self.low))
+            return min(max((x - self.low) / (self.high - self.low), 0.0), 1.0)
         if self.kind == "constant":
             return float(x >= self.value)
         raise ValidationError(f"cdf undefined for kind {self.kind!r}")
@@ -84,12 +103,16 @@ class Distribution:
         if self.kind == "lognormal":
             if b <= 0:
                 return 0.0
-            # E[X; X<b] = exp(mu + sigma^2/2) * Phi((ln b - mu - sigma^2)/sigma)
-            from scipy import stats
-
-            full_mean = np.exp(self.mu + self.sigma**2 / 2)
-            z = (np.log(b) - self.mu - self.sigma**2) / self.sigma
-            return float(full_mean * stats.norm.cdf(z))
+            # E[X; X<b] = exp(mu + sigma^2/2) * Phi((ln b - mu - sigma^2)/sigma); products,
+            # not powers, so that a float out of range becomes inf instead of raising
+            log_b, mu, sigma = math.log(b), self.mu, self.sigma
+            log_mean = mu + sigma * sigma / 2
+            if log_mean <= _LOG_FLOAT_MAX:
+                return math.exp(log_mean) * _normal_cdf((log_b - mu - sigma * sigma) / sigma)
+            # E[X] overflows, but the product does not: with u = (ln b - mu)/sigma it
+            # equals b * exp(-u^2/2) * erfcx((sigma - u)/sqrt 2) / 2, at most b
+            u = (log_b - mu) / sigma
+            return 0.5 * b * math.exp(-0.5 * u * u) * _erfcx((sigma - u) / _SQRT2)
         raise ValidationError(f"partial mean undefined for kind {self.kind!r}")
 
     def expected_second_price_profit(self, bid: float, value: float) -> float:
@@ -98,23 +121,6 @@ class Distribution:
         Cross-checked in tests against numeric quadrature.
         """
         return value * self.cdf(bid) - self.partial_mean_below(bid)
-
-    def expected_second_price_profit_quad(self, bid: float, value: float) -> float:
-        """Quadrature fallback/oracle for :meth:`expected_second_price_profit`."""
-        from scipy import integrate, stats
-
-        if self.kind == "constant":
-            return (value - self.value) if bid > self.value else 0.0
-        if self.kind == "lognormal":
-            pdf = stats.lognorm(s=self.sigma, scale=np.exp(self.mu)).pdf
-            lo = 0.0
-        else:
-            pdf = stats.uniform(loc=self.low, scale=self.high - self.low).pdf
-            lo = float(self.low)
-        if bid <= lo:
-            return 0.0
-        out, _ = integrate.quad(lambda c: (value - c) * pdf(c), lo, bid, limit=200)
-        return float(out)
 
     def to_json(self) -> dict:
         return _json_object(self)

@@ -64,16 +64,12 @@ class IndependenceViolationError(ValueError):
     """A user subset was declared over post-randomization state."""
 
 
-def assign_cluster(exposure_at_start: int, boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> int:
-    """Bucket index for a pre-randomization exposure level.
+def assign_clusters(exposures: np.ndarray, boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> np.ndarray:
+    """Bucket index of each pre-randomization exposure level.
 
     `boundaries` are strictly increasing; exposure below boundaries[0]
     maps to bucket 0 and the last bucket is open-ended.
     """
-    return int(assign_clusters(exposure_at_start, boundaries))
-
-
-def assign_clusters(exposures: np.ndarray, boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> np.ndarray:
     return np.searchsorted(np.asarray(boundaries), exposures, side="right")
 
 

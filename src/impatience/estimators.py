@@ -210,9 +210,11 @@ def marginal_roi(log: RandomizedLog, cluster: int | None) -> MarginalRoi:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    low: float | np.ndarray
-    high: float | np.ndarray
-    point: float | np.ndarray
+    """Per-statistic interval bounds and point estimates."""
+
+    low: np.ndarray
+    high: np.ndarray
+    point: np.ndarray
 
 
 class UserSums:
@@ -268,8 +270,8 @@ class UserSums:
     def resample(self, rng: np.random.Generator, n_resamples: int) -> np.ndarray:
         """(R, k, n_groups) sums of R whole-user resamples with replacement.
 
-        Each resample draws `rng.integers(0, n, n)`, as the index form of
-        :func:`bootstrap_ci` does, so both consume the same stream.
+        Each resample draws the indices of its n users as
+        `rng.integers(0, n, n)` and counts each user's draws.
         """
         n = self.n_users
         out = np.empty((n_resamples, len(self._rows), len(self._segments)))
@@ -298,40 +300,29 @@ class UserSums:
 
 
 def bootstrap_ci(
-    estimator: Callable[[np.ndarray], float | np.ndarray] | UserSums,
+    estimator: UserSums,
     log: RandomizedLog,
     n_resamples: int = 1000,
     seed: int | np.random.Generator = 0,
 ) -> BootstrapResult:
     """Percentile interval (CI_LEVEL) from whole-user resamples with replacement.
 
-    `estimator` maps an index array into the log's users to a scalar
-    or vector statistic, or is a :class:`UserSums`, whose resamples are
-    reduced from per-user draw counts. Both forms draw the same indices
-    from `seed` (an int or a Generator, which is advanced). The user is
-    the independence unit, so resampling never splits a user's records.
+    `estimator` is a :class:`UserSums` over the log's users; each resample
+    is reduced from its per-user draw counts, drawn from `seed` (an int or
+    a Generator, which is advanced). The user is the independence unit, so
+    resampling never splits a user's records.
     """
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
     n = len(log)
+    if estimator.n_users != n:
+        raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
     rng = np.random.default_rng(seed)
-    if isinstance(estimator, UserSums):
-        if estimator.n_users != n:
-            raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
-        point = estimator.point()
-        stats = estimator.finish(estimator.resample(rng, n_resamples))
-    else:
-        point = np.asarray(estimator(np.arange(n)), dtype=np.float64)
-        stats = np.empty((n_resamples,) + point.shape)
-        for r in range(n_resamples):
-            idx = rng.integers(0, n, n)
-            stats[r] = estimator(idx)
+    stats = estimator.finish(estimator.resample(rng, n_resamples))
     tail = (1 - CI_LEVEL) / 2
     low = np.quantile(stats, tail, axis=0)
     high = np.quantile(stats, 1 - tail, axis=0)
-    if point.ndim == 0:
-        return BootstrapResult(float(low), float(high), float(point))
-    return BootstrapResult(low, high, point)
+    return BootstrapResult(low, high, estimator.point())
 
 
 def _cluster_sums(log: RandomizedLog) -> UserSums:

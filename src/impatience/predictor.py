@@ -105,40 +105,36 @@ def penalized_loglik(
     X: np.ndarray,
     y: np.ndarray,
     l2: float,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
     base: np.ndarray | None = None,
 ) -> float:
     """Mean Bernoulli log-likelihood minus (l2/2) ||w||^2.
 
-    Without `counts` each row of `X` is one event and `y` its 0/1
-    outcome. With `counts`, row i stands for `counts[i]` events of which
-    `y[i]` converted, and the mean is taken over all `counts.sum()` events.
+    Row i of `X` stands for `counts[i]` events of which `y[i]` converted,
+    and the mean is taken over all `counts.sum()` events; one event per
+    row is `counts` of ones.
 
     With `base`, returns the objective at `weights` minus the objective at
     `base`, computed from each row's change of score. It stays accurate
     when that change is below the rounding error of the objective itself,
     which the line search of :func:`fit_ctr` needs near the optimum.
     """
-    n = np.ones_like(y) if counts is None else counts
     if base is None:
         z = X @ weights
         # log(sigmoid(z)) and log(1 - sigmoid(z)) via logaddexp for stability
-        loss = np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (n - y)
+        loss = np.logaddexp(0.0, -z) * y + np.logaddexp(0.0, z) * (counts - y)
         penalty = weights @ weights
     else:
         z, dz = X @ base, X @ (weights - base)
-        loss = _softplus_change(-z, -dz) * y + _softplus_change(z, dz) * (n - y)
+        loss = _softplus_change(-z, -dz) * y + _softplus_change(z, dz) * (counts - y)
         penalty = (weights - base) @ (weights + base)
-    return float(-loss.sum() / n.sum() - 0.5 * l2 * penalty)
+    return float(-loss.sum() / counts.sum() - 0.5 * l2 * penalty)
 
 
-def loglik_gradient(
-    weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float, counts: np.ndarray | None = None
-) -> np.ndarray:
+def loglik_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float, counts: np.ndarray) -> np.ndarray:
     """Gradient of :func:`penalized_loglik`, with the same arguments."""
-    n = np.ones_like(y) if counts is None else counts
     p = _sigmoid(X @ weights)
-    return X.T @ (y - n * p) / n.sum() - l2 * weights
+    return X.T @ (y - counts * p) / counts.sum() - l2 * weights
 
 
 def _sufficient_stats(

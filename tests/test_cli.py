@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +201,46 @@ class TestErrorHandling:
         assert run(*[tiny_config if a == "CONFIG" else a for a in argv], "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"impatience: error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("empty_by", ["flag", "config"])
+    def test_ab_with_an_empty_arm_exits_one(self, tiny_config, tmp_path, capsys, empty_by):
+        # an arm of no users has a zero baseline; the relative deltas divided by it
+        policy, out = tmp_path / "policy.json", tmp_path / "ab.json"
+        policy.write_text(json.dumps({"schema": "impatience-policy/1", "cap_delta": 0.2,
+                                      "multipliers": {"0": 1.2, "5": 0.8}}))
+        argv = ["ab", "--config", tiny_config, "--policy", str(policy), "--reps", "2", "--out", str(out)]
+        if empty_by == "flag":
+            argv += ["--users-per-arm", "0"]
+        else:
+            raw = json.loads(Path(tiny_config).read_text())
+            raw["sim"]["n_users"] = 0
+            Path(tiny_config).write_text(json.dumps(raw))
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith("impatience: error: the baseline arm's value is 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("competition,finite", [
+        ({"kind": "lognormal", "mu": 1000, "sigma": 1}, True),
+        ({"kind": "lognormal", "mu": 0, "sigma": 40}, True),
+        ({"kind": "lognormal", "mu": -800, "sigma": 0.5}, True),
+        ({"kind": "lognormal", "mu": 0, "sigma": 1e200}, True),
+        ({"kind": "lognormal", "mu": 800, "sigma": 1e-200}, True),
+        ({"kind": "uniform", "low": -1e308, "high": 1e308}, False),
+    ], ids=["mu=1000", "sigma=40", "mu=-800", "sigma=1e200", "sigma=1e-200", "uniform-overflow"])
+    def test_two_auctions_writes_a_finite_curve_or_exits_one(self, tmp_path, capsys, competition, finite):
+        # each once exited 0 with a NaN curve and "best first bid 100", except
+        # sigma=1e200, which ended in an OverflowError from sigma**2
+        out = tmp_path / "profit.csv"
+        code = run("two-auctions", "--competition", json.dumps(competition), "--out", str(out))
+        if finite:
+            assert code == 0
+            rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+            assert len(rows) == 1001
+            assert all(math.isfinite(float(profit)) for _, profit in rows)
+        else:
+            assert code == 1
+            assert "expected profit at bid 0 is not finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_missing_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -440,13 +483,33 @@ class TestAtomicOutputs:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        code = "import sys, impatience.cli; print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"
+    def test_no_module_imports_scipy(self):
+        package = Path(impatience.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) > 1
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "scipy" for name in names), f"{path.name}:{node.lineno}"
+
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # the lognormal two-auction curve is the one computation that once needed scipy
+        code = (
+            "import sys; from impatience.cli import main; "
+            "code = main(['two-auctions', '--competition', '{\"kind\":\"lognormal\",\"mu\":3,\"sigma\":0.8}', "
+            "'--out', sys.argv[1]]); "
+            "print(code, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        )
         src = os.path.dirname(os.path.dirname(impatience.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        done = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
-                              text=True, timeout=120)
-        assert done.stdout.split() == ["False", "False"]
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "profit.csv")], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestStandaloneCommands:

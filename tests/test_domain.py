@@ -16,7 +16,7 @@ from impatience import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
-    assign_cluster,
+    assign_clusters,
     read_log,
     write_log,
 )
@@ -40,7 +40,7 @@ def make_user(i: int, **overrides) -> dict:
         user_id=f"u{i}",
         theta=0.5 + 0.1 * i,
         exposure_at_start=exposure,
-        cluster=assign_cluster(exposure),
+        cluster=int(assign_clusters(exposure)),
         cost=float(i),
         value_observed=0.5 * i,
         value_predicted=0.4 * i,
@@ -258,15 +258,15 @@ class TestClusterAssignment:
         [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 5), (40, 5)],
     )
     def test_default_buckets(self, exposure, expected):
-        assert assign_cluster(exposure) == expected
+        assert assign_clusters(exposure) == expected
+        assert assign_clusters(np.array([exposure])).tolist() == [expected]
 
     def test_custom_boundaries(self):
-        assert assign_cluster(0, (2, 10)) == 0
-        assert assign_cluster(2, (2, 10)) == 1
-        assert assign_cluster(10, (2, 10)) == 2
+        assert assign_clusters(np.array([0, 1, 2, 9, 10, 11]), (2, 10)).tolist() == [0, 0, 1, 1, 2, 2]
 
     def test_deterministic(self):
-        assert all(assign_cluster(k) == assign_cluster(k) for k in range(20))
+        exposures = np.arange(20)
+        np.testing.assert_array_equal(assign_clusters(exposures), assign_clusters(exposures))
 
 
 class TestRoundTrip:
@@ -312,7 +312,7 @@ class TestRoundTrip:
                     user_id=f"u{i}",
                     theta=float(rng.lognormal(mu, sigma)),
                     exposure_at_start=exposure,
-                    cluster=assign_cluster(exposure),
+                    cluster=int(assign_clusters(exposure)),
                     cost=float(rng.exponential(2.0)),
                     value_observed=float(rng.exponential(1.0)),
                     value_predicted=float(rng.exponential(1.0)),

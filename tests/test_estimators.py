@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impatience import (
+    BootstrapResult,
     IndependenceViolationError,
     PolicySpec,
     RandomizationSpec,
@@ -22,7 +23,7 @@ from impatience import (
     policy_delta_bootstrap,
     weight_std_profile,
 )
-from impatience.estimators import _cluster_sums, _policy_delta_sums
+from impatience.estimators import CI_LEVEL, UserSums, _cluster_sums, _policy_delta_sums
 
 SPEC = RandomizationSpec(0.0, 0.3)
 
@@ -199,30 +200,43 @@ class TestMarginalRoi:
         assert roi.denominator == 0.0
 
 
+def index_bootstrap(estimator, n, n_resamples, seed):
+    """Reference percentile interval from whole-user resamples: resample r
+    draws the indices `rng.integers(0, n, n)` and applies `estimator` to
+    them, as `bootstrap_ci` draws its per-user counts."""
+    rng = np.random.default_rng(seed)
+    stats = np.array([estimator(rng.integers(0, n, n)) for _ in range(n_resamples)])
+    tail = (1 - CI_LEVEL) / 2
+    return BootstrapResult(np.quantile(stats, tail, axis=0), np.quantile(stats, 1 - tail, axis=0),
+                           np.asarray(estimator(np.arange(n)), dtype=np.float64))
+
+
 class TestBootstrap:
     def test_constant_estimator_zero_width(self):
+        # every resample draws n users, so the sum of a column of ones is n in each
         log = synth_log(n=300)
-        ci = bootstrap_ci(lambda idx: 3.25, log, n_resamples=200, seed=0)
-        assert ci.low == ci.high == ci.point == 3.25
+        ci = bootstrap_ci(UserSums(np.ones((1, 300))), log, n_resamples=200, seed=0)
+        assert ci.low.tolist() == ci.high.tolist() == ci.point.tolist() == [300.0]
 
     def test_deterministic_given_seed(self):
         log = synth_log(n=500)
-        est = lambda idx: float(log.arrays["cost"][idx].mean())
-        a = bootstrap_ci(est, log, n_resamples=200, seed=9)
-        b = bootstrap_ci(est, log, n_resamples=200, seed=9)
-        assert (a.low, a.high, a.point) == (b.low, b.high, b.point)
+        mean_cost = UserSums(log.arrays["cost"][None] / len(log))
+        a = bootstrap_ci(mean_cost, log, n_resamples=200, seed=9)
+        b = bootstrap_ci(mean_cost, log, n_resamples=200, seed=9)
+        for x, y in ((a.low, b.low), (a.high, b.high), (a.point, b.point)):
+            np.testing.assert_array_equal(x, y)
 
     def test_normal_theory_width_for_log_theta_mean(self):
         # mean of ln(theta), sigma=0.3, n=1e4: width ~ 2 * 1.96 * 0.3 / 100
         log = synth_log(n=10_000, seed=11)
         lt = np.log(log.arrays["theta"])
-        ci = bootstrap_ci(lambda idx: float(lt[idx].mean()), log, n_resamples=1000, seed=1)
-        width = ci.high - ci.low
+        ci = bootstrap_ci(UserSums(lt[None] / len(log)), log, n_resamples=1000, seed=1)
+        width = ci.high[0] - ci.low[0]
         assert width == pytest.approx(0.01176, rel=0.20)
 
     def test_resample_floor_enforced(self):
         with pytest.raises(ValidationError):
-            bootstrap_ci(lambda idx: 0.0, synth_log(n=10), n_resamples=50)
+            bootstrap_ci(UserSums(np.ones((1, 10))), synth_log(n=10), n_resamples=50)
 
 
 def gather_sums(rows, rng, n_resamples, cluster=None, n_clusters=1):
@@ -287,8 +301,7 @@ class TestResampleCounts:
             stat = _policy_delta_sums(log, POLICY)
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
         bootstrap_ci(stat, log, n_resamples=150, seed=rng)
-        for _ in range(150):
-            ref.integers(0, len(log), len(log))
+        index_bootstrap(lambda idx: 0.0, len(log), 150, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_policy_delta_ci_matches_index_form(self):
@@ -296,7 +309,7 @@ class TestResampleCounts:
         rows = policy_delta_rows(log, POLICY)
         P = np.ascontiguousarray(rows.T)
         ci = policy_delta_bootstrap(log, POLICY, 150, 8)
-        gathered = bootstrap_ci(lambda idx: P[idx].sum(axis=0), log, n_resamples=150, seed=8)
+        gathered = index_bootstrap(lambda idx: P[idx].sum(axis=0), len(log), 150, 8)
         scale = np.abs(rows).sum(axis=1)
         for a, b in ((ci.low, gathered.low), (ci.high, gathered.high), (ci.point, gathered.point)):
             assert np.all(np.abs(a - b) <= 1e-12 * scale)

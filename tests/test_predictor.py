@@ -66,21 +66,23 @@ class TestDesignMatrix:
 class TestGradientAndLikelihood:
     def test_gradient_matches_central_differences(self):
         X, y = continuous_problem(seed=0, n=400)
+        ones = np.ones(len(y))  # one event per row
         rng = np.random.default_rng(1)
         for l2 in (0.0, 0.05):
             w = rng.normal(scale=0.5, size=X.shape[1])
-            g = loglik_gradient(w, X, y, l2)
+            g = loglik_gradient(w, X, y, l2, ones)
             h = 1e-6
             for j in range(len(w)):
                 e = np.zeros_like(w)
                 e[j] = h
-                fd = (penalized_loglik(w + e, X, y, l2) - penalized_loglik(w - e, X, y, l2)) / (2 * h)
+                fd = penalized_loglik(w + e, X, y, l2, ones) - penalized_loglik(w - e, X, y, l2, ones)
+                fd /= 2 * h
                 assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_loglik_stable_at_extreme_scores(self):
         X = np.array([[1.0], [1.0]])
         y = np.array([1.0, 0.0])
-        ll = penalized_loglik(np.array([500.0]), X, y, 0.0)
+        ll = penalized_loglik(np.array([500.0]), X, y, 0.0, np.ones(2))
         assert math.isfinite(ll)
         assert ll == pytest.approx(-250.0, rel=1e-6)
 
@@ -145,7 +147,7 @@ class TestFitCtr:
         lls = []
         for tol in (1e-3, 1e-6, 1e-8):
             m = fit_ctr(events, tol=tol)
-            lls.append(penalized_loglik(np.asarray(m.weights), X, y, 0.0))
+            lls.append(penalized_loglik(np.asarray(m.weights), X, y, 0.0, np.ones(len(y))))
         assert lls[1] >= lls[0] - 1e-12
         assert lls[2] >= lls[1] - 1e-12
 
@@ -213,14 +215,15 @@ def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_0
     """The ascent of `fit_ctr` run event by event: one design row per event."""
     X = design(events, include_fatigue)
     y = events.converted.astype(np.float64)
+    ones = np.ones(len(y))
     w = np.zeros(X.shape[1])
     step = 4.0
     for _ in range(max_iters):
-        g = loglik_gradient(w, X, y, l2)
+        g = loglik_gradient(w, X, y, l2, ones)
         if np.abs(g).max() < tol:
             break
         t = step
-        while t > 1e-18 and penalized_loglik(w + t * g, X, y, l2, base=w) < 0.5 * t * (g @ g):
+        while t > 1e-18 and penalized_loglik(w + t * g, X, y, l2, ones, base=w) < 0.5 * t * (g @ g):
             t /= 2
         w = w + t * g
         step = min(4.0 * t, 64.0)
@@ -237,7 +240,7 @@ class TestSufficientStatistics:
         model = fit_ctr(events, include_fatigue=include_fatigue, l2=l2, tol=tol)
         w_ref, X, y = reference_fit(events, include_fatigue, l2=l2, tol=tol)
         w = np.asarray(model.weights)
-        assert np.abs(loglik_gradient(w, X, y, l2)).max() < tol
+        assert np.abs(loglik_gradient(w, X, y, l2, np.ones(len(y)))).max() < tol
         np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10)
 
     def test_converges_below_the_rounding_of_the_objective(self):
@@ -252,17 +255,18 @@ class TestSufficientStatistics:
     def test_loglik_change_from_base(self):
         X, _ = continuous_problem(seed=10, n=50)
         y = (np.arange(len(X)) % 3 == 0).astype(float)
+        ones = np.ones(len(y))
         rng = np.random.default_rng(11)
         w0 = rng.normal(size=X.shape[1])
         for l2 in (0.0, 0.1):
             w1 = w0 + rng.normal(size=X.shape[1])
-            expected = penalized_loglik(w1, X, y, l2) - penalized_loglik(w0, X, y, l2)
-            assert penalized_loglik(w1, X, y, l2, base=w0) == pytest.approx(expected, rel=1e-12)
+            expected = penalized_loglik(w1, X, y, l2, ones) - penalized_loglik(w0, X, y, l2, ones)
+            assert penalized_loglik(w1, X, y, l2, ones, base=w0) == pytest.approx(expected, rel=1e-12)
             # a step whose gain is about the rounding error of the objective:
             # the gain equals the first-order term
-            g = loglik_gradient(w0, X, y, l2)
+            g = loglik_gradient(w0, X, y, l2, ones)
             w2 = w0 + 1e-14 * g
-            gain = penalized_loglik(w2, X, y, l2, base=w0)
+            gain = penalized_loglik(w2, X, y, l2, ones, base=w0)
             assert gain == pytest.approx((w2 - w0) @ g, rel=1e-6)
 
     def test_counts_equal_repeated_rows(self):
@@ -273,11 +277,11 @@ class TestSufficientStatistics:
         y_rep = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
         for l2 in (0.0, 0.2):
             assert penalized_loglik(w, X, positives, l2, counts) == pytest.approx(
-                penalized_loglik(w, X_rep, y_rep, l2), rel=1e-14
+                penalized_loglik(w, X_rep, y_rep, l2, np.ones(5)), rel=1e-14
             )
             np.testing.assert_allclose(
                 loglik_gradient(w, X, positives, l2, counts),
-                loglik_gradient(w, X_rep, y_rep, l2),
+                loglik_gradient(w, X_rep, y_rep, l2, np.ones(5)),
                 rtol=1e-14,
             )
 

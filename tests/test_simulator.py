@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from impatience import (
     DEFAULT_BUCKETS,
@@ -25,7 +26,7 @@ from impatience import (
     write_log,
 )
 from impatience import simulator
-from impatience.domain import assign_cluster, assign_clusters
+from impatience.domain import assign_clusters
 
 
 def small_config(**overrides) -> SimConfig:
@@ -294,11 +295,63 @@ class TestTwoAuctionDemo:
         for comp in (
             Distribution(kind="uniform", low=0.0, high=100.0),
             Distribution(kind="lognormal", mu=3.0, sigma=0.8),
+            # E[C] underflows to 0; Phi is 1 above 0
+            Distribution(kind="lognormal", mu=-800.0, sigma=0.5),
+            # E[C] overflows a float, so the partial mean takes its erfcx form
+            Distribution(kind="lognormal", mu=0.0, sigma=40.0),
+            Distribution(kind="lognormal", mu=1000.0, sigma=1.0),
         ):
             for bid in (5.0, 40.0, 99.0):
                 exact = comp.expected_second_price_profit(bid, 100.0)
-                quad = comp.expected_second_price_profit_quad(bid, 100.0)
+                quad = quadrature_profit(comp, bid, 100.0)
                 assert exact == pytest.approx(quad, rel=1e-8, abs=1e-10)
+
+
+def quadrature_profit(comp, bid, value):
+    """E[(value - C) ; C < bid] for competing bid C, by numeric quadrature.
+
+    The reference for `Distribution.expected_second_price_profit`. A
+    uniform C is integrated over c; a lognormal C over y = ln c, whose
+    normal density stays finite where exp(mu) over- or underflows.
+    """
+    if comp.kind == "uniform":
+        lo, hi = comp.low, min(bid, comp.high)
+        integrand = lambda c: (value - c) / (comp.high - comp.low)
+    else:
+        # all but 1e-300 of ln C's mass lies within 40 sigma of mu
+        lo, hi = comp.mu - 40 * comp.sigma, min(np.log(bid), comp.mu + 40 * comp.sigma)
+        integrand = lambda y: (value - np.exp(y)) * stats.norm.pdf(y, comp.mu, comp.sigma)
+    if hi <= lo:
+        return 0.0
+    out, _ = integrate.quad(integrand, lo, hi, limit=200)
+    return out
+
+
+class TestClosedForms:
+    """`Distribution.cdf` and `partial_mean_below` against scipy.stats."""
+
+    XS = np.linspace(0.0, 100.0, 20_001)
+
+    @pytest.mark.parametrize("mu,sigma", [(3.0, 0.8), (0.0, 1.0), (float(np.log(0.4)), 1.2), (2.0, 2.0)])
+    def test_lognormal_matches_scipy(self, mu, sigma):
+        comp = Distribution(kind="lognormal", mu=mu, sigma=sigma)
+        cdf = stats.lognorm.cdf(self.XS, s=sigma, scale=np.exp(mu))
+        # E[X; X<x] = E[X] * Phi((ln x - mu - sigma^2) / sigma); its bound is
+        # 1e-15 of E[X], the largest value it takes, since its float spacing
+        # near E[X] = 27.7 (mu=3) is 3.6e-15
+        mean = np.exp(mu + sigma**2 / 2)
+        with np.errstate(divide="ignore"):
+            partial = mean * stats.norm.cdf((np.log(self.XS) - mu - sigma**2) / sigma)
+        got_cdf = np.array([comp.cdf(x) for x in self.XS])
+        got_partial = np.array([comp.partial_mean_below(x) for x in self.XS])
+        assert np.abs(got_cdf - cdf).max() <= 1e-15
+        assert np.abs(got_partial - partial).max() <= 1e-15 * mean
+
+    def test_uniform_cdf_equals_scipy(self):
+        comp = Distribution(kind="uniform", low=20.0, high=70.0)
+        xs = self.XS - 10.0
+        got = np.array([comp.cdf(x) for x in xs])
+        np.testing.assert_array_equal(got, stats.uniform.cdf(xs, loc=20.0, scale=50.0))
 
 
 def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, multipliers=None,
@@ -351,7 +404,7 @@ def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, 
                 if mult is None:
                     alpha = 1.0
                 elif dynamic:
-                    alpha = mult[assign_cluster(k, bucket_boundaries)]
+                    alpha = mult[assign_clusters(k, bucket_boundaries)]
                 else:
                     alpha = mult[cluster[i]]
                 if alpha * theta[i] * vpc * p_k > comp[cell]:
