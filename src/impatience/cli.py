@@ -40,7 +40,7 @@ from .domain import (
     read_log,
     write_log,
 )
-from .estimators import cluster_estimates, marginal_roi, policy_delta_bootstrap, weight_std_profile
+from .estimators import _policy_delta_bootstraps, cluster_estimates, marginal_roi, weight_std_profile
 from .optimizer import ReallocationProblem, solve_reallocation_detailed
 from .predictor import ConvergenceError, calibration_curve, events_from_trace, fit_ctr
 from .simulator import (
@@ -336,9 +336,9 @@ def cmd_offline_eval(args) -> int:
             (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy)
             for delta in cfg.sweep
         ]
-    for delta, policy in policies:
+    cis = _policy_delta_bootstraps(log, [policy for _, policy in policies], cfg.resamples, cfg.seed)
+    for (delta, policy), ci in zip(policies, cis):
         cap = policy.cap_delta if delta is None else delta
-        ci = policy_delta_bootstrap(log, policy, cfg.resamples, cfg.seed)
         row = [cap]
         for j in range(4):
             row.extend([ci.point[j], ci.low[j], ci.high[j]])

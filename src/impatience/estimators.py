@@ -16,6 +16,8 @@ escape hatch, which exists to demonstrate the resulting bias.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +37,8 @@ METRICS = ("cost", "value_observed", "value_predicted")
 CI_LEVEL = 0.95
 #: mROI is defined where |dcost| exceeds this fraction of the summed |cost|.
 ROI_REL_THRESHOLD = 1e-9
+#: A bootstrap block draws about this many user indices in one call.
+_BLOCK_DRAWS = 1 << 16
 
 
 def _check_metric(selector: str) -> None:
@@ -217,6 +221,59 @@ class BootstrapResult:
     point: np.ndarray
 
 
+def _n_workers() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the platform does not say."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return page * pages if page > 0 and pages > 0 else math.inf  # -1: indeterminate
+
+
+def _in_parallel(task: Callable[[int, int], None], n_items: int, n_workers: int) -> None:
+    """Run task(first, last) over n_workers contiguous ranges covering range(n_items).
+
+    The calling thread runs the first range and n_workers - 1 threads the
+    others; an exception raised in any range is raised here once all ended.
+    """
+    edges = [n_items * w // n_workers for w in range(n_workers + 1)]
+    errors = []
+
+    def guarded(first: int, last: int) -> None:
+        try:
+            task(first, last)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=edges[w:w + 2]) for w in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    guarded(edges[0], edges[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _count_draws(stream: np.random.SeedSequence, counts: np.ndarray) -> None:
+    """Fill row i of the (m, n) `counts` with how often resample i drew each of
+    n positions; the m resamples are drawn in one call from `stream`."""
+    m, n = counts.shape
+    # int32 draws hold the same values as int64 ones in half the memory, and
+    # are freed on return, before the block's sums or the next block's draw
+    draws = np.random.Generator(np.random.PCG64(stream)).integers(0, n, (m, n), dtype=np.int32)
+    for i, drawn in enumerate(draws):
+        counts[i] = np.bincount(drawn, minlength=n)
+
+
 class UserSums:
     """A bootstrap statistic computed from sums over users.
 
@@ -227,10 +284,10 @@ class UserSums:
     of R resamples to R statistics; by default it flattens them.
 
     A whole-user resample enters such sums only through how often it drew
-    each user, so one resample costs a weighted row sum over users, not a
-    gather of its n drawn rows. Sums are pairwise along each group's
-    contiguous users and go through no BLAS call, so they do not depend on
-    the BLAS thread count.
+    each user, so one resample costs a count-weighted row sum over users,
+    not a gather of its n drawn rows. Users are stored sorted by group, so
+    a group sum is a sum over a contiguous slice. No sum goes through BLAS,
+    so none depends on the BLAS thread count.
     """
 
     def __init__(
@@ -242,14 +299,12 @@ class UserSums:
     ):
         per_user = np.ascontiguousarray(per_user, dtype=np.float64)
         if groups is None:
-            self._order = None
             self._rows = per_user
             bounds = [0, per_user.shape[1]]
         else:
-            # users of one group become contiguous, so a group sum is a slice sum
-            self._order = np.argsort(groups, kind="stable")
-            self._rows = np.ascontiguousarray(per_user[:, self._order])
-            bounds = np.searchsorted(groups[self._order], np.arange(n_groups + 1)).tolist()
+            order = np.argsort(groups, kind="stable")
+            self._rows = np.ascontiguousarray(per_user[:, order])
+            bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
         self._segments = tuple(zip(bounds[:-1], bounds[1:]))
         self._finish = finish
 
@@ -257,27 +312,45 @@ class UserSums:
     def n_users(self) -> int:
         return self._rows.shape[1]
 
-    def sums(self, counts: np.ndarray) -> np.ndarray:
-        """(k, n_groups) sums in which user i is counted counts[i] times."""
-        if self._order is not None:
-            counts = counts[self._order]
-        weighted = self._rows * counts
-        out = np.empty((len(self._rows), len(self._segments)))
-        for g, (a, b) in enumerate(self._segments):
-            weighted[:, a:b].sum(axis=1, out=out[:, g])
-        return out
-
-    def resample(self, rng: np.random.Generator, n_resamples: int) -> np.ndarray:
+    def resample(self, seed: int, n_resamples: int) -> np.ndarray:
         """(R, k, n_groups) sums of R whole-user resamples with replacement.
 
-        Each resample draws the indices of its n users as
-        `rng.integers(0, n, n)` and counts each user's draws.
+        The stream contract: resamples are cut into blocks of
+        B = max(1, 2**16 // n) resamples, a number fixed by the user count
+        alone; the last block may be shorter. Block b draws the users of
+        all its m resamples in one call,
+        ``Generator(PCG64(SeedSequence(seed, spawn_key=(b,)))).integers(0, n, (m, n))``
+        (the stream of ``SeedSequence(seed).spawn(n_blocks)[b]``),
+        and row i holds resample b * B + i as positions in the group-sorted
+        users. Each resample's draw counts weight one einsum per group.
+        Contiguous ranges of blocks run on at most one thread per core;
+        which thread runs a block changes no byte.
         """
         n = self.n_users
-        out = np.empty((n_resamples, len(self._rows), len(self._segments)))
-        for r in range(n_resamples):
-            counts = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
-            out[r] = self.sums(counts)
+        k, n_groups = self._rows.shape[0], len(self._segments)
+        block = max(1, _BLOCK_DRAWS // max(n, 1))
+        n_blocks = -(-n_resamples // block)
+        n_workers = max(1, min(_n_workers(), n_blocks))
+        # per worker: one float64 count buffer and one block of int32 draws
+        sums_bytes, buffer_bytes = n_resamples * k * n_groups * 8, n_workers * block * n * 12
+        if sums_bytes + buffer_bytes > _physical_memory():
+            raise ValidationError(
+                f"resamples={n_resamples} needs about {sums_bytes + buffer_bytes:.3g} B "
+                f"({n_resamples}*{k}*{n_groups}*8 B of resample sums plus {buffer_bytes:.3g} B of "
+                f"worker buffers), more than the {_physical_memory():.3g} B of physical memory"
+            )
+        out = np.empty((n_resamples, k, n_groups))
+
+        def run(first: int, last: int) -> None:
+            counts = np.empty((block, n))  # this worker's, reused by each of its blocks
+            for b in range(first, last):
+                r = b * block
+                m = min(block, n_resamples - r)
+                _count_draws(np.random.SeedSequence(seed, spawn_key=(b,)), counts[:m])
+                for g, (a, z) in enumerate(self._segments):
+                    np.einsum("bn,kn->bk", counts[:m, a:z], self._rows[:, a:z], out=out[r:r + m, :, g])
+
+        _in_parallel(run, n_blocks, n_workers)
         return out
 
     def finish(self, sums: np.ndarray) -> np.ndarray:
@@ -289,13 +362,15 @@ class UserSums:
     def point(self, exact: bool = False) -> np.ndarray:
         """The statistic with every user counted once.
 
-        With `exact`, each sum is exactly rounded (a compensated sum over
-        the group's users) instead of pairwise, as a resample's is.
+        Each sum is pairwise over the group's users, or with `exact`
+        exactly rounded (a compensated sum).
         """
-        if exact:
-            sums = np.array([[compensated_sum(row[a:b]) for a, b in self._segments] for row in self._rows])
-        else:
-            sums = self.sums(np.ones(self.n_users))
+        sums = np.empty((len(self._rows), len(self._segments)))
+        for g, (a, b) in enumerate(self._segments):
+            if exact:
+                sums[:, g] = [compensated_sum(row[a:b]) for row in self._rows]
+            else:
+                self._rows[:, a:b].sum(axis=1, out=sums[:, g])
         return self.finish(sums[None])[0]
 
 
@@ -303,22 +378,22 @@ def bootstrap_ci(
     estimator: UserSums,
     log: RandomizedLog,
     n_resamples: int = 1000,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> BootstrapResult:
     """Percentile interval (CI_LEVEL) from whole-user resamples with replacement.
 
-    `estimator` is a :class:`UserSums` over the log's users; each resample
-    is reduced from its per-user draw counts, drawn from `seed` (an int or
-    a Generator, which is advanced). The user is the independence unit, so
-    resampling never splits a user's records.
+    `estimator` is a :class:`UserSums` over the log's users. The integer
+    `seed` fixes every resample through the block streams of
+    :meth:`UserSums.resample`, so the interval does not depend on the
+    number of cores or BLAS threads. The user is the independence unit,
+    so resampling never splits a user's records.
     """
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
     n = len(log)
     if estimator.n_users != n:
         raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
-    rng = np.random.default_rng(seed)
-    stats = estimator.finish(estimator.resample(rng, n_resamples))
+    stats = estimator.finish(estimator.resample(seed, n_resamples))
     tail = (1 - CI_LEVEL) / 2
     low = np.quantile(stats, tail, axis=0)
     high = np.quantile(stats, 1 - tail, axis=0)
@@ -370,23 +445,35 @@ def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0
     return rows
 
 
-def _policy_delta_sums(log: RandomizedLog, policy: PolicySpec) -> UserSums:
-    """Linear and exact value/cost deltas of a policy as sums over users."""
+def _policy_delta_sums(log: RandomizedLog, policies: Sequence[PolicySpec]) -> UserSums:
+    """Linear and exact value/cost deltas of each policy as sums over users;
+    rows 4j to 4j + 3 are policy j's."""
     arr = log.arrays
-    alphas = policy.multiplier_array(log.n_clusters)
-    x = alphas[arr["cluster"]] - 1.0
     lw = linear_weight(arr["theta"], log.spec)
-    w_minus_1 = exact_weight(arr["theta"], log.spec, alphas[arr["cluster"]]) - 1.0
-    return UserSums(
-        np.stack(
-            [
-                x * arr["value_predicted"] * lw,
-                x * arr["cost"] * lw,
-                arr["value_predicted"] * w_minus_1,
-                arr["cost"] * w_minus_1,
-            ]
-        )
-    )
+    rows = np.empty((4 * len(policies), len(log)))
+    for j, policy in enumerate(policies):
+        alphas = policy.multiplier_array(log.n_clusters)
+        x = alphas[arr["cluster"]] - 1.0
+        w_minus_1 = exact_weight(arr["theta"], log.spec, alphas[arr["cluster"]]) - 1.0
+        rows[4 * j] = x * arr["value_predicted"] * lw
+        rows[4 * j + 1] = x * arr["cost"] * lw
+        rows[4 * j + 2] = arr["value_predicted"] * w_minus_1
+        rows[4 * j + 3] = arr["cost"] * w_minus_1
+    return UserSums(rows)
+
+
+def _policy_delta_bootstraps(
+    log: RandomizedLog, policies: Sequence[PolicySpec], n_resamples: int, seed: int
+) -> list[BootstrapResult]:
+    """:func:`policy_delta_bootstrap` of each policy, from one draw.
+
+    Every policy is resampled from the same seed, so each result is byte
+    for byte the one its own call gives.
+    """
+    if not policies:
+        return []
+    ci = bootstrap_ci(_policy_delta_sums(log, policies), log, n_resamples=n_resamples, seed=seed)
+    return [BootstrapResult(ci.low[j:j + 4], ci.high[j:j + 4], ci.point[j:j + 4]) for j in range(0, len(ci.point), 4)]
 
 
 def policy_delta_bootstrap(
@@ -401,8 +488,7 @@ def policy_delta_bootstrap(
     the exact ones m_i * (exact weight - 1); the point is the plain sum
     over all users.
     """
-    stat = _policy_delta_sums(log, policy)
-    return bootstrap_ci(stat, log, n_resamples=n_resamples, seed=seed)
+    return _policy_delta_bootstraps(log, [policy], n_resamples, seed)[0]
 
 
 @dataclass(frozen=True)

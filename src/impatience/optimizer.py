@@ -133,4 +133,4 @@ def predict_policy_delta(log: RandomizedLog, policy: PolicySpec) -> PolicyDelta:
     The point of :func:`~impatience.estimators.policy_delta_bootstrap`:
     the same per-user sums, over every user once.
     """
-    return PolicyDelta(*map(float, _policy_delta_sums(log, policy).point()))
+    return PolicyDelta(*map(float, _policy_delta_sums(log, [policy]).point()))

@@ -442,6 +442,8 @@ def two_auction_demo(
     """
     if grid_step <= 0:
         raise ValidationError("grid_step must be > 0")
+    if ticket_value <= 0:
+        raise ValidationError(f"ticket_value must be > 0, got {ticket_value:g}")
     points = ticket_value / grid_step
     if not points <= _MAX_GRID_POINTS:  # NaN and infinity too
         raise ValidationError(f"ticket_value / grid_step must be at most {_MAX_GRID_POINTS}, got {points:g}")

@@ -11,8 +11,17 @@ from pathlib import Path
 import pytest
 
 import impatience
-from impatience import ValidationError
-from impatience.cli import ExperimentConfig, default_experiment_config, main
+from impatience import (
+    ClusterRow,
+    ReallocationProblem,
+    ValidationError,
+    marginal_roi,
+    policy_delta_bootstrap,
+    read_log,
+    solve_reallocation_detailed,
+)
+from impatience import estimators
+from impatience.cli import ExperimentConfig, _fmt, default_experiment_config, main
 
 
 @pytest.fixture
@@ -195,11 +204,28 @@ class TestErrorHandling:
          "ticket_value / grid_step must be at most 1000000, got 1e+07"),
         (["marginals", "--config", "CONFIG", "--log", "l.jsonl", "--resamples", "-5"],
          "config 'resamples' must be a non-negative integer, got -5"),
+        # a non-positive ticket value once gave a curve from 0 down to it, or two equal rows
+        (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--value=-5"],
+         "ticket_value must be > 0, got -5"),
+        (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--value", "0"],
+         "ticket_value must be > 0, got 0"),
     ])
     def test_out_of_range_flag_exits_one(self, tiny_config, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert run(*[tiny_config if a == "CONFIG" else a for a in argv], "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"impatience: error: {message}")
+        assert not out.exists()
+
+    def test_resamples_beyond_physical_memory_exit_one(self, tiny_config, tmp_path, capsys):
+        # once a numpy MemoryError traceback asking for 87.3 TiB of resample sums
+        log, out = tmp_path / "log.jsonl", tmp_path / "marginals.csv"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        capsys.readouterr()
+        code = run("marginals", "--config", tiny_config, "--log", str(log), "--resamples", str(10**12),
+                   "--out", str(out))
+        assert code == 1
+        # 10**12 resamples * 2 sums * 6 clusters * 8 B, plus the worker buffers
+        assert capsys.readouterr().err.startswith("impatience: error: resamples=1000000000000 needs about 9.6e+13 B")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])
@@ -412,6 +438,38 @@ class TestPipeline:
                            check=True, capture_output=True, timeout=300)
             outputs[threads] = [(out / name).read_bytes() for name in ("marginals.csv", "eval.csv")]
         assert outputs["1"] == outputs["2"]
+
+    def test_bootstrap_outputs_do_not_depend_on_the_worker_count(self, tiny_config, tmp_path, monkeypatch):
+        # 2000 users make blocks of 32 resamples: 150 resamples are 5 blocks
+        log = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(estimators, "_n_workers", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            out.mkdir()
+            assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(out / "marginals.csv")) == 0
+            assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(out / "eval.csv")) == 0
+            outputs[workers] = [(out / name).read_bytes() for name in ("marginals.csv", "eval.csv")]
+        assert outputs[1] == outputs[2]
+
+    def test_sweep_rows_equal_separate_bootstraps(self, tiny_config, tmp_path):
+        # the sweep draws once for all its policies; each row must be the bytes
+        # that policy's own bootstrap gives
+        log, ev = tmp_path / "log.jsonl", tmp_path / "eval.csv"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(ev)) == 0
+        cfg = ExperimentConfig.from_json(json.loads(Path(tiny_config).read_text()))
+        data = read_log(str(log))
+        rois = [marginal_roi(data, c) for c in range(data.n_clusters)]
+        rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
+        expected = []
+        for delta in cfg.sweep:
+            policy = solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy
+            ci = policy_delta_bootstrap(data, policy, cfg.resamples, cfg.seed)
+            cells = [delta] + [v for j in range(4) for v in (ci.point[j], ci.low[j], ci.high[j])]
+            expected.append(",".join(_fmt(v) for v in cells))
+        assert [l for l in ev.read_text().splitlines() if not l.startswith("#")][1:] == expected
 
     def test_marginals_csv_has_expected_header(self, tiny_config, tmp_path):
         log = tmp_path / "log.jsonl"

@@ -1,3 +1,8 @@
+import math
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +28,15 @@ from impatience import (
     policy_delta_bootstrap,
     weight_std_profile,
 )
-from impatience.estimators import CI_LEVEL, UserSums, _cluster_sums, _policy_delta_sums
+from impatience import estimators
+from impatience.estimators import (
+    CI_LEVEL,
+    UserSums,
+    _cluster_sums,
+    _in_parallel,
+    _policy_delta_bootstraps,
+    _policy_delta_sums,
+)
 
 SPEC = RandomizationSpec(0.0, 0.3)
 
@@ -200,12 +213,24 @@ class TestMarginalRoi:
         assert roi.denominator == 0.0
 
 
+def resample_users(n, n_resamples, seed, groups=None):
+    """Each resample's drawn users, in resample order, under the block stream
+    contract of `UserSums.resample`: blocks of max(1, 2**16 // n) resamples,
+    block b drawn in one `integers(0, n, (m, n))` call from child b of
+    `SeedSequence(seed)`. A draw is a position in the users sorted (stably)
+    by `groups`, mapped back to the user here."""
+    order = np.arange(n) if groups is None else np.argsort(groups, kind="stable")
+    block = max(1, 2**16 // n)
+    n_blocks = -(-n_resamples // block)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        m = min(block, n_resamples - b * block)
+        yield from order[np.random.Generator(np.random.PCG64(stream)).integers(0, n, (m, n))]
+
+
 def index_bootstrap(estimator, n, n_resamples, seed):
-    """Reference percentile interval from whole-user resamples: resample r
-    draws the indices `rng.integers(0, n, n)` and applies `estimator` to
-    them, as `bootstrap_ci` draws its per-user counts."""
-    rng = np.random.default_rng(seed)
-    stats = np.array([estimator(rng.integers(0, n, n)) for _ in range(n_resamples)])
+    """Reference percentile interval from whole-user resamples: `estimator`
+    is applied to each resample's drawn users (`resample_users`)."""
+    stats = np.array([estimator(idx) for idx in resample_users(n, n_resamples, seed)])
     tail = (1 - CI_LEVEL) / 2
     return BootstrapResult(np.quantile(stats, tail, axis=0), np.quantile(stats, 1 - tail, axis=0),
                            np.asarray(estimator(np.arange(n)), dtype=np.float64))
@@ -239,16 +264,13 @@ class TestBootstrap:
             bootstrap_ci(UserSums(np.ones((1, 10))), synth_log(n=10), n_resamples=50)
 
 
-def gather_sums(rows, rng, n_resamples, cluster=None, n_clusters=1):
+def gather_sums(rows, seed, n_resamples, cluster=None, n_clusters=1):
     """Reference (R, k, n_clusters) resample sums of the (k, n) per-user
     `rows`: gather each resample's drawn users, then sum them per cluster."""
     n = rows.shape[1]
     cluster = np.zeros(n, dtype=np.int64) if cluster is None else cluster
-    out = []
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, n)
-        out.append([np.bincount(cluster[idx], weights=row[idx], minlength=n_clusters) for row in rows])
-    return np.array(out)
+    return np.array([[np.bincount(cluster[idx], weights=row[idx], minlength=n_clusters) for row in rows]
+                     for idx in resample_users(n, n_resamples, seed, cluster)])
 
 
 POLICY = PolicySpec({0: 1.2, 1: 1.1, 2: 0.95, 3: 0.9, 4: 0.8, 5: 1.05})
@@ -277,32 +299,31 @@ class TestResampleCounts:
     def check_close(self, got, rows, seed, cluster=None, n_clusters=1):
         # the same terms summed in another order: within 1e-12 of the sum of
         # their magnitudes, which stays meaningful when a sum cancels
-        ref = gather_sums(rows, np.random.default_rng(seed), len(got), cluster, n_clusters)
-        scale = gather_sums(np.abs(rows), np.random.default_rng(seed), len(got), cluster, n_clusters)
+        ref = gather_sums(rows, seed, len(got), cluster, n_clusters)
+        scale = gather_sums(np.abs(rows), seed, len(got), cluster, n_clusters)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
     def test_cluster_sums_match_gather(self):
         log = synth_log(n=3000, seed=21)
-        got = _cluster_sums(log).resample(np.random.default_rng(4), 200)
+        got = _cluster_sums(log).resample(4, 200)
         self.check_close(got, cluster_rows(log), 4, log.arrays["cluster"], log.n_clusters)
 
     def test_policy_delta_sums_match_gather(self):
         log = synth_log(n=3000, seed=22)
-        got = _policy_delta_sums(log, POLICY).resample(np.random.default_rng(5), 200)
+        got = _policy_delta_sums(log, [POLICY]).resample(5, 200)
         self.check_close(got, policy_delta_rows(log, POLICY), 5)
 
     @pytest.mark.parametrize("kind", ["cluster", "policy_delta"])
     def test_consumes_the_same_draws_as_the_index_form(self, kind):
-        log = synth_log(n=1000, seed=23)
-        if kind == "cluster":
-            stat = _cluster_sums(log)
-        else:
-            stat = _policy_delta_sums(log, POLICY)
-        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
-        bootstrap_ci(stat, log, n_resamples=150, seed=rng)
-        index_bootstrap(lambda idx: 0.0, len(log), 150, ref)
-        assert rng.bit_generator.state == ref.bit_generator.state
+        # one unit row per user sums to how often each resample drew that user;
+        # 500 resamples of 300 users are two full blocks of 218 and a short one
+        log = synth_log(n=300, seed=23)
+        groups = log.arrays["cluster"] if kind == "cluster" else None
+        stat = UserSums(np.eye(len(log)), groups=groups, n_groups=log.n_clusters if kind == "cluster" else 1)
+        counts = stat.resample(6, 500).sum(axis=2)
+        expected = [np.bincount(idx, minlength=len(log)) for idx in resample_users(len(log), 500, 6, groups)]
+        np.testing.assert_array_equal(counts, expected)
 
     def test_policy_delta_ci_matches_index_form(self):
         log = synth_log(n=1000, seed=24)
@@ -317,7 +338,7 @@ class TestResampleCounts:
     def test_cluster_finish_is_dcost_dvalue_and_their_ratio(self):
         log = synth_log(n=3000, seed=25)
         stat = _cluster_sums(log)
-        sums = stat.resample(np.random.default_rng(7), 100)
+        sums = stat.resample(7, 100)
         stats = stat.finish(sums)
         nc = log.n_clusters
         np.testing.assert_array_equal(stats[:, :nc], sums[:, 0])
@@ -325,9 +346,99 @@ class TestResampleCounts:
         np.testing.assert_array_equal(stats[:, 2 * nc:], sums[:, 1] / sums[:, 0])
 
     def test_statistic_must_cover_the_log(self):
-        stat = _policy_delta_sums(synth_log(n=500), POLICY)
+        stat = _policy_delta_sums(synth_log(n=500), [POLICY])
         with pytest.raises(ValidationError, match="500 users"):
             bootstrap_ci(stat, synth_log(n=400), n_resamples=100)
+
+
+class TestBlockPool:
+    """Blocks of resamples on a thread pool the size of the usable cores."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_sums_do_not_depend_on_the_worker_count(self, monkeypatch, workers):
+        # 3000 users make blocks of 21 resamples: 130 resamples are 7 blocks,
+        # split unevenly; a short switch interval interleaves the workers often
+        log = synth_log(n=3000, seed=26)
+        stat = _cluster_sums(log)
+        monkeypatch.setattr(estimators, "_n_workers", lambda: 1)
+        one = stat.resample(9, 130)
+        monkeypatch.setattr(estimators, "_n_workers", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = stat.resample(9, 130)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("cores,n_resamples", [(1, 500), (2, 500), (3, 500), (8, 500), (8, 100)])
+    def test_never_starts_more_threads_than_cores(self, monkeypatch, cores, n_resamples):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        # 300 users make blocks of 218 resamples: 500 resamples are 3 blocks, 100 are 1
+        UserSums(np.ones((1, 300))).resample(0, n_resamples)
+        n_blocks = -(-n_resamples // 218)
+        # the calling thread runs the first range of blocks itself
+        assert len(started) + 1 == min(cores, n_blocks)
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(estimators.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+        assert estimators._n_workers() == 3
+
+    def test_worker_exception_propagates(self):
+        ran = []
+
+        def task(first, last):
+            ran.append((first, last))
+            if first == 2:
+                raise ZeroDivisionError("worker failed")
+
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            _in_parallel(task, 4, 2)
+        assert sorted(ran) == [(0, 2), (2, 4)]
+
+    @pytest.mark.parametrize("n_users,n_resamples", [(3000, 10**4), (70_000, 10**9)])
+    def test_memory_estimate_is_checked_before_drawing(self, monkeypatch, n_users, n_resamples):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_draws)
+        monkeypatch.setattr(estimators, "_physical_memory", lambda: 10**6)
+        monkeypatch.setattr(estimators, "_n_workers", lambda: 2)
+        groups = np.arange(n_users) % 6
+        stat = UserSums(np.ones((2, n_users)), groups=groups, n_groups=6)
+        # R resamples * 2 sums * 6 groups * 8 B, plus per worker a block of
+        # max(1, 2**16 // n) resamples * n users * 12 B (1 resample at 70k users)
+        block = max(1, 2**16 // n_users)
+        needed = n_resamples * 2 * 6 * 8 + 2 * block * n_users * 12
+        with pytest.raises(ValidationError, match=re.escape(f"resamples={n_resamples} needs about {needed:.3g} B")):
+            stat.resample(0, n_resamples)
+
+    @pytest.mark.parametrize("page_size,pages", [(-1, 10**6), (4096, -1), (0, 0)])
+    def test_indeterminate_physical_memory_checks_nothing(self, monkeypatch, page_size, pages):
+        # os.sysconf returns -1 without raising when a value is indeterminate
+        values = {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(estimators.os, "sysconf", values.__getitem__)
+        assert estimators._physical_memory() == math.inf
+        UserSums(np.ones((1, 300))).resample(0, 100)
+
+    def test_stacked_policies_equal_separate_calls(self):
+        log = synth_log(n=2000, seed=28)
+        policies = [POLICY, PolicySpec({1: 1.2, 4: 0.9}), PolicySpec({})]
+        stacked = _policy_delta_bootstraps(log, policies, 150, 3)
+        for policy, got in zip(policies, stacked):
+            alone = policy_delta_bootstrap(log, policy, 150, 3)
+            for a, b in ((got.low, alone.low), (got.high, alone.high), (got.point, alone.point)):
+                assert a.tobytes() == b.tobytes()
+        assert _policy_delta_bootstraps(log, [], 150, 3) == []
 
 
 class TestClusterEstimates:
