@@ -87,6 +87,34 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the platform does not say."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return page * pages if page > 0 and pages > 0 else math.inf  # -1: indeterminate
+
+
+def _approx(n: int) -> str:
+    """`n` to three significant digits, as `.3g` writes a float, also past the float range."""
+    if n < 1e300:
+        return f"{n:.3g}"
+    shift = int(math.log10(n)) - 300  # int / int is correctly rounded at any size
+    mantissa, exponent = f"{n / 10**shift:.3g}".split("e+")
+    return f"{mantissa}e+{int(exponent) + shift}"
+
+
+def _check_memory(needed: int, request: str, memory: float) -> None:
+    """The one memory rule: a request of `needed` bytes beyond `memory` (physical
+    memory, :func:`_physical_memory`) is an error before anything is allocated.
+
+    `request` names the field that asks and how its estimate adds up.
+    """
+    if needed > memory:
+        raise ValidationError(f"{request}, more than the {_approx(memory)} B of physical memory")
+
+
 def _check_boundaries(boundaries) -> None:
     if not (isinstance(boundaries, (list, tuple)) and all(map(_is_integer, boundaries))):
         raise ValidationError(f"'bucket_boundaries' must be a list of integers, got {boundaries!r}")

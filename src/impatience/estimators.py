@@ -30,6 +30,9 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
+    _approx,
+    _check_memory,
+    _physical_memory,
 )
 
 METRICS = ("cost", "value_observed", "value_predicted")
@@ -136,7 +139,8 @@ def _resolve_subset(subset, log: RandomizedLog, allow_unsafe: bool) -> np.ndarra
 
 def compensated_sum(values) -> float:
     """Error-free-transformation sum (exactly rounded)."""
-    return math.fsum(np.asarray(values, dtype=np.float64))
+    # fsum reads a list of Python floats faster than it iterates an array
+    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
 
 
 def ips_estimate(
@@ -203,12 +207,16 @@ class MarginalRoi:
         return self.value is not None
 
 
+def _roi_scale(log: RandomizedLog, cluster: int | None) -> float:
+    """The summed |cost| of a cluster's users: the scale of the mROI threshold."""
+    return np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum()
+
+
 def marginal_roi(log: RandomizedLog, cluster: int | None) -> MarginalRoi:
     """Marginal ROI on a cluster: marginal value per marginal unit of spend."""
     num = marginal_estimate(log, "value_predicted", cluster)
     den = marginal_estimate(log, "cost", cluster)
-    scale = np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum()
-    roi = float(_mroi(den, num, scale))
+    roi = float(_mroi(den, num, _roi_scale(log, cluster)))
     return MarginalRoi(value=None if math.isnan(roi) else roi, numerator=num, denominator=den)
 
 
@@ -227,15 +235,6 @@ def _n_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or infinity where the platform does not say."""
-    try:
-        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-    return page * pages if page > 0 and pages > 0 else math.inf  # -1: indeterminate
 
 
 def _in_parallel(task: Callable[[int, int], None], n_items: int, n_workers: int) -> None:
@@ -333,12 +332,12 @@ class UserSums:
         n_workers = max(1, min(_n_workers(), n_blocks))
         # per worker: one float64 count buffer and one block of int32 draws
         sums_bytes, buffer_bytes = n_resamples * k * n_groups * 8, n_workers * block * n * 12
-        if sums_bytes + buffer_bytes > _physical_memory():
-            raise ValidationError(
-                f"resamples={n_resamples} needs about {sums_bytes + buffer_bytes:.3g} B "
-                f"({n_resamples}*{k}*{n_groups}*8 B of resample sums plus {buffer_bytes:.3g} B of "
-                f"worker buffers), more than the {_physical_memory():.3g} B of physical memory"
-            )
+        _check_memory(
+            sums_bytes + buffer_bytes,
+            f"resamples={n_resamples} needs about {_approx(sums_bytes + buffer_bytes)} B "
+            f"({n_resamples}*{k}*{n_groups}*8 B of resample sums plus {_approx(buffer_bytes)} B of worker buffers)",
+            _physical_memory(),
+        )
         out = np.empty((n_resamples, k, n_groups))
 
         def run(first: int, last: int) -> None:
@@ -359,18 +358,11 @@ class UserSums:
             return sums.reshape(len(sums), -1)
         return self._finish(sums)
 
-    def point(self, exact: bool = False) -> np.ndarray:
-        """The statistic with every user counted once.
-
-        Each sum is pairwise over the group's users, or with `exact`
-        exactly rounded (a compensated sum).
-        """
+    def point(self) -> np.ndarray:
+        """The statistic with every user counted once; each sum is pairwise over the group's users."""
         sums = np.empty((len(self._rows), len(self._segments)))
         for g, (a, b) in enumerate(self._segments):
-            if exact:
-                sums[:, g] = [compensated_sum(row[a:b]) for row in self._rows]
-            else:
-                self._rows[:, a:b].sum(axis=1, out=sums[:, g])
+            self._rows[:, a:b].sum(axis=1, out=sums[:, g])
         return self.finish(sums[None])[0]
 
 
@@ -405,7 +397,7 @@ def _cluster_sums(log: RandomizedLog) -> UserSums:
     arr = log.arrays
     nc = log.n_clusters
     lw = linear_weight(arr["theta"], log.spec)
-    scale = np.bincount(arr["cluster"], weights=np.abs(arr["cost"]), minlength=nc)
+    scale = np.array([_roi_scale(log, c) for c in range(nc)])
 
     def finish(sums: np.ndarray) -> np.ndarray:
         dcost, dvalue = sums[:, 0], sums[:, 1]
@@ -416,16 +408,14 @@ def _cluster_sums(log: RandomizedLog) -> UserSums:
 
 
 def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0) -> list[ClusterRow]:
-    """Per-cluster marginal cost/value derivatives, marginal ROI, and CIs."""
+    """Per-cluster marginal cost/value derivatives and marginal ROI, as
+    :func:`marginal_roi` gives them, with bootstrap CIs."""
     nc = log.n_clusters
-    stat = _cluster_sums(log)
-    # point estimates use compensated sums; bootstrap spread is noise-dominated
-    point = stat.point(exact=True)
-    ci = bootstrap_ci(stat, log, n_resamples=n_resamples, seed=seed)
+    ci = bootstrap_ci(_cluster_sums(log), log, n_resamples=n_resamples, seed=seed)
     n_users = np.bincount(log.arrays["cluster"], minlength=nc)
     rows = []
     for c in range(nc):
-        mroi = point[2 * nc + c]
+        roi = marginal_roi(log, c)
         mroi_ci = None
         lo, hi = ci.low[2 * nc + c], ci.high[2 * nc + c]
         if np.isfinite(lo) and np.isfinite(hi):
@@ -434,9 +424,9 @@ def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0
             ClusterRow(
                 cluster=c,
                 n_users=int(n_users[c]),
-                dcost=float(point[c]),
-                dvalue=float(point[nc + c]),
-                mroi=None if np.isnan(mroi) else float(mroi),
+                dcost=roi.denominator,
+                dvalue=roi.numerator,
+                mroi=roi.value,
                 dcost_ci=(float(ci.low[c]), float(ci.high[c])),
                 dvalue_ci=(float(ci.low[nc + c]), float(ci.high[nc + c])),
                 mroi_ci=mroi_ci,
@@ -513,6 +503,9 @@ def weight_std_profile(
     """
     if n_samples < 2:  # each std has ddof=1
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
+    # theta, a weight array and two temporaries of the same size are held at once
+    _check_memory(n_samples * 32, f"samples={n_samples} needs about {_approx(n_samples * 32)} B "
+                  f"({n_samples}*4*8 B of samples, weights and temporaries)", _physical_memory())
     rng = np.random.default_rng(seed)
     theta = rng.lognormal(spec.mu, spec.sigma, n_samples)
     lin_std = float(np.std(linear_weight(theta, spec), ddof=1))

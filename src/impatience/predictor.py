@@ -66,10 +66,13 @@ class CtrModel:
     includes_fatigue: bool
     fatigue_boundaries: tuple[int, ...]
 
+    def bucket_proba(self) -> np.ndarray:
+        """The predicted conversion probability of each fatigue bucket."""
+        n_buckets = len(self.fatigue_boundaries) + 1
+        return _sigmoid(_design(np.arange(n_buckets), self.includes_fatigue, n_buckets) @ np.asarray(self.weights))
+
     def predict_proba(self, events: DisplayEvents) -> np.ndarray:
-        bucket = assign_clusters(events.fatigue, self.fatigue_boundaries)
-        X = _design(bucket, self.includes_fatigue, len(self.fatigue_boundaries) + 1)
-        return _sigmoid(X @ np.asarray(self.weights))
+        return self.bucket_proba()[assign_clusters(events.fatigue, self.fatigue_boundaries)]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,19 +140,23 @@ def loglik_gradient(weights: np.ndarray, X: np.ndarray, y: np.ndarray, l2: float
     return X.T @ (y - counts * p) / counts.sum() - l2 * weights
 
 
+def _bucket_table(events: DisplayEvents, boundaries: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The event count and the positive count of each fatigue bucket."""
+    n_buckets = len(boundaries) + 1
+    bucket = assign_clusters(events.fatigue, boundaries)
+    counts = np.bincount(bucket, minlength=n_buckets).astype(np.float64)
+    positives = np.bincount(bucket, weights=events.converted.astype(np.float64), minlength=n_buckets)
+    return counts, positives
+
+
 def _sufficient_stats(
     events: DisplayEvents, include_fatigue: bool, boundaries: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The design rows of the buckets that hold events, their positive counts and their event counts."""
-    n_buckets = len(boundaries) + 1
-    if include_fatigue:
-        bucket = assign_clusters(events.fatigue, boundaries)
-    else:
-        bucket = np.zeros(len(events), dtype=np.intp)
-    counts = np.bincount(bucket, minlength=n_buckets).astype(np.float64)
-    positives = np.bincount(bucket, weights=events.converted.astype(np.float64), minlength=n_buckets)
+    # without fatigue no boundary splits the events: one bucket, the design row [1]
+    counts, positives = _bucket_table(events, boundaries if include_fatigue else ())
     levels = np.flatnonzero(counts)
-    return _design(levels, include_fatigue, n_buckets), positives[levels], counts[levels]
+    return _design(levels, include_fatigue, len(boundaries) + 1), positives[levels], counts[levels]
 
 
 def fit_ctr(
@@ -218,13 +225,9 @@ class CalibrationRow:
 
 
 def calibration_curve(model: CtrModel, events: DisplayEvents) -> list[CalibrationRow]:
-    """Per-fatigue-bucket empirical conversion rate vs mean prediction."""
-    boundaries = model.fatigue_boundaries
-    n_buckets = len(boundaries) + 1
-    bucket = assign_clusters(events.fatigue, boundaries)
-    counts = np.bincount(bucket, minlength=n_buckets)
-    positives = np.bincount(bucket, weights=events.converted, minlength=n_buckets)
-    predicted = np.bincount(bucket, weights=model.predict_proba(events), minlength=n_buckets)
+    """Per-fatigue-bucket empirical conversion rate vs mean prediction: the bucket's one prediction."""
+    counts, positives = _bucket_table(events, model.fatigue_boundaries)
+    predicted = model.bucket_proba()
     return [
         CalibrationRow(bucket=b, n=0, empirical_rate=None, mean_predicted=None)
         if n == 0
@@ -232,7 +235,7 @@ def calibration_curve(model: CtrModel, events: DisplayEvents) -> list[Calibratio
             bucket=b,
             n=int(n),
             empirical_rate=float(positives[b] / n),
-            mean_predicted=float(predicted[b] / n),
+            mean_predicted=float(predicted[b]),
         )
         for b, n in enumerate(counts)
     ]

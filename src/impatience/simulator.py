@@ -16,6 +16,7 @@ and any per-cluster policy multiplier. Winning increments exposure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,15 +30,19 @@ from .domain import (
     RandomizedLog,
     ValidationError,
     _COLUMNS,
+    _approx,
+    _check_memory,
     _is_integer,
     _is_number,
     _json_object,
+    _physical_memory,
     assign_clusters,
 )
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
 _FLOAT_FIELDS = ("value_per_conversion", "base_conversion_prob", "fatigue_decay")
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
+_BYTES_PER_USER = 64  # a user's log columns and id
 
 
 @dataclass(frozen=True)
@@ -203,6 +208,7 @@ def _simulate_population(
     of the draws and the policy: scaling a bid up never consumes
     different randomness.
     """
+    _check_population_memory(config)
     rng = np.random.default_rng(seed)
     mult = None if multipliers is None else np.asarray(multipliers)
     chunks = []
@@ -221,6 +227,28 @@ def _simulate_population(
         result["display_exposure"] = np.array([], dtype=np.int64)
         result["display_converted"] = np.array([], dtype=bool)
     return result
+
+
+def _check_population_memory(config: SimConfig) -> None:
+    """Reject a population whose estimated memory exceeds physical memory.
+
+    A block of up to `_CHUNK` users holds one 8 B competing bid per real
+    auction, and a user has the configured mean auction count (the
+    activity multipliers have mean one); every user then keeps
+    `_BYTES_PER_USER` of columns and id. The estimate is exact integer
+    arithmetic, so a size past the float range is still compared right.
+    """
+    apu = config.auctions_per_user
+    count = apu.mean if apu.kind == "poisson" else apu.value
+    block = min(config.n_users, _CHUNK)
+    draws, users = block * math.ceil(count) * 8, config.n_users * _BYTES_PER_USER
+    _check_memory(
+        draws + users,
+        f"sim 'auctions_per_user' ({apu.kind}, {count:g} auctions per user) and 'n_users' need about "
+        f"{_approx(draws + users)} B ({_approx(draws)} B of auction draws for a block of {block} users "
+        f"plus {_BYTES_PER_USER} B per user)",
+        _physical_memory(),
+    )
 
 
 def _simulate_chunk(

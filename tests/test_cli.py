@@ -20,8 +20,8 @@ from impatience import (
     read_log,
     solve_reallocation_detailed,
 )
-from impatience import estimators
-from impatience.cli import ExperimentConfig, _fmt, default_experiment_config, main
+from impatience import estimators, simulator
+from impatience.cli import DEFAULT_SWEEP, ExperimentConfig, _fmt, default_experiment_config, main
 
 
 @pytest.fixture
@@ -105,6 +105,10 @@ MALFORMED_CONFIGS = {
     "unknown_randomization_key": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 0.3, "sigmaa": 0.9}},
                                   "unknown randomization keys ['sigmaa']"),
 }
+
+
+#: 10**400 users at 64 B each, the tiny config's 6 auctions per user
+HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 6.4e+401 B"
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -226,6 +230,44 @@ class TestErrorHandling:
         assert code == 1
         # 10**12 resamples * 2 sums * 6 clusters * 8 B, plus the worker buffers
         assert capsys.readouterr().err.startswith("impatience: error: resamples=1000000000000 needs about 9.6e+13 B")
+        assert not out.exists()
+
+    def test_weight_profile_samples_beyond_physical_memory_exit_one(self, tiny_config, tmp_path, capsys):
+        # once a numpy MemoryError traceback asking for 7.28 TiB of samples
+        out = tmp_path / "profile.csv"
+        assert run("weight-profile", "--config", tiny_config, "--samples", str(10**12), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("impatience: error: samples=1000000000000 needs about 3.2e+13 B")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,sim,message", [
+        # once `ValueError: lam value too large` from rng.poisson
+        ("simulate", {"auctions_per_user": {"kind": "poisson", "mean": 1e308}},
+         "sim 'auctions_per_user' (poisson, 1e+308 auctions per user) and 'n_users' need about 1.6e+312 B"),
+        # once `TypeError: Cannot cast array data from dtype('O') to dtype('int64')`
+        ("simulate", {"auctions_per_user": {"kind": "constant", "value": 1e308}, "activity_by_exposure": None},
+         "sim 'auctions_per_user' (constant, 1e+308 auctions per user) and 'n_users' need about 1.6e+312 B"),
+        # each once simulated one block of users after another until memory ran out
+        ("simulate", {"n_users": 10**400}, HUGE_POPULATION),
+        ("fit-ctr", {"n_users": 10**400}, HUGE_POPULATION),
+        ("ab", {}, HUGE_POPULATION),  # --users-per-arm 10**400
+    ], ids=["poisson-mean", "constant-count", "simulate-users", "fit-ctr-users", "ab-users-per-arm"])
+    def test_population_beyond_physical_memory_exits_one(self, tiny_config, tmp_path, capsys, monkeypatch,
+                                                         command, sim, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the size check")
+
+        monkeypatch.setattr(simulator, "_simulate_chunk", no_simulation)
+        raw = json.loads(Path(tiny_config).read_text())
+        raw["sim"] = {key: value for key, value in {**raw["sim"], **sim}.items() if value is not None}
+        Path(tiny_config).write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--config", tiny_config, "--out", str(out)]
+        if command == "ab":
+            policy = tmp_path / "policy.json"
+            policy.write_text(json.dumps(POLICY))
+            argv += ["--policy", str(policy), "--users-per-arm", str(10**400)]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"impatience: error: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])
@@ -407,6 +449,23 @@ class TestPipeline:
         marg2 = tmp_path / "marginals2.csv"
         run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marg2))
         assert marg.read_bytes() == marg2.read_bytes()
+
+    def test_sweep_rows_equal_the_rows_of_optimized_policies(self, tiny_config, tmp_path):
+        # one route from a log to a policy: the sweep's row for a cap is the
+        # row offline-eval gives for the policy optimize writes at that cap
+        log, marg, sweep = tmp_path / "log.jsonl", tmp_path / "marginals.csv", tmp_path / "sweep.csv"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marg)) == 0
+        caps = [str(delta) for delta in DEFAULT_SWEEP]
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--sweep", *caps,
+                   "--out", str(sweep)) == 0
+        sweep_rows = sweep.read_text().splitlines()[-len(caps):]
+        for cap, sweep_row in zip(caps, sweep_rows):
+            policy, ev = tmp_path / f"policy-{cap}.json", tmp_path / f"eval-{cap}.csv"
+            assert run("optimize", "--marginals", str(marg), "--cap", cap, "--out", str(policy)) == 0
+            assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--policy", str(policy),
+                       "--out", str(ev)) == 0
+            assert ev.read_text().splitlines()[-1] == sweep_row
 
     def test_bootstrap_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # from about 120k users OpenBLAS 0.3 splits a matrix-vector product

@@ -472,6 +472,19 @@ class TestClusterEstimates:
         for r in rows:
             assert r.mroi == marginal_roi(log, r.cluster).value
 
+    def test_points_and_resamples_share_the_mroi_rule(self):
+        # the statistic a resample finishes, given the point's sums, must be
+        # defined exactly where marginal_roi is, and equal to it there
+        def no_cost_at_exposure_0(theta, exposure, rng):
+            return np.where(exposure == 0, 0.0, rng.exponential(1.0, len(theta)))
+
+        log = synth_log(n=1000, seed=7, cost_fn=no_cost_at_exposure_0)
+        rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
+        sums = np.array([[[roi.denominator for roi in rois], [roi.numerator for roi in rois]]])
+        finished = _cluster_sums(log).finish(sums)[0, 2 * log.n_clusters:]
+        assert [None if np.isnan(m) else float(m) for m in finished] == [roi.value for roi in rois]
+        assert rois[0].value is None
+
     def test_ci_brackets_point(self):
         log = synth_log(n=3000, seed=6)
         for r in cluster_estimates(log, n_resamples=300, seed=1):
@@ -480,6 +493,18 @@ class TestClusterEstimates:
 
 
 class TestWeightStdProfile:
+    def test_samples_beyond_physical_memory_are_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(estimators, "_physical_memory", lambda: 10**6)
+        # 4 float64 arrays of n samples: 31250 samples fill 10**6 B exactly
+        with pytest.raises(AssertionError, match="drew before the size check"):
+            weight_std_profile(SPEC, [1.0], n_samples=31_250)
+        with pytest.raises(ValidationError, match=re.escape("samples=31251 needs about 1e+06 B")):
+            weight_std_profile(SPEC, [1.0], n_samples=31_251)
+
     def test_alpha_one_has_zero_spread(self):
         rows = weight_std_profile(SPEC, [1.0], n_samples=5000, seed=0)
         assert rows[0].std_exact == 0.0

@@ -203,6 +203,23 @@ class TestCalibrationCurve:
         assert rows[5].n == 1 and rows[5].empirical_rate == 0.0
         assert rows[1].n == 0 and rows[1].empirical_rate is None
 
+    @pytest.mark.parametrize("include_fatigue", [False, True])
+    def test_mean_predicted_is_the_bucket_prediction(self, include_fatigue):
+        # every event of a bucket gets one prediction, so the bucket's mean
+        # prediction is that value itself, not a sum of n equal floats over n
+        rng = np.random.default_rng(12)
+        probs = [0.05, 0.04, 0.03, 0.025, 0.02, 0.015, 0.01]
+        events = bernoulli_events(rng, probs, [9000, 7000, 5000, 4000, 3000, 2000, 1500])
+        model = fit_ctr(events, include_fatigue=include_fatigue)
+        bucket = assign_clusters(events.fatigue, model.fatigue_boundaries)
+        predicted = model.predict_proba(events)
+        rows = [row for row in calibration_curve(model, events) if row.n > 0]
+        assert len(rows) == 6
+        for row in rows:
+            assert set(predicted[bucket == row.bucket].tolist()) == {row.mean_predicted}
+        if not include_fatigue:
+            assert {row.mean_predicted for row in rows} == {float(_sigmoid(np.array(model.weights[:1]))[0])}
+
     def test_events_from_trace_roundtrip(self):
         exposure = np.array([0, 3, 9])
         converted = np.array([True, False, True])

@@ -1,6 +1,7 @@
 import __future__
 import inspect
 import io
+import re
 import textwrap
 import tracemalloc
 
@@ -527,3 +528,16 @@ class TestMemory:
         padded = 16 * cfg.n_users * int(pop["n_auctions"].max())
         assert padded >= 10 * bound  # the padded grid would break the bound
         assert peak < bound
+
+    @pytest.mark.parametrize("chunk", [simulator._CHUNK, 100])
+    def test_population_memory_estimate_is_checked_before_simulating(self, monkeypatch, chunk):
+        # a block of min(n, chunk) users draws 8 B per auction at the mean count
+        # rounded up, and every user keeps 64 B: exact integers throughout
+        cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
+        needed = min(1000, chunk) * 8 * 8 + 1000 * 64
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: needed)
+        assert len(simulator._simulate_population(cfg, SPEC, 0)["theta"]) == 1000
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(ValidationError, match=re.escape(f"need about {needed:.3g} B")):
+            simulator._simulate_population(cfg, SPEC, 0)
