@@ -20,7 +20,6 @@ from .domain import (
 )
 from .estimators import (
     BootstrapResult,
-    MarginalRoi,
     UserSubset,
     bootstrap_ci,
     cluster_estimates,

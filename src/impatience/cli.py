@@ -32,6 +32,7 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
+    _JSON_ERRORS,
     _check_boundaries,
     _is_integer,
     _is_number,
@@ -130,7 +131,7 @@ def _load_config(args) -> tuple[ExperimentConfig, str]:
     try:
         with _reading(args.config), open(args.config) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
     flags = {key: value for key in ("seed", "resamples", "sweep") if (value := getattr(args, key, None)) is not None}
     return replace(ExperimentConfig.from_json(raw), **flags), _file_sha256(args.config)
@@ -148,11 +149,11 @@ def _fmt(x) -> str:
 
 @contextmanager
 def _reading(path: str):
-    """Report an input file that cannot be read as a usage error naming it."""
+    """Report an input file that cannot be read or decoded as a usage error naming it."""
     try:
         yield
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 @contextmanager
@@ -221,7 +222,7 @@ def _read_policy(path: str) -> PolicySpec:
     try:
         with _reading(path), open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise UsageError(f"policy file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"policy file {path} does not hold a JSON object")
@@ -290,7 +291,7 @@ def cmd_marginals(args) -> int:
     )
     print(f"marginals: wrote {len(rows)} clusters to {args.out}")
     for r in rows:
-        roi = "undefined" if r.mroi is None else f"{r.mroi:.4f}"
+        roi = f"{r.mroi:.4f}" if r.defined else "undefined"
         print(f"  cluster {r.cluster}: n={r.n_users} dcost={r.dcost:.2f} dvalue={r.dvalue:.2f} mROI={roi}")
     return 0
 
@@ -330,8 +331,7 @@ def cmd_offline_eval(args) -> int:
     if args.policy:
         policies = [(None, _read_policy(args.policy))]
     else:
-        rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
-        rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
+        rows = [marginal_roi(log, c) for c in range(log.n_clusters)]
         policies = [
             (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy)
             for delta in cfg.sweep
@@ -419,11 +419,12 @@ def cmd_weight_profile(args) -> int:
 
 def cmd_two_auctions(args) -> int:
     try:
-        comp = Distribution.from_json(json.loads(args.competition))
-        comp2 = Distribution.from_json(json.loads(args.competition2)) if args.competition2 else None
-    except json.JSONDecodeError as exc:
+        raw = json.loads(args.competition)
+        raw2 = json.loads(args.competition2) if args.competition2 else None
+    except _JSON_ERRORS as exc:
         raise UsageError(f"competition spec is not valid JSON: {exc}") from None
-    result = two_auction_demo(args.value, comp, args.step, comp2)
+    comp2 = Distribution.from_json(raw2) if args.competition2 else None
+    result = two_auction_demo(args.value, Distribution.from_json(raw), args.step, comp2)
     _write_csv(
         args.out,
         {"best_first_bid": repr(result.best_first_bid), "ticket_value": repr(args.value)},

@@ -36,6 +36,11 @@ _FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
 #: User lines are written and read in blocks of this many rows.
 _BLOCK = 1 << 10
+#: Every way the JSON decoder rejects its input: a syntax error
+#: (`json.JSONDecodeError`, a ValueError), an integer with more digits than
+#: `sys.get_int_max_str_digits()` allows (ValueError) and nesting deeper than
+#: the recursion limit (RecursionError).
+_JSON_ERRORS = (ValueError, RecursionError)
 
 
 class ValidationError(ValueError):
@@ -287,16 +292,20 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ClusterRow:
-    """Marginal estimates for one ad-exposure cluster."""
+    """Marginal estimates for one ad-exposure cluster; CIs are None where no bootstrap ran."""
 
-    cluster: int
+    cluster: int | None  # None for the whole log
     n_users: int | None  # None where unknown, as in a row read back from a marginals CSV
     dcost: float
     dvalue: float
-    mroi: float | None
+    mroi: float | None  # dvalue / dcost; None where the cost derivative is degenerate
     dcost_ci: tuple[float, float] | None = None
     dvalue_ci: tuple[float, float] | None = None
     mroi_ci: tuple[float, float] | None = None
+
+    @property
+    def defined(self) -> bool:
+        return self.mroi is not None
 
 
 @dataclass(frozen=True)
@@ -394,7 +403,7 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         raise LogFormatError("empty file: missing header line") from None
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except _JSON_ERRORS as exc:
         raise LogFormatError(f"malformed header: {exc}", 1) from exc
     if not isinstance(header, dict):
         raise LogFormatError("header must be a JSON object", 1)
@@ -455,7 +464,7 @@ def _parse_block(texts: list[str]) -> list[tuple] | None:
         return None
     try:
         items = json.loads("[" + "\n,".join(texts) + "]")
-    except (ValueError, RecursionError):  # the array nests one level deeper than a line
+    except _JSON_ERRORS:  # the array nests one level deeper than a line
         return None
     if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
         return None
@@ -474,7 +483,7 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
     for lineno, line in zip(linenos, texts):
         try:
             raw = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested for the decoder
+        except _JSON_ERRORS as exc:
             raise LogFormatError(f"malformed user line: {exc}", lineno) from exc
         if not isinstance(raw, dict):
             raise LogFormatError("user line must be a JSON object", lineno)

@@ -2,9 +2,14 @@
 
 Exact importance-weighted (IPS) totals, their linearized first-order
 marginals, marginal ROI per cluster, and user-level bootstrap
-confidence intervals. All estimators are pure folds over users; the
-headline reductions use compensated summation so that partitioned
-and serial evaluation agree to ~1e-10 relative.
+confidence intervals. All estimators are pure folds over users.
+`ips_estimate` and `marginal_estimate`, and so the `marginals` points
+and the marginals that the `offline-eval` sweep optimizes, are exactly
+rounded (`math.fsum`), so partitioned and serial evaluation agree.
+`UserSums.point`, and so the `offline-eval` points and
+`predict_policy_delta`, sums each group pairwise with numpy; such a sum
+can differ from the exactly rounded one in the last bits (about 2e-16
+relative on 30k users).
 
 User subsets must be declared over pre-randomization state (the
 exposure cluster fixed at collection start): this is what makes the
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -193,31 +198,19 @@ def _mroi(dcost, dvalue, scale):
         return np.where(np.abs(dcost) > ROI_REL_THRESHOLD * scale, np.divide(dvalue, dcost), np.nan)
 
 
-@dataclass(frozen=True)
-class MarginalRoi:
-    """Ratio of value and cost derivatives; undefined when the cost
-    derivative is degenerate (the raw numerator/denominator are kept)."""
-
-    value: float | None
-    numerator: float
-    denominator: float
-
-    @property
-    def defined(self) -> bool:
-        return self.value is not None
-
-
 def _roi_scale(log: RandomizedLog, cluster: int | None) -> float:
     """The summed |cost| of a cluster's users: the scale of the mROI threshold."""
     return np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum()
 
 
-def marginal_roi(log: RandomizedLog, cluster: int | None) -> MarginalRoi:
-    """Marginal ROI on a cluster: marginal value per marginal unit of spend."""
-    num = marginal_estimate(log, "value_predicted", cluster)
-    den = marginal_estimate(log, "cost", cluster)
-    roi = float(_mroi(den, num, _roi_scale(log, cluster)))
-    return MarginalRoi(value=None if math.isnan(roi) else roi, numerator=num, denominator=den)
+def marginal_roi(log: RandomizedLog, cluster: int | None) -> ClusterRow:
+    """Marginal ROI on a cluster (None: the whole log): marginal value per
+    marginal unit of spend, with the two derivatives and no CIs."""
+    dcost = marginal_estimate(log, "cost", cluster)
+    dvalue = marginal_estimate(log, "value_predicted", cluster)
+    roi = float(_mroi(dcost, dvalue, _roi_scale(log, cluster)))
+    n_users = int(np.count_nonzero(_cluster_mask(log, cluster)))
+    return ClusterRow(cluster, n_users, dcost, dvalue, mroi=None if math.isnan(roi) else roi)
 
 
 @dataclass(frozen=True)
@@ -412,26 +405,15 @@ def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0
     :func:`marginal_roi` gives them, with bootstrap CIs."""
     nc = log.n_clusters
     ci = bootstrap_ci(_cluster_sums(log), log, n_resamples=n_resamples, seed=seed)
-    n_users = np.bincount(log.arrays["cluster"], minlength=nc)
     rows = []
     for c in range(nc):
-        roi = marginal_roi(log, c)
-        mroi_ci = None
         lo, hi = ci.low[2 * nc + c], ci.high[2 * nc + c]
-        if np.isfinite(lo) and np.isfinite(hi):
-            mroi_ci = (float(lo), float(hi))
-        rows.append(
-            ClusterRow(
-                cluster=c,
-                n_users=int(n_users[c]),
-                dcost=roi.denominator,
-                dvalue=roi.numerator,
-                mroi=roi.value,
-                dcost_ci=(float(ci.low[c]), float(ci.high[c])),
-                dvalue_ci=(float(ci.low[nc + c]), float(ci.high[nc + c])),
-                mroi_ci=mroi_ci,
-            )
-        )
+        rows.append(replace(
+            marginal_roi(log, c),
+            dcost_ci=(float(ci.low[c]), float(ci.high[c])),
+            dvalue_ci=(float(ci.low[nc + c]), float(ci.high[nc + c])),
+            mroi_ci=(float(lo), float(hi)) if np.isfinite(lo) and np.isfinite(hi) else None,
+        ))
     return rows
 
 

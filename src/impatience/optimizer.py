@@ -50,7 +50,7 @@ class ReallocationProblem:
     def from_rows(cls, rows: Sequence[ClusterRow], cap_delta: float = 0.2) -> "ReallocationProblem":
         eligible, pinned = [], []
         for row in rows:
-            if row.dcost > 0 and row.mroi is not None:
+            if row.dcost > 0 and row.defined:
                 eligible.append((row.cluster, row.dcost, row.dvalue))
             else:
                 pinned.append(row.cluster)

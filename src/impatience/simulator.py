@@ -194,14 +194,12 @@ class BidPolicy:
 
 def _simulate_population(
     config: SimConfig,
-    spec: RandomizationSpec,
+    policy: BidPolicy,
     seed: int,
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
-    multipliers: np.ndarray | None = None,
-    dynamic: bool = False,
     collect_displays: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Vectorized simulation; one sequential RNG stream, chunked for memory.
+    """Vectorized simulation of `policy`; one sequential RNG stream, chunked for memory.
 
     All randomness for a chunk is drawn in a fixed order and amount that
     no policy changes, so outcomes for a user are a deterministic function
@@ -210,15 +208,12 @@ def _simulate_population(
     """
     _check_population_memory(config)
     rng = np.random.default_rng(seed)
-    mult = None if multipliers is None else np.asarray(multipliers)
     chunks = []
     remaining = config.n_users
     while remaining > 0:
         n = min(remaining, _CHUNK)
         remaining -= n
-        chunks.append(
-            _simulate_chunk(rng, n, config, spec, bucket_boundaries, mult, dynamic, collect_displays)
-        )
+        chunks.append(_simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays))
 
     if chunks:
         return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
@@ -255,10 +250,8 @@ def _simulate_chunk(
     rng: np.random.Generator,
     n: int,
     config: SimConfig,
-    spec: RandomizationSpec,
+    policy: BidPolicy,
     bucket_boundaries: tuple[int, ...],
-    mult: np.ndarray | None,
-    dynamic: bool,
     collect_displays: bool,
 ) -> dict[str, np.ndarray]:
     """Draw and simulate n users; see `_simulate_population`.
@@ -273,7 +266,7 @@ def _simulate_chunk(
     vpc = config.value_per_conversion
     levels = np.arange(len(config.initial_exposure))
     e0 = rng.choice(levels, p=np.asarray(config.initial_exposure), size=n)
-    theta = rng.lognormal(spec.mu, spec.sigma, n)
+    theta = rng.lognormal(policy.randomization.mu, policy.randomization.sigma, n)
     if config.auctions_per_user.kind == "poisson":
         m = rng.poisson(config.auctions_per_user.mean * config._activity_multipliers()[e0], n)
     else:
@@ -290,16 +283,16 @@ def _simulate_chunk(
     comp = config.competition.sample(rng, int(start[-1]))
 
     cluster = assign_clusters(e0, bucket_boundaries)
-    alpha = np.ones(n) if mult is None else mult[cluster]
-    dynamic = dynamic and mult is not None
+    # the impatient bidder's multiplier is 1.0 in every cluster
+    mult = np.ones(len(bucket_boundaries) + 1) if policy.multipliers is None else np.asarray(policy.multipliers)
     # exposure stays below its start level plus one win per step; indexed by
     # exposure k, these tables hold p0 * gamma**k and the multiplier of k's cluster
     exposures = np.arange(len(levels) + mmax)
     p_by_exposure = p0 * gamma ** exposures.astype(np.float64)
-    if dynamic:
+    if policy.dynamic:
         alpha_by_exposure = mult[assign_clusters(exposures, bucket_boundaries)]
     theta_s = theta[order]
-    bid_scale = alpha[order] * theta_s * vpc  # the bid's left factors, per user
+    bid_scale = mult[cluster][order] * theta_s * vpc  # the bid's left factors, per user
 
     k = e0[order]
     cost = np.zeros(n)
@@ -314,7 +307,7 @@ def _simulate_chunk(
         k_t, cost_t, vpred_t, vobs_t, wins_t = k[:c], cost[:c], vpred[:c], vobs[:c], wins[:c]
         comp_t = comp[lo:hi]
         p_k = p_by_exposure[k_t]
-        if dynamic:
+        if policy.dynamic:
             bid = alpha_by_exposure[k_t] * theta_s[:c] * vpc * p_k
         else:
             bid = bid_scale[:c] * p_k
@@ -355,7 +348,7 @@ def simulate_log(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> RandomizedLog:
     """Run one randomized collection period and aggregate it per user."""
-    pop = _simulate_population(config, spec, seed, bucket_boundaries)
+    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries)
     user_ids = tuple(f"u{i:08d}" for i in range(config.n_users))
     return RandomizedLog(spec, user_ids, bucket_boundaries, **pop)
 
@@ -369,7 +362,7 @@ def simulate_display_trace(
 
     Returns (exposure_at_display, converted) over all won displays.
     """
-    pop = _simulate_population(config, spec, seed, collect_displays=True)
+    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, collect_displays=True)
     return pop["display_exposure"], pop["display_converted"]
 
 
@@ -381,15 +374,7 @@ def _policy_totals(
     per_cluster: bool,
 ):
     """Total value and cost of one simulated population, overall or per cluster."""
-    mult = None if policy.kind == "impatient_randomized" else np.asarray(policy.multipliers)
-    pop = _simulate_population(
-        config,
-        policy.randomization,
-        seed,
-        bucket_boundaries,
-        multipliers=mult,
-        dynamic=policy.dynamic,
-    )
+    pop = _simulate_population(config, policy, seed, bucket_boundaries)
     if not per_cluster:
         return pop["value_predicted"].sum(), pop["cost"].sum()
     nc = len(bucket_boundaries) + 1
@@ -413,6 +398,14 @@ def _oracle_reps(
     """
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")
+    # every repetition's totals are held until their mean is taken. tracemalloc put
+    # the peak at 452 B per repetition for overall totals and at 552-1144 B for the
+    # totals of 1-20 clusters: the list of totals, their stacked copies and numpy's
+    # temporaries. 512 B plus 40 B per value-and-cost pair bounds both.
+    pairs = len(bucket_boundaries) + 1 if per_cluster else 1
+    per_rep = 512 + 40 * pairs
+    _check_memory(n_reps * per_rep, f"reps={n_reps} needs about {_approx(n_reps * per_rep)} B "
+                  f"({n_reps}*{per_rep} B of per-repetition totals)", _physical_memory())
     seeds = (np.random.SeedSequence([int(seed), rep]) for rep in range(n_reps))
     reps = [_policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster) for rep_seed in seeds]
     vals, costs = map(np.stack, zip(*reps))

@@ -12,7 +12,6 @@ import pytest
 
 import impatience
 from impatience import (
-    ClusterRow,
     ReallocationProblem,
     ValidationError,
     marginal_roi,
@@ -106,6 +105,30 @@ MALFORMED_CONFIGS = {
                                   "unknown randomization keys ['sigmaa']"),
 }
 
+
+#: The integer digit limit of this interpreter, 0 where it has none.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+#: Raw bytes that the JSON decoder cannot take: an integer one digit past the
+#: interpreter's limit, an array nested past the recursion limit, and a string
+#: holding a byte that is not UTF-8.
+UNDECODABLE = {"digits": b"9" * (INT_DIGITS + 1), "nested": b"[" * 10**5 + b"]" * 10**5, "byte": b'"\xff"'}
+
+#: Each input that the decoder reads, a defect spliced into it, and the start of the message.
+UNDECODABLE_PROBES = [
+    ("config", "digits", "config file {path} is not valid JSON: "),
+    ("config", "nested", "config file {path} is not valid JSON: "),
+    ("config", "byte", "cannot read {path}: "),
+    ("policy", "digits", "policy file {path} is not valid JSON: "),
+    ("policy", "nested", "policy file {path} is not valid JSON: "),
+    ("policy", "byte", "cannot read {path}: "),
+    ("log-header", "digits", "line 1: malformed header: "),
+    ("log-header", "nested", "line 1: malformed header: "),
+    ("log-user", "digits", "line 3: malformed user line: "),
+    ("log-user", "byte", "cannot read {path}: "),
+    ("marginals", "byte", "cannot read {path}: "),
+    ("competition", "digits", "competition spec is not valid JSON: "),
+    ("competition", "nested", "competition spec is not valid JSON: "),
+]
 
 #: 10**400 users at 64 B each, the tiny config's 6 auctions per user
 HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 6.4e+401 B"
@@ -268,6 +291,21 @@ class TestErrorHandling:
             argv += ["--policy", str(policy), "--users-per-arm", str(10**400)]
         assert run(*argv) == 1
         assert capsys.readouterr().err.startswith(f"impatience: error: {message}")
+        assert not out.exists()
+
+    def test_ab_reps_beyond_physical_memory_exit_one(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # once simulated one repetition after another, holding every one's totals, without end
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the size check")
+
+        monkeypatch.setattr(simulator, "_simulate_chunk", no_simulation)
+        policy, out = tmp_path / "policy.json", tmp_path / "ab.json"
+        policy.write_text(json.dumps(POLICY))
+        reps = 10**400
+        assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", str(reps), "--out", str(out)) == 1
+        # 512 B plus 40 B for the one value-and-cost pair of each repetition
+        assert capsys.readouterr().err.startswith(f"impatience: error: reps={reps} needs about 5.52e+402 B "
+                                                  f"({reps}*552 B of per-repetition totals)")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])
@@ -520,8 +558,7 @@ class TestPipeline:
         assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(ev)) == 0
         cfg = ExperimentConfig.from_json(json.loads(Path(tiny_config).read_text()))
         data = read_log(str(log))
-        rois = [marginal_roi(data, c) for c in range(data.n_clusters)]
-        rows = [ClusterRow(c, None, roi.denominator, roi.numerator, roi.value) for c, roi in enumerate(rois)]
+        rows = [marginal_roi(data, c) for c in range(data.n_clusters)]
         expected = []
         for delta in cfg.sweep:
             policy = solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy
@@ -734,6 +771,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("impatience: error: ")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target,defect,message", UNDECODABLE_PROBES,
+                             ids=[f"{target}-{defect}" for target, defect, _ in UNDECODABLE_PROBES])
+    def test_undecodable_input_exits_one(self, tiny_config, tmp_path, capsys, target, defect, message):
+        # each once ended in a ValueError, RecursionError or UnicodeDecodeError traceback
+        if defect == "digits" and not INT_DIGITS:
+            pytest.skip("this interpreter has no integer digit limit")
+        raw = UNDECODABLE[defect]
+        log, policy, marginals = tmp_path / "log.jsonl", tmp_path / "policy.json", tmp_path / "marginals.csv"
+        policy.write_text(json.dumps(POLICY))
+        if target.startswith("log") or target == "marginals":
+            assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        if target == "marginals":
+            assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marginals)) == 0
+        read_log = ["marginals", "--config", tiny_config, "--log", str(log)]
+        if target == "competition":
+            path, argv = None, ["two-auctions", "--competition", raw.decode()]
+        else:
+            # the value after `key` is replaced by the raw bytes
+            path, key, value, argv = {
+                "config": (Path(tiny_config), b'"seed": ', b"0", ["simulate", "--config", tiny_config]),
+                "policy": (policy, b'"cap_delta": ', b"0.2", ["ab", "--config", tiny_config, "--policy", str(policy)]),
+                "log-header": (log, b'"mu":', b"0.0", read_log),
+                "log-user": (log, b'"user_id":', b'"u00000001"', read_log),
+                "marginals": (marginals, b"cluster,", b"n_users", ["optimize", "--marginals", str(marginals)]),
+            }[target]
+            data = path.read_bytes()
+            assert data.count(key + value) == 1
+            path.write_bytes(data.replace(key + value, key + raw))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("impatience: error: " + message.format(path=path))
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--config", "--log", "--policy", "--marginals"])

@@ -6,8 +6,10 @@ example changes one or two places in one of them (drops a key, list
 entry or line, or puts another JSON value there) and runs every
 subcommand that reads that file. The replacement values are wrong JSON types and numbers
 outside the domain of every field: negative, fractional, NaN and
-infinite. Large valid sizes are left out, since they only make a run
-long.
+infinite; and raw text that the decoder itself rejects: an integer one
+digit past the interpreter's limit, an array nested past the recursion
+limit and a byte that is not UTF-8. Large valid sizes are left out, since
+they only make a run long.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -25,8 +28,13 @@ from hypothesis import strategies as st
 from impatience.cli import default_experiment_config, main
 
 DROP = "<drop>"  # the mutation that deletes the place instead of replacing it
-JSON_VALUES = [DROP, None, True, "x", [], {}, -1, 0, 0.5, 2.5, -1e308, math.nan, math.inf, -math.inf]
-CELL_VALUES = [DROP, "", "x", "-1", "0", "2.5", "-1e308", "nan", "inf", "-inf"]
+#: Placeholders that `write` replaces by raw bytes json.dump cannot write: an
+#: integer one digit past the interpreter's limit (a single digit where it has
+#: none), an array nested past the recursion limit and a string holding 0xff.
+RAW = {"<digits>": b"9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1),
+       "<nested>": b"[" * 10**5 + b"]" * 10**5, "<0xff>": b'"\xff"'}
+JSON_VALUES = [DROP, None, True, "x", [], {}, -1, 0, 0.5, 2.5, -1e308, math.nan, math.inf, -math.inf, *RAW]
+CELL_VALUES = [DROP, "", "x", "-1", "0", "2.5", "-1e308", "nan", "inf", "-inf", *RAW]
 
 CONFIG = default_experiment_config().to_json()
 CONFIG["sim"].update(n_users=60, auctions_per_user={"kind": "poisson", "mean": 4.0})
@@ -107,13 +115,17 @@ def commands(files, out):
 
 
 def write(kind, doc, path):
-    with open(path, "w") as fh:
-        if kind == "log":
-            fh.write("".join(json.dumps(line) + "\n" for line in doc))
-        elif kind == "marginals":
-            fh.write("# log_sha256=0\n" + "".join(",".join(row) + "\n" for row in doc))
-        else:
-            json.dump(doc, fh)
+    if kind == "log":
+        text = "".join(json.dumps(line) + "\n" for line in doc)
+    elif kind == "marginals":
+        text = "# log_sha256=0\n" + "".join(",".join(row) + "\n" for row in doc)
+    else:
+        text = json.dumps(doc)
+    data = text.encode()
+    for placeholder, raw in RAW.items():  # a JSON string, or a bare CSV cell
+        data = data.replace(json.dumps(placeholder).encode(), raw).replace(placeholder.encode(), raw)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def check_exits_cleanly(inputs, kind, changes):

@@ -198,19 +198,19 @@ class TestMarginalRoi:
         log = synth_log(value_fn=lambda cost, t, e, rng: cost)
         roi = marginal_roi(log, cluster=None)
         assert roi.defined
-        assert roi.value == pytest.approx(1.0, rel=1e-9)
+        assert roi.mroi == pytest.approx(1.0, rel=1e-9)
 
     def test_value_twice_cost_gives_two(self):
         log = synth_log(value_fn=lambda cost, t, e, rng: 2 * cost)
         roi = marginal_roi(log, cluster=None)
-        assert roi.value == pytest.approx(2.0, rel=1e-9)
+        assert roi.mroi == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_denominator_is_undefined(self):
         log = synth_log(cost_fn=lambda t, e, rng: np.zeros(len(t)))
         roi = marginal_roi(log, cluster=None)
         assert not roi.defined
-        assert roi.value is None
-        assert roi.denominator == 0.0
+        assert roi.mroi is None
+        assert roi.dcost == 0.0
 
 
 def resample_users(n, n_resamples, seed, groups=None):
@@ -455,7 +455,7 @@ class TestClusterEstimates:
         for r in rows:
             assert r.dcost == marginal_estimate(log, "cost", r.cluster)
             assert r.dvalue == marginal_estimate(log, "value_predicted", r.cluster)
-            assert r.mroi == marginal_roi(log, r.cluster).value
+            assert r.mroi == marginal_roi(log, r.cluster).mroi
 
     def test_undefined_mroi_matches_marginal_roi(self):
         # cluster 0 spends nothing and cluster 5 keeps no users: mROI is undefined in both
@@ -470,7 +470,7 @@ class TestClusterEstimates:
         assert rows[5].n_users == 0
         assert rows[0].mroi is None and rows[5].mroi is None
         for r in rows:
-            assert r.mroi == marginal_roi(log, r.cluster).value
+            assert r.mroi == marginal_roi(log, r.cluster).mroi
 
     def test_points_and_resamples_share_the_mroi_rule(self):
         # the statistic a resample finishes, given the point's sums, must be
@@ -480,10 +480,10 @@ class TestClusterEstimates:
 
         log = synth_log(n=1000, seed=7, cost_fn=no_cost_at_exposure_0)
         rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
-        sums = np.array([[[roi.denominator for roi in rois], [roi.numerator for roi in rois]]])
+        sums = np.array([[[roi.dcost for roi in rois], [roi.dvalue for roi in rois]]])
         finished = _cluster_sums(log).finish(sums)[0, 2 * log.n_clusters:]
-        assert [None if np.isnan(m) else float(m) for m in finished] == [roi.value for roi in rois]
-        assert rois[0].value is None
+        assert [None if np.isnan(m) else float(m) for m in finished] == [roi.mroi for roi in rois]
+        assert rois[0].mroi is None
 
     def test_ci_brackets_point(self):
         log = synth_log(n=3000, seed=6)

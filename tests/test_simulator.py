@@ -446,6 +446,15 @@ POLICIES = {
 }
 
 
+def population(cfg, seed, multipliers=None, dynamic=False, collect_displays=False):
+    """`_simulate_population` of the policy that `reference_population` takes as loose arguments."""
+    if multipliers is None:
+        policy = BidPolicy.impatient(SPEC)
+    else:
+        policy = BidPolicy("cluster_multiplier", SPEC, tuple(multipliers), dynamic)
+    return simulator._simulate_population(cfg, policy, seed, collect_displays=collect_displays)
+
+
 def assert_same_bytes(got, ref):
     assert got.keys() == ref.keys()
     for key in ref:
@@ -485,7 +494,7 @@ class TestActiveUserLoop:
     def test_matches_padded_loop(self, world, policy):
         cfg = small_config(**{"n_users": 2500, **WORLDS[world]})
         for seed in (0, 1):
-            got = simulator._simulate_population(cfg, SPEC, seed, **POLICIES[policy])
+            got = population(cfg, seed, **POLICIES[policy])
             ref = reference_population(cfg, SPEC, seed, **POLICIES[policy])
             assert_same_bytes(got, ref)
 
@@ -493,7 +502,7 @@ class TestActiveUserLoop:
     def test_matches_padded_loop_across_chunks_and_draw_blocks(self, policy, monkeypatch):
         monkeypatch.setattr(simulator, "_CHUNK", 700)
         cfg = small_config(n_users=2500, **WORLDS["poisson_activity"])
-        got = simulator._simulate_population(cfg, SPEC, 3, **POLICIES[policy])
+        got = population(cfg, 3, **POLICIES[policy])
         ref = reference_population(cfg, SPEC, 3, **POLICIES[policy])
         assert_same_bytes(got, ref)
 
@@ -501,7 +510,7 @@ class TestActiveUserLoop:
     def test_reference_catches_mutant(self, mutant, monkeypatch):
         mutate_chunk(monkeypatch, *MUTANTS[mutant])
         cfg = small_config(n_users=2500, **WORLDS["poisson_activity"])
-        got = simulator._simulate_population(cfg, SPEC, 0, collect_displays=True)
+        got = population(cfg, 0, collect_displays=True)
         ref = reference_population(cfg, SPEC, 0, collect_displays=True)
         with pytest.raises(AssertionError):
             assert_same_bytes(got, ref)
@@ -519,7 +528,7 @@ class TestMemory:
         )
         tracemalloc.start()
         try:
-            pop = simulator._simulate_population(cfg, SPEC, 0)
+            pop = population(cfg, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -537,7 +546,7 @@ class TestMemory:
         needed = min(1000, chunk) * 8 * 8 + 1000 * 64
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: needed)
-        assert len(simulator._simulate_population(cfg, SPEC, 0)["theta"]) == 1000
+        assert len(population(cfg, 0)["theta"]) == 1000
         monkeypatch.setattr(simulator, "_physical_memory", lambda: needed - 1)
         with pytest.raises(ValidationError, match=re.escape(f"need about {needed:.3g} B")):
-            simulator._simulate_population(cfg, SPEC, 0)
+            population(cfg, 0)
