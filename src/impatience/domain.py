@@ -331,12 +331,9 @@ _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: The fields of a user line in the order `_to_json` writes them (sorted keys).
 _ROW_FIELDS = tuple(sorted(_USER_FIELDS))
-#: One user line as a `%` template: `%d` for counts, `%r` for floats (the
-#: `float.__repr__` that `json` writes for finite floats) and `%s` for the id,
-#: already quoted by `encode_basestring_ascii`. Its output equals `_to_json`'s.
-_ROW = "{" + ",".join(
-    f'"{f}":' + ("%s" if f == "user_id" else "%d" if f in _INT_FIELDS else "%r") for f in _ROW_FIELDS
-) + "}\n"
+#: One user line as a `%` template of already formatted values (see `_texts`).
+#: Its output equals `_to_json`'s.
+_ROW = "{" + ",".join(f'"{f}":%s' for f in _ROW_FIELDS) + "}\n"
 
 
 @contextmanager
@@ -381,10 +378,22 @@ def _write_lines(log: RandomizedLog, fh: IO[str]) -> None:
     for start in range(0, len(log), _BLOCK):
         block = slice(start, start + _BLOCK)
         columns = [
-            map(encode_basestring_ascii, log.user_ids[block]) if f == "user_id" else log.arrays[f][block].tolist()
+            map(encode_basestring_ascii, log.user_ids[block]) if f == "user_id" else _texts(log.arrays[f][block])
             for f in _ROW_FIELDS
         ]
         fh.write("".join(map(_ROW.__mod__, zip(*columns))))
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each value of a column, formatting each distinct value once.
+
+    Counts are written by `str`, floats by `float.__repr__`, as `json`
+    writes finite floats. Values are told apart by their bits, so -0.0 and
+    0.0 keep their own texts.
+    """
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    to_text = str if values.dtype == np.int64 else float.__repr__
+    return np.array(list(map(to_text, distinct.view(values.dtype).tolist())), dtype=object)[where].tolist()
 
 
 def read_log(source: str | IO[str]) -> RandomizedLog:

@@ -76,12 +76,10 @@ class CtrModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the exponent -|z| never overflows; it is -z where z >= 0 and z below. It is
+    # written as a minimum, which returns a NaN z as it is, so the NaN keeps its sign
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _design(bucket: np.ndarray, include_fatigue: bool, n_buckets: int) -> np.ndarray:

@@ -272,7 +272,10 @@ def _simulate_chunk(
     else:
         m = np.full(n, int(config.auctions_per_user.value))
     mmax = int(m.max())
-    order = np.argsort(-m, kind="stable")  # sorted row j is user order[j]
+    # sorted row j is user order[j]: descending auction count, ties by user index.
+    # The key is unsigned and as narrow as mmax allows, so that up to 16 bits
+    # numpy's stable sort is a radix sort
+    order = np.argsort((mmax - m).astype(np.min_scalar_type(mmax)), kind="stable")
     pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
     pos[order] = np.arange(n)
     n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
@@ -296,15 +299,13 @@ def _simulate_chunk(
 
     k = e0[order]
     cost = np.zeros(n)
-    vobs = np.zeros(n)
-    vpred = np.zeros(n)
-    wins = np.zeros(n, dtype=np.int64)
+    conversions = np.zeros(n, dtype=np.int64)
     disp_key, disp_exposure = [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
     disp_converted = [np.array([], dtype=bool)]
     for t in range(mmax):
         c, lo, hi = n_active[t], start[t], start[t + 1]
         # views of the active prefix: adding to them adds to the users' totals
-        k_t, cost_t, vpred_t, vobs_t, wins_t = k[:c], cost[:c], vpred[:c], vobs[:c], wins[:c]
+        k_t, cost_t, conversions_t = k[:c], cost[:c], conversions[:c]
         comp_t = comp[lo:hi]
         p_k = p_by_exposure[k_t]
         if policy.dynamic:
@@ -314,25 +315,35 @@ def _simulate_chunk(
         won = bid > comp_t
         converted = won & (rng.random(c) < p_k)
         cost_t += np.where(won, comp_t, 0.0)
-        vpred_t += np.where(won, vpc * p_k, 0.0)
-        vobs_t += np.where(converted, vpc, 0.0)
+        conversions_t += converted
         if collect_displays:
             idx = np.flatnonzero(won)
             disp_key.append(t * n + order[idx])
             disp_exposure.append(k_t[idx])
             disp_converted.append(converted[idx])
         k_t += won
-        wins_t += won
 
+    # a user's j-th win is at exposure e0 + j, so the value totals depend only on
+    # the start level and the win and conversion counts. Each table is a running
+    # sum, left to right, of the values in the order they are won, so a total is
+    # the float that adding them one step at a time gives
+    wins = k[pos] - e0
+    conversions = conversions[pos]
+    most = np.zeros(len(levels), dtype=np.int64)  # the most wins from each start level
+    np.maximum.at(most, e0, wins)
+    # row e, for start level e, is entries 1 + row[e] to row[e] + most[e]; entry 0 is 0.0
+    vpred_table = np.concatenate([[0.0]] + [np.cumsum(vpc * p_by_exposure[e:e + w]) for e, w in enumerate(most)])
+    row = np.cumsum(most) - most
+    vobs_table = np.concatenate(([0.0], np.cumsum(np.full(conversions.max(), vpc))))
     result = {
         "theta": theta,
         "exposure_at_start": e0,
         "cluster": cluster,
         "cost": cost[pos],
-        "value_observed": vobs[pos],
-        "value_predicted": vpred[pos],
+        "value_observed": vobs_table[conversions],
+        "value_predicted": vpred_table[np.where(wins > 0, row[e0] + wins, 0)],
         "n_auctions": m.astype(np.int64),
-        "n_wins": wins[pos],
+        "n_wins": wins,
     }
     if collect_displays:
         by_step_then_user = np.argsort(np.concatenate(disp_key))
@@ -398,17 +409,19 @@ def _oracle_reps(
     """
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")
-    # every repetition's totals are held until their mean is taken. tracemalloc put
-    # the peak at 452 B per repetition for overall totals and at 552-1144 B for the
-    # totals of 1-20 clusters: the list of totals, their stacked copies and numpy's
-    # temporaries. 512 B plus 40 B per value-and-cost pair bounds both.
+    # every repetition's totals are held until their mean is taken: 16 B per
+    # value-and-cost pair, and the standard deviation's temporary copy of one
+    # array adds 8 B. tracemalloc put the peak at 24.0 B per pair and repetition
+    # from 100k repetitions on, for overall totals and for 2-20 clusters.
     pairs = len(bucket_boundaries) + 1 if per_cluster else 1
-    per_rep = 512 + 40 * pairs
+    per_rep = 24 * pairs
     _check_memory(n_reps * per_rep, f"reps={n_reps} needs about {_approx(n_reps * per_rep)} B "
                   f"({n_reps}*{per_rep} B of per-repetition totals)", _physical_memory())
-    seeds = (np.random.SeedSequence([int(seed), rep]) for rep in range(n_reps))
-    reps = [_policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster) for rep_seed in seeds]
-    vals, costs = map(np.stack, zip(*reps))
+    shape = (n_reps, pairs) if per_cluster else (n_reps,)
+    vals, costs = np.empty(shape), np.empty(shape)
+    for rep in range(n_reps):
+        rep_seed = np.random.SeedSequence([int(seed), rep])
+        vals[rep], costs[rep] = _policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster)
     ddof = 1 if n_reps > 1 else 0
     return {
         "value": vals.mean(axis=0),

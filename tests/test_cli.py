@@ -303,9 +303,9 @@ class TestErrorHandling:
         policy.write_text(json.dumps(POLICY))
         reps = 10**400
         assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", str(reps), "--out", str(out)) == 1
-        # 512 B plus 40 B for the one value-and-cost pair of each repetition
-        assert capsys.readouterr().err.startswith(f"impatience: error: reps={reps} needs about 5.52e+402 B "
-                                                  f"({reps}*552 B of per-repetition totals)")
+        # 24 B for the one value-and-cost pair of each repetition
+        assert capsys.readouterr().err.startswith(f"impatience: error: reps={reps} needs about 2.4e+401 B "
+                                                  f"({reps}*24 B of per-repetition totals)")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])

@@ -461,6 +461,21 @@ def block_log(n: int) -> RandomizedLog:
     return make_log(*users)
 
 
+def repeating_log(n: int) -> RandomizedLog:
+    """n users whose values repeat within and across blocks, mixing 0.0 and -0.0."""
+    return make_log(*(
+        make_user(
+            i,
+            theta=(0.1, 0.3, 2.0)[i % 3],
+            cost=(-0.0, 0.0, 1.5, 0.0)[i % 4],
+            value_observed=(0.0, -0.0)[i % 2],
+            value_predicted=0.3 * (i % 5),
+            n_auctions=i % 3 + 10,
+        )
+        for i in range(n)
+    ))
+
+
 B = domain._BLOCK
 
 
@@ -469,12 +484,12 @@ class TestBlockIO:
 
     @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 1])
     def test_writer_matches_json_encoder_bytes(self, n):
-        log = block_log(n)
-        buf = io.StringIO()
-        write_log(log, buf)
-        assert buf.getvalue() == reference_text(log)
-        buf.seek(0)
-        assert read_log(buf) == log
+        for log in (block_log(n), repeating_log(n)):
+            buf = io.StringIO()
+            write_log(log, buf)
+            assert buf.getvalue() == reference_text(log)
+            buf.seek(0)
+            assert read_log(buf) == log
 
     def lines(self, log: RandomizedLog) -> list[str]:
         return reference_text(log).splitlines(keepends=True)

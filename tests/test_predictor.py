@@ -93,6 +93,21 @@ class TestGradientAndLikelihood:
         assert p[1] == 0.5
         assert p[2] == 1.0
 
+    def test_sigmoid_matches_the_masked_formula_bit_for_bit(self):
+        def masked_sigmoid(z):
+            # the two-branch form with boolean-mask assignments
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        rng = np.random.default_rng(0)
+        special = [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 709.8, -709.8]
+        z = np.concatenate([special, rng.normal(0, 3, 2000), rng.normal(0, 300, 2000)])
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
 
 class TestFitCtr:
     def test_intercept_only_recovers_empirical_rate(self):

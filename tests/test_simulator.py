@@ -437,6 +437,17 @@ WORLDS = {
     "no_users": dict(n_users=0),
     "uniform_competition": dict(competition=Distribution(kind="uniform", low=0.0, high=1.0)),
     "poisson_competition": dict(competition=Distribution(kind="poisson", mean=0.3)),
+    # 0.3 is not exact in binary, and some users convert 6 times or more, where
+    # the running sum 0.3 + 0.3 + ... first differs from 0.3 times the count
+    "inexact_value": dict(value_per_conversion=0.3, base_conversion_prob=0.9,
+                          competition=Distribution(kind="uniform", low=0.0, high=0.3)),
+    "no_fatigue": dict(fatigue_decay=1.0),
+    # about 10 users average 273 auctions: the sort key of a count above 255 takes 16 bits
+    "heavy_tail": dict(
+        auctions_per_user=Distribution(kind="poisson", mean=2.0),
+        initial_exposure=(0.996, 0.004),
+        activity_by_exposure=(1.0, 300.0),
+    ),
 }
 POLICIES = {
     "base": dict(),
@@ -482,6 +493,8 @@ MUTANTS = {
     "extra_user": ("# count(m > t)\n", "# count(m > t)\n    n_active = np.minimum(n_active + 1, n)\n"),
     # each step's displays stay in sorted-row order, not user order
     "display_rows": ("disp_key.append(t * n + order[idx])", "disp_key.append(t * n + idx)"),
+    # each start level's value table begins one win late
+    "value_table_shift": ("p_by_exposure[e:e + w]", "p_by_exposure[e + 1:e + 1 + w]"),
 }
 
 
@@ -497,6 +510,11 @@ class TestActiveUserLoop:
             got = population(cfg, seed, **POLICIES[policy])
             ref = reference_population(cfg, SPEC, seed, **POLICIES[policy])
             assert_same_bytes(got, ref)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_heavy_tail_needs_a_16_bit_sort_key(self, seed):
+        cfg = small_config(n_users=2500, **WORLDS["heavy_tail"])
+        assert population(cfg, seed)["n_auctions"].max() > 255
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_matches_padded_loop_across_chunks_and_draw_blocks(self, policy, monkeypatch):
