@@ -128,11 +128,7 @@ def _file_sha256(path: str) -> str:
 
 def _load_config(args) -> tuple[ExperimentConfig, str]:
     """The --config file with the flags that override its fields, checked as one config."""
-    try:
-        with _reading(args.config), open(args.config) as fh:
-            raw = json.load(fh)
-    except _JSON_ERRORS as exc:
-        raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
+    raw = _read_json(args.config, "config")
     flags = {key: value for key in ("seed", "resamples", "sweep") if (value := getattr(args, key, None)) is not None}
     return replace(ExperimentConfig.from_json(raw), **flags), _file_sha256(args.config)
 
@@ -154,6 +150,15 @@ def _reading(path: str):
         yield
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _read_json(path: str, what: str):
+    """The JSON document in the `what` file at `path`."""
+    try:
+        with _reading(path), open(path) as fh:
+            return json.load(fh)
+    except _JSON_ERRORS as exc:
+        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
 @contextmanager
@@ -219,24 +224,21 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _read_policy(path: str) -> PolicySpec:
-    try:
-        with _reading(path), open(path) as fh:
-            doc = json.load(fh)
-    except _JSON_ERRORS as exc:
-        raise UsageError(f"policy file {path} is not valid JSON: {exc}") from None
+    doc = _read_json(path, "policy")
     if not isinstance(doc, dict):
         raise UsageError(f"policy file {path} does not hold a JSON object")
     if doc.get("schema") != POLICY_SCHEMA:
-        raise UsageError(f"unsupported policy schema {doc.get('schema')!r}")
+        raise UsageError(f"policy file {path} has an unsupported schema {doc.get('schema')!r}")
     multipliers = doc.get("multipliers")
-    numbers = [doc.get("cap_delta"), *multipliers.values()] if isinstance(multipliers, dict) else [None]
-    if not all(map(_is_number, numbers)):
-        raise UsageError(f"policy file {path} needs a 'multipliers' object and a 'cap_delta', all finite numbers")
+    if not isinstance(multipliers, dict):
+        raise UsageError(f"policy file {path} needs a 'multipliers' object, got {multipliers!r}")
     try:
-        clusters = [int(k) for k in multipliers]
-    except ValueError:
-        raise UsageError(f"policy file {path}: cluster keys must be integers, got {list(multipliers)}") from None
-    return PolicySpec(dict(zip(clusters, map(float, multipliers.values()))), float(doc["cap_delta"]))
+        # a cluster key is the decimal text `optimize` writes, with no sign, space, underscore
+        # or leading zero; any other key stays a string, which `PolicySpec` rejects
+        clusters = [int(k) if k.isascii() and k.isdigit() and (k == "0" or k[0] != "0") else k for k in multipliers]
+        return PolicySpec(dict(zip(clusters, multipliers.values())), doc.get("cap_delta"))
+    except ValueError as exc:  # a ValidationError, or a key past `sys.get_int_max_str_digits()`
+        raise UsageError(f"policy file {path}: {exc}") from None
 
 
 def _read_log_checked(path: str) -> tuple[RandomizedLog, str]:

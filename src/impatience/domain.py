@@ -31,7 +31,6 @@ _COLUMNS = ("theta", "exposure_at_start", "cluster", "cost", "value_observed", "
             "n_auctions", "n_wins")
 _USER_FIELDS = ("user_id",) + _COLUMNS
 _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
-_FLOAT_FIELDS = ("theta", "cost", "value_observed", "value_predicted")
 #: The dtype each column is held in.
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
 #: User lines are written and read in blocks of this many rows.
@@ -147,6 +146,11 @@ class RandomizationSpec:
             raise ValidationError(f"mu and sigma must be finite numbers, got mu={self.mu!r}, sigma={self.sigma!r}")
         if not self.sigma > 0:
             raise ValidationError(f"sigma must be strictly positive, got {self.sigma}")
+        if not -744 < self.mu < 709:  # every importance weight takes ln(theta) - mu
+            raise ValidationError(f"mu must lie in (-744, 709), where theta's median exp(mu) is a positive "
+                                  f"finite float, got {self.mu}")
+        if not 0 < float(self.sigma) * float(self.sigma) < math.inf:  # every importance weight divides by it
+            raise ValidationError(f"sigma must have a finite square above 0 in floating point, got {self.sigma}")
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -270,15 +274,19 @@ class PolicySpec:
     cap_delta: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "multipliers", dict(self.multipliers))
-        if not 0 < self.cap_delta < 1:
-            raise ValidationError(f"cap_delta must lie in (0, 1), got {self.cap_delta}")
+        if not (_is_number(self.cap_delta) and 0 < self.cap_delta < 1):
+            raise ValidationError(f"cap_delta must be a finite number in (0, 1), got {self.cap_delta!r}")
         lo, hi = 1 - self.cap_delta, 1 + self.cap_delta
-        for cluster, alpha in self.multipliers.items():
+        multipliers = dict(self.multipliers)
+        for cluster, alpha in multipliers.items():
+            if not (_is_integer(cluster) and cluster >= 0 and _is_number(alpha)):
+                raise ValidationError(f"multipliers must map integer clusters >= 0 to finite numbers, "
+                                      f"got {cluster!r}: {alpha!r}")
             if not lo - 1e-12 <= alpha <= hi + 1e-12:
                 raise ValidationError(
                     f"cluster {cluster}: multiplier {alpha} outside cap interval [{lo}, {hi}]"
                 )
+        object.__setattr__(self, "multipliers", {int(c): float(a) for c, a in multipliers.items()})
 
     def multiplier_array(self, n_clusters: int) -> np.ndarray:
         """Dense per-cluster multipliers; missing clusters default to 1."""
@@ -426,9 +434,8 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
     user_ids: list[str] = []
-    parts: dict[str, list[np.ndarray]] = {f: [] for f in _COLUMNS}
+    blocks = []  # the columns of each block, as arrays
     user_lines = []  # the line numbers of each block's users
-    out_of_range = {}  # the first out-of-range value of each column
     lineno = 2
     while chunk := list(islice(lines, _BLOCK)):
         texts, linenos = list(map(str.strip, chunk)), range(lineno, lineno + len(chunk))
@@ -439,15 +446,9 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
                 continue
         ids, *columns = _parse_block(texts) or _check_lines(texts, linenos)
         user_ids.extend(ids)
-        for f, values in zip(_COLUMNS, columns):
-            try:
-                parts[f].append(_parse_column(f, values, linenos))
-            except LogFormatError as exc:
-                out_of_range.setdefault(f, exc)
+        blocks.append(_parse_columns(columns, linenos))
         user_lines.append(linenos)
-    if out_of_range:  # reported after every line's syntax and types, first column first
-        raise next(out_of_range[f] for f in _COLUMNS if f in out_of_range)
-    columns = {f: np.concatenate(parts[f]) for f in _COLUMNS if parts[f]}
+    columns = dict(zip(_COLUMNS, map(np.concatenate, zip(*blocks))))
     try:
         return RandomizedLog(spec, tuple(user_ids), boundaries, **columns)
     except ValidationError as exc:
@@ -455,9 +456,10 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         raise LogFormatError(str(exc), lineno) from exc
 
 
-#: A user line's values in `_USER_FIELDS` order, and the JSON types each may have.
+#: A user line's values in `_USER_FIELDS` order, and the JSON types each may have with the words its error uses.
 _USER_VALUES = itemgetter(*_USER_FIELDS)
-_JSON_TYPES = [{str}] + [{int} if f in _INT_FIELDS else {int, float} for f in _COLUMNS]
+_FIELD_TYPES = {"user_id": ({str, int}, "a string or an integer"),
+                **{f: ({int}, "an integer") if f in _INT_FIELDS else ({int, float}, "a number") for f in _COLUMNS}}
 
 
 def _parse_block(texts: list[str]) -> list[tuple] | None:
@@ -478,11 +480,16 @@ def _parse_block(texts: list[str]) -> list[tuple] | None:
     if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
         return None
     try:
-        columns = list(zip(*map(_USER_VALUES, items)))
+        return _typed(list(zip(*map(_USER_VALUES, items))))
     except KeyError:
         return None
-    if all(set(map(type, values)) <= types for values, types in zip(columns, _JSON_TYPES)):
-        return columns
+
+
+def _typed(columns: list[tuple]) -> list[tuple] | None:
+    """`columns` with integer user ids as their decimal text, or None where `_FIELD_TYPES` rejects a value."""
+    kinds = [set(map(type, values)) for values in columns]
+    if all(kind <= types for kind, (types, _) in zip(kinds, _FIELD_TYPES.values())):
+        return [tuple(map(str, columns[0])) if int in kinds[0] else columns[0], *columns[1:]]
     return None
 
 
@@ -499,27 +506,23 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
         missing = [f for f in _USER_FIELDS if f not in raw]
         if missing:
             raise LogFormatError(f"missing fields {missing}", lineno)
-        # JSON numbers only: no strings, nulls or booleans, and no
-        # fractional counts (int() would truncate them)
-        for f in _INT_FIELDS:
-            if type(raw[f]) is not int:
-                raise LogFormatError(f"{f} must be an integer, got {raw[f]!r}", lineno)
-        for f in _FLOAT_FIELDS:
-            if type(raw[f]) is not float and type(raw[f]) is not int:
-                raise LogFormatError(f"{f} must be a number, got {raw[f]!r}", lineno)
-        rows.append((str(raw["user_id"]), *(raw[f] for f in _COLUMNS)))
-    return list(zip(*rows))
+        # no fractional counts (int() would truncate them), and no nulls or booleans
+        for f, (types, word) in _FIELD_TYPES.items():
+            if type(raw[f]) not in types:
+                raise LogFormatError(f"{f} must be {word}, got {raw[f]!r}", lineno)
+        rows.append(_USER_VALUES(raw))
+    return _typed(list(zip(*rows)))
 
 
-def _parse_column(name: str, values, linenos) -> np.ndarray:
-    """One log column as an array; a JSON number beyond its dtype names its line."""
-    dtype = _DTYPES[name]
+def _parse_columns(columns: list[tuple], linenos: Iterable[int]) -> list[np.ndarray]:
+    """A block's value columns as arrays; the first line with a JSON number beyond its column's dtype is a fault."""
     try:
-        return np.array(values, dtype=dtype)
+        return [np.array(values, dtype=_DTYPES[f]) for f, values in zip(_COLUMNS, columns)]
     except OverflowError:
-        for value, lineno in zip(values, linenos):
-            try:
-                np.array(value, dtype=dtype)
-            except OverflowError:
-                raise LogFormatError(f"{name} is out of range, got {value!r}", lineno) from None
+        for lineno, row in zip(linenos, zip(*columns)):
+            for f, value in zip(_COLUMNS, row):
+                try:
+                    np.array(value, dtype=_DTYPES[f])
+                except OverflowError:
+                    raise LogFormatError(f"{f} is out of range, got {value!r}", lineno) from None
         raise

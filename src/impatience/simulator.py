@@ -259,7 +259,7 @@ def _simulate_chunk(
     Users are held in order of auction count, descending, so the users
     with an auction at step t are a prefix and each step costs only its
     real auctions. Per-user outputs come back in user order, and the
-    display trace lists each step's winners by user index.
+    display trace lists each step's winners in that sorted order.
     """
     gamma = config.fatigue_decay
     p0 = config.base_conversion_prob
@@ -288,6 +288,12 @@ def _simulate_chunk(
     cluster = assign_clusters(e0, bucket_boundaries)
     # the impatient bidder's multiplier is 1.0 in every cluster
     mult = np.ones(len(bucket_boundaries) + 1) if policy.multipliers is None else np.asarray(policy.multipliers)
+    # a bid is at most vpc * alpha * theta (p0 * gamma**k < 1 scales it down), and the
+    # block's users win at most one value of at most vpc per auction
+    reach = max(float(mult.max()) * float(theta.max()), int(start[-1]))
+    if math.isinf(vpc * reach) and math.isfinite(reach):
+        raise ValidationError(f"sim 'value_per_conversion' {vpc:g} overflows a float: a block of {n} users "
+                              f"bids or wins up to {reach:.6g} times it")
     # exposure stays below its start level plus one win per step; indexed by
     # exposure k, these tables hold p0 * gamma**k and the multiplier of k's cluster
     exposures = np.arange(len(levels) + mmax)
@@ -300,8 +306,7 @@ def _simulate_chunk(
     k = e0[order]
     cost = np.zeros(n)
     conversions = np.zeros(n, dtype=np.int64)
-    disp_key, disp_exposure = [np.array([], dtype=np.int64)], [np.array([], dtype=np.int64)]
-    disp_converted = [np.array([], dtype=bool)]
+    disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
     for t in range(mmax):
         c, lo, hi = n_active[t], start[t], start[t + 1]
         # views of the active prefix: adding to them adds to the users' totals
@@ -317,10 +322,8 @@ def _simulate_chunk(
         cost_t += np.where(won, comp_t, 0.0)
         conversions_t += converted
         if collect_displays:
-            idx = np.flatnonzero(won)
-            disp_key.append(t * n + order[idx])
-            disp_exposure.append(k_t[idx])
-            disp_converted.append(converted[idx])
+            disp_exposure.append(k_t[won])
+            disp_converted.append(converted[won])
         k_t += won
 
     # a user's j-th win is at exposure e0 + j, so the value totals depend only on
@@ -346,9 +349,8 @@ def _simulate_chunk(
         "n_wins": wins,
     }
     if collect_displays:
-        by_step_then_user = np.argsort(np.concatenate(disp_key))
-        result["display_exposure"] = np.concatenate(disp_exposure)[by_step_then_user]
-        result["display_converted"] = np.concatenate(disp_converted)[by_step_then_user]
+        result["display_exposure"] = np.concatenate(disp_exposure)
+        result["display_converted"] = np.concatenate(disp_converted)
     return result
 
 
@@ -371,7 +373,10 @@ def simulate_display_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-display debug trace for predictor training.
 
-    Returns (exposure_at_display, converted) over all won displays.
+    Returns (exposure_at_display, converted) over all won displays: block by
+    block, step by step, and within a step in the step loop's order, by
+    auction count (descending, ties by user index). The fit and the
+    calibration read per-bucket counts, so no output depends on this order.
     """
     pop = _simulate_population(config, BidPolicy.impatient(spec), seed, collect_displays=True)
     return pop["display_exposure"], pop["display_converted"]

@@ -50,15 +50,31 @@ for argv in json.loads(sys.argv[1]):
 
 
 POLICY = {"schema": "impatience-policy/1", "cap_delta": 0.2, "multipliers": {"0": 1.1}}
+KEY_RULE = ": multipliers must map integer clusters >= 0 to finite numbers, got"
+#: Each malformed policy and the end of its message, which starts `policy file <path>`.
 MALFORMED_POLICIES = {
-    "not_an_object": [POLICY],
-    "no_multipliers": {k: v for k, v in POLICY.items() if k != "multipliers"},
-    "no_cap_delta": {k: v for k, v in POLICY.items() if k != "cap_delta"},
-    "multipliers_not_an_object": {**POLICY, "multipliers": [1.1]},
-    "non_integer_cluster": {**POLICY, "multipliers": {"a": 1.1}},
-    "string_multiplier": {**POLICY, "multipliers": {"0": "x"}},
-    "nan_multiplier": {**POLICY, "multipliers": {"0": float("nan")}},
-    "infinite_cap_delta": {**POLICY, "cap_delta": float("inf")},
+    "not_an_object": ([POLICY], " does not hold a JSON object"),
+    "other_schema": ({**POLICY, "schema": "impatience-policy/2"}, " has an unsupported schema 'impatience-policy/2'"),
+    "no_multipliers": ({k: v for k, v in POLICY.items() if k != "multipliers"},
+                       " needs a 'multipliers' object, got None"),
+    "no_cap_delta": ({k: v for k, v in POLICY.items() if k != "cap_delta"},
+                     ": cap_delta must be a finite number in (0, 1), got None"),
+    "multipliers_not_an_object": ({**POLICY, "multipliers": [1.1]}, " needs a 'multipliers' object, got [1.1]"),
+    "non_integer_cluster": ({**POLICY, "multipliers": {"a": 1.1}}, f"{KEY_RULE} 'a': 1.1"),
+    "string_multiplier": ({**POLICY, "multipliers": {"0": "x"}}, f"{KEY_RULE} 0: 'x'"),
+    "nan_multiplier": ({**POLICY, "multipliers": {"0": float("nan")}}, f"{KEY_RULE} 0: nan"),
+    "infinite_cap_delta": ({**POLICY, "cap_delta": float("inf")},
+                           ": cap_delta must be a finite number in (0, 1), got inf"),
+    # each key below was once read as a cluster: "01" as 1, so that the 1.1 of "1" was dropped,
+    # " 2" as 2 and "1_0" as 10
+    "colliding_keys": ({**POLICY, "multipliers": {"1": 1.1, "01": 0.9}}, f"{KEY_RULE} '01': 0.9"),
+    "padded_key": ({**POLICY, "multipliers": {" 2": 1.1}}, f"{KEY_RULE} ' 2': 1.1"),
+    "underscored_key": ({**POLICY, "multipliers": {"1_0": 1.1}}, f"{KEY_RULE} '1_0': 1.1"),
+    "negative_key": ({**POLICY, "multipliers": {"-1": 1.1}}, f"{KEY_RULE} '-1': 1.1"),
+    "non_ascii_digit_key": ({**POLICY, "multipliers": {"\u0661": 1.1}}, f"{KEY_RULE} '\u0661': 1.1"),
+    # more digits than int() takes: the decoder's message, not a traceback
+    "long_key": ({**POLICY, "multipliers": {"1" * 5000: 1.1}}, ": Exceeds the limit "),
+    "boolean_multiplier": ({**POLICY, "multipliers": {"0": True}}, f"{KEY_RULE} 0: True"),
 }
 
 CONFIG = default_experiment_config().to_json()
@@ -103,6 +119,14 @@ MALFORMED_CONFIGS = {
                           "sim 'auctions_per_user': distribution 'mean' must be a finite number"),
     "unknown_randomization_key": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 0.3, "sigmaa": 0.9}},
                                   "unknown randomization keys ['sigmaa']"),
+    # sigma**2 rounds to 0 or overflows: every importance weight divides by it
+    "vanishing_sigma": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 1e-200}},
+                        "config 'randomization': sigma must have a finite square above 0"),
+    "overflowing_sigma": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 1e200}},
+                          "config 'randomization': sigma must have a finite square above 0"),
+    # once blamed on a user's value_observed, after numpy overflow warnings
+    "overflowing_value_per_conversion": (with_sim(value_per_conversion=1e308),
+                                         "sim 'value_per_conversion' 1e+308 overflows a float"),
 }
 
 
@@ -743,12 +767,37 @@ class TestExitCodes:
     @pytest.mark.parametrize("probe", sorted(MALFORMED_POLICIES))
     def test_malformed_policy_exits_one(self, tiny_config, tmp_path, capsys, probe):
         policy = tmp_path / "policy.json"
-        policy.write_text(json.dumps(MALFORMED_POLICIES[probe]))
+        if probe == "long_key" and not INT_DIGITS:
+            pytest.skip("this interpreter has no integer digit limit")
+        doc, message = MALFORMED_POLICIES[probe]
+        policy.write_text(json.dumps(doc))
         out = tmp_path / "ab.json"
         code = run("ab", "--config", tiny_config, "--policy", str(policy), "--out", str(out))
         assert code == 1
-        assert capsys.readouterr().err.startswith("impatience:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"impatience: error: policy file {policy}{message}") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_values_that_overflow_exit_one_with_one_line(self, tiny_config, tmp_path):
+        # each once exited 0 with NaN rows, or ended in a traceback, or warned on stderr first
+        raw = json.loads(Path(tiny_config).read_text())
+        sigma, vpc, log = tmp_path / "sigma.json", tmp_path / "vpc.json", tmp_path / "log.jsonl"
+        sigma.write_text(json.dumps({**raw, "randomization": {"mu": 0.0, "sigma": 1e-200}}))
+        vpc.write_text(json.dumps({**raw, "sim": {**raw["sim"], "value_per_conversion": 1e308}}))
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        log.write_text(log.read_text().replace('"sigma":0.3', '"sigma":1e-200', 1))
+        out = str(tmp_path / "out")
+        commands = [["simulate", "--config", str(vpc), "--out", out],
+                    ["weight-profile", "--config", str(sigma), "--out", out],
+                    ["marginals", "--config", tiny_config, "--log", str(log), "--out", out]]
+        code = "import json, sys; from impatience.cli import main; print([main(a) for a in json.loads(sys.argv[1])])"
+        src = os.path.dirname(os.path.dirname(impatience.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.stdout.splitlines()[-1] == "[1, 1, 1]", done.stderr
+        assert [line.split(":")[:2] for line in done.stderr.splitlines()] == [["impatience", " error"]] * 3, done.stderr
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["init-config", "simulate"])
     def test_missing_output_directory_exits_one_and_names_target(self, tiny_config, tmp_path, capsys,

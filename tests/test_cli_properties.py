@@ -8,8 +8,12 @@ subcommand that reads that file. The replacement values are wrong JSON types and
 outside the domain of every field: negative, fractional, NaN and
 infinite; and raw text that the decoder itself rejects: an integer one
 digit past the interpreter's limit, an array nested past the recursion
-limit and a byte that is not UTF-8. Large valid sizes are left out, since
-they only make a run long.
+limit and a byte that is not UTF-8. Config values also take floats at
+the edges of the float range (`EXTREME_FLOATS`). Large valid sizes are
+left out, since they only make a run long.
+
+A run that exits 0 must write only finite numbers: the cells left empty
+on purpose (`MAY_BE_EMPTY`) are the only ones that may hold no number.
 """
 
 import contextlib
@@ -34,6 +38,8 @@ DROP = "<drop>"  # the mutation that deletes the place instead of replacing it
 RAW = {"<digits>": b"9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1),
        "<nested>": b"[" * 10**5 + b"]" * 10**5, "<0xff>": b'"\xff"'}
 JSON_VALUES = [DROP, None, True, "x", [], {}, -1, 0, 0.5, 2.5, -1e308, math.nan, math.inf, -math.inf, *RAW]
+#: The smallest subnormal, a float whose square rounds to 0 and one near the largest float.
+EXTREME_FLOATS = [5e-324, 1e-200, 1e308]
 CELL_VALUES = [DROP, "", "x", "-1", "0", "2.5", "-1e308", "nan", "inf", "-inf", *RAW]
 
 CONFIG = default_experiment_config().to_json()
@@ -142,6 +148,36 @@ def check_exits_cleanly(inputs, kind, changes):
             assert code in (0, 1, 2), argv
             if code != 0:
                 assert err.getvalue().startswith("impatience:"), (argv, err.getvalue())
+            else:
+                assert_finite_output(argv)
+
+
+#: Output columns left empty on purpose: an undefined mROI and its CI, and a calibration bucket with no events.
+MAY_BE_EMPTY = {"mroi", "mroi_ci_low", "mroi_ci_high", "empirical_rate", "mean_predicted"}
+
+
+def assert_finite_output(argv):
+    """Every number that the run of `argv` wrote is finite, and only `MAY_BE_EMPTY` cells are empty."""
+    with open(argv[argv.index("--out") + 1]) as fh:
+        text = fh.read()
+    if argv[0] in ("simulate", "ab", "optimize"):  # a JSONL log or one JSON document
+        for line in text.splitlines() if argv[0] == "simulate" else [text]:
+            assert all(map(math.isfinite, json_numbers(json.loads(line)))), (argv, line)
+        return
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    for row in rows:
+        for name, cell in zip(header, row):
+            if name != "model":
+                assert (cell == "" and name in MAY_BE_EMPTY) or math.isfinite(float(cell)), (argv, name, row)
+
+
+def json_numbers(doc):
+    """Every number in a decoded JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [number for item in doc for number in json_numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
 
 
 HEADER_KEYS = ("schema", "mu", "sigma", "bucket_boundaries")
@@ -161,7 +197,9 @@ def changes(paths, values):
 
 
 @SETTINGS
-@given(changes=changes(places(CONFIG), JSON_VALUES))
+@given(changes=changes(places(CONFIG), JSON_VALUES + EXTREME_FLOATS))
+@example(changes=[(("randomization", "sigma"), 1e-200)])
+@example(changes=[(("sim", "value_per_conversion"), 1e308)])
 @example(changes=[(("sim", "activity_by_exposure"), DROP),
                   (("sim", "auctions_per_user"), {"kind": "constant", "value": 2.5})])
 @example(changes=[(("sim", "activity_by_exposure"), DROP),

@@ -62,6 +62,24 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="sigma"):
             RandomizationSpec(mu=0.0, sigma=0.0)
 
+    @pytest.mark.parametrize("mu,sigma,message", [
+        # 1e-200 squared rounds to 0, which every importance weight divides by
+        (0.0, 1e-200, "sigma must have a finite square above 0"),
+        (0.0, 5e-324, "sigma must have a finite square above 0"),
+        (0.0, 1e200, "sigma must have a finite square above 0"),
+        # ln(theta) - mu overflowed the linear weight of every user
+        (-1e308, 0.3, "mu must lie in (-744, 709)"),
+        (709.5, 0.3, "mu must lie in (-744, 709)"),
+    ])
+    def test_spec_must_keep_the_weights_finite(self, mu, sigma, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            RandomizationSpec(mu, sigma)
+        header = {**json.loads(TestReadErrors.HEADER), "mu": mu, "sigma": sigma}
+        with pytest.raises(LogFormatError, match=re.escape(f"line 1: invalid header: {message}")):
+            read_log(io.StringIO(json.dumps(header) + "\n"))
+        RandomizationSpec(0.0, 1e-160)  # its square is subnormal, but above 0
+        RandomizationSpec(-743.0, 1e150)
+
     def test_spec_holds_floats(self):
         # numpy scalars are numbers too, and an int mu is written to a log header as 0.0
         spec = RandomizationSpec(0, np.float64(0.3))
@@ -90,6 +108,29 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="cap"):
             PolicySpec({0: 1.5}, cap_delta=0.2)
         PolicySpec({0: 1.2, 1: 0.8}, cap_delta=0.2)
+
+    @pytest.mark.parametrize("multipliers,cap_delta,message", [
+        ({"a": 1.0}, 0.2, "got 'a': 1.0"),
+        ({-1: 1.0}, 0.2, "got -1: 1.0"),
+        ({True: 1.0}, 0.2, "got True: 1.0"),
+        ({0: "1.0"}, 0.2, "got 0: '1.0'"),
+        ({0: True}, 0.2, "got 0: True"),
+        ({0: float("nan")}, 0.2, "got 0: nan"),
+        ({0: 1.0}, float("inf"), "cap_delta must be a finite number in (0, 1), got inf"),
+        ({0: 1.0}, "0.2", "cap_delta must be a finite number in (0, 1), got '0.2'"),
+    ])
+    def test_policy_checks_every_field(self, multipliers, cap_delta, message):
+        # a string key or multiplier once raised a bare TypeError, and a boolean multiplier read as 1.0
+        with pytest.raises(ValidationError) as info:
+            PolicySpec(multipliers, cap_delta)
+        if not message.startswith("cap_delta"):
+            message = "multipliers must map integer clusters >= 0 to finite numbers, " + message
+        assert str(info.value) == message
+
+    def test_policy_holds_ints_and_floats(self):
+        policy = PolicySpec({np.int64(2): np.float64(1.1), 0: 1}, cap_delta=np.float64(0.2))
+        assert [(type(c), type(a)) for c, a in policy.multipliers.items()] == [(int, float)] * 2
+        assert policy.multipliers == {2: 1.1, 0: 1.0}
 
 
 def four_users(**bad) -> list[dict]:
@@ -426,6 +467,22 @@ class TestReadInputHoles:
         with pytest.raises(LogFormatError, match="line 4: user b: cluster 1 inconsistent"):
             read_log(io.StringIO(text + "\n"))
 
+    @pytest.mark.parametrize("value", [None, True, 1.5, [1, 2], {"a": 1}, float("inf")],
+                             ids=["null", "true", "fraction", "array", "object", "overflow"])
+    def test_user_id_must_be_a_string_or_an_integer(self, value):
+        # each was once read as the text Python's `str` gives it, so a null id was user "None"
+        with pytest.raises(LogFormatError) as info:
+            self.read(self.user_line(user_id=value).replace("Infinity", "1e400"))
+        assert str(info.value) == f"line 3: user_id must be a string or an integer, got {value!r}"
+
+    @pytest.mark.parametrize("extra", [{}, {"extra": 1}], ids=["block", "per_line"])
+    def test_integer_user_id_is_its_decimal_text(self, extra):
+        log = self.read(self.user_line(user_id=7, **extra))
+        assert log.user_ids == ("ok", "7")
+        with pytest.raises(LogFormatError, match="line 4: duplicate user_id '7'"):
+            read_log(io.StringIO("\n".join([self.HEADER, self.user_line(user_id="7"),
+                                            self.user_line(user_id=3), self.user_line(user_id=7, **extra)])))
+
     @pytest.mark.parametrize("field,value", [("n_auctions", 10**30), ("cost", 10**400)])
     def test_out_of_range_numbers_name_their_line(self, field, value):
         with pytest.raises(LogFormatError, match=f"line 3: {field} is out of range"):
@@ -576,14 +633,18 @@ class TestBlockIO:
         with pytest.raises(LogFormatError, match="line 3: malformed user line: maximum recursion depth"):
             read_log(io.StringIO("".join(self.lines(make_log(make_user(0)))) + line + "\n"))
 
-    def test_syntax_fault_in_a_later_block_comes_before_an_out_of_range_value(self):
+    def test_faults_are_reported_in_file_order(self):
         lines = self.lines(make_log(*(make_user(i) for i in range(2 * B))))
+        # a number out of range in the first block comes before a syntax fault in the second
         lines[2] = lines[2].replace('"n_auctions":10', f'"n_auctions":{10**30}')
         lines[B + 5] = "{not json\n"
-        with pytest.raises(LogFormatError, match=f"line {B + 6}: malformed user line"):
+        with pytest.raises(LogFormatError, match=f"line 3: n_auctions is out of range, got {10**30}$"):
             read_log(io.StringIO("".join(lines)))
-        # the first out-of-range column in field order wins, at its first line
-        del lines[B + 5]
-        lines[B + 5] = re.sub(r'"cost":[^,]+', f'"cost":{10**400}', lines[B + 5])
-        with pytest.raises(LogFormatError, match=f"line {B + 6}: cost is out of range"):
+        # and before a number out of range in an earlier column on a later line of its block
+        lines[B + 5] = lines[B + 4]
+        lines[5] = re.sub(r'"cost":[^,]+', f'"cost":{10**400}', lines[5])
+        with pytest.raises(LogFormatError, match="line 3: n_auctions is out of range"):
+            read_log(io.StringIO("".join(lines)))
+        lines[2] = lines[3]
+        with pytest.raises(LogFormatError, match="line 6: cost is out of range"):
             read_log(io.StringIO("".join(lines)))

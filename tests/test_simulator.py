@@ -375,7 +375,7 @@ def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, 
     keys = ("theta", "exposure_at_start", "cluster", "cost", "value_observed",
             "value_predicted", "n_auctions", "n_wins")
     out = {k: [] for k in keys}
-    displays = []  # (exposure, converted) per won auction, by chunk, step, then user
+    displays = []  # (exposure, converted) per won auction, by chunk, step, then rank
     remaining = config.n_users
     while remaining > 0:
         n = min(remaining, simulator._CHUNK)
@@ -413,7 +413,7 @@ def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, 
                     cost[i] += comp[cell]
                     vpred[i] += vpc * p_k
                     vobs[i] += vpc if converted else 0.0
-                    chunk_displays.append((t, i, k, converted))
+                    chunk_displays.append((t, rank[i], k, converted))
                     k += 1
                     wins[i] += 1
         displays.extend((k, converted) for _, _, k, converted in sorted(chunk_displays))
@@ -491,8 +491,8 @@ MUTANTS = {
                      "c, lo, hi = n_active[t], start[t] - t, start[t + 1] - t"),
     # each step also bids for the first user with no auction left
     "extra_user": ("# count(m > t)\n", "# count(m > t)\n    n_active = np.minimum(n_active + 1, n)\n"),
-    # each step's displays stay in sorted-row order, not user order
-    "display_rows": ("disp_key.append(t * n + order[idx])", "disp_key.append(t * n + idx)"),
+    # each display records the exposure after its win, not at it
+    "display_exposure_after_win": ("disp_exposure.append(k_t[won])", "disp_exposure.append(k_t[won] + 1)"),
     # each start level's value table begins one win late
     "value_table_shift": ("p_by_exposure[e:e + w]", "p_by_exposure[e + 1:e + 1 + w]"),
 }
