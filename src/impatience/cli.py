@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .domain import (
     ValidationError,
     _JSON_ERRORS,
     _check_boundaries,
-    _is_integer,
-    _is_number,
+    _check_kinds,
+    _from_json,
     _json_object,
+    _unique_keys,
     atomic_write,
     read_log,
     write_log,
@@ -77,41 +78,16 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("resamples", "seed"):
-            if not (_is_integer(getattr(self, key)) and getattr(self, key) >= 0):
-                raise ValidationError(f"config '{key}' must be a non-negative integer, got {getattr(self, key)!r}")
-        if not _is_number(self.cap_delta):
-            raise ValidationError(f"config 'cap_delta' must be a finite number, got {self.cap_delta!r}")
-        if not (isinstance(self.sweep, (list, tuple)) and all(map(_is_number, self.sweep))):
-            raise ValidationError(f"config 'sweep' must be a list of finite numbers, got {self.sweep!r}")
+        _check_kinds(self, "config", {"resamples": "count", "seed": "count", "cap_delta": "number", "sweep": "numbers"})
         _check_boundaries(self.bucket_boundaries)
-        for key, convert in (("bucket_boundaries", tuple), ("resamples", int), ("cap_delta", float),
-                             ("sweep", tuple), ("seed", int)):
-            object.__setattr__(self, key, convert(getattr(self, key)))
+        object.__setattr__(self, "bucket_boundaries", tuple(self.bucket_boundaries))
 
     def to_json(self) -> dict:
         return _json_object(self)
 
     @classmethod
     def from_json(cls, raw) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ValidationError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config keys {sorted(unknown)}")
-        if "sim" not in raw or "randomization" not in raw:
-            raise ValidationError("config requires 'sim' and 'randomization' sections")
-        for key in ("sim", "randomization"):
-            if not isinstance(raw[key], dict):
-                raise ValidationError(f"config '{key}' must be an object, got {raw[key]!r}")
-        unknown = set(raw["randomization"]) - {"mu", "sigma"}
-        if unknown:
-            raise ValidationError(f"unknown randomization keys {sorted(unknown)}")
-        try:
-            spec = RandomizationSpec(raw["randomization"].get("mu"), raw["randomization"].get("sigma"))
-        except ValidationError as exc:
-            raise ValidationError(f"config 'randomization': {exc}") from None
-        return cls(**{**raw, "sim": SimConfig.from_json(raw["sim"]), "randomization": spec})
+        return _from_json(cls, raw, "config", sim=SimConfig.from_json, randomization=RandomizationSpec.from_json)
 
 
 def default_experiment_config() -> ExperimentConfig:
@@ -156,7 +132,7 @@ def _read_json(path: str, what: str):
     """The JSON document in the `what` file at `path`."""
     try:
         with _reading(path), open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except _JSON_ERRORS as exc:
         raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
 
@@ -421,8 +397,8 @@ def cmd_weight_profile(args) -> int:
 
 def cmd_two_auctions(args) -> int:
     try:
-        raw = json.loads(args.competition)
-        raw2 = json.loads(args.competition2) if args.competition2 else None
+        raw = json.loads(args.competition, object_pairs_hook=_unique_keys)
+        raw2 = json.loads(args.competition2, object_pairs_hook=_unique_keys) if args.competition2 else None
     except _JSON_ERRORS as exc:
         raise UsageError(f"competition spec is not valid JSON: {exc}") from None
     comp2 = Distribution.from_json(raw2) if args.competition2 else None

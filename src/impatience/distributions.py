@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ValidationError, _is_number, _json_object
+from .domain import ValidationError, _check_kinds, _from_json, _json_object
 
-_PARAMETERS = ("mu", "sigma", "low", "high", "value", "mean")
+_PARAMETERS = dict.fromkeys(("mu", "sigma", "low", "high", "value", "mean"), "number")
 _SQRT2 = math.sqrt(2.0)
 #: The largest x whose exp(x) is a finite float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -52,10 +52,7 @@ class Distribution:
     mean: float | None = None
 
     def __post_init__(self):
-        for key in _PARAMETERS:
-            value = getattr(self, key)
-            if value is not None and not _is_number(value):
-                raise ValidationError(f"distribution '{key}' must be a finite number, got {value!r}")
+        _check_kinds(self, "distribution", _PARAMETERS)
         if self.kind == "lognormal":
             if self.mu is None or self.sigma is None or self.sigma <= 0:
                 raise ValidationError("lognormal requires finite mu and sigma > 0")
@@ -126,10 +123,5 @@ class Distribution:
         return _json_object(self)
 
     @classmethod
-    def from_json(cls, raw: dict) -> "Distribution":
-        if not isinstance(raw, dict):
-            raise ValidationError(f"distribution spec must be a JSON object, got {raw!r}")
-        unknown = set(raw) - {"kind", *_PARAMETERS}
-        if unknown:
-            raise ValidationError(f"unknown distribution keys {sorted(unknown)}")
-        return cls(**{"kind": None, **raw})
+    def from_json(cls, raw) -> "Distribution":
+        return _from_json(cls, raw, "distribution")

@@ -12,7 +12,7 @@ import math
 import numbers
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
@@ -40,6 +40,19 @@ _BLOCK = 1 << 10
 #: `sys.get_int_max_str_digits()` allows (ValueError) and nesting deeper than
 #: the recursion limit (RecursionError).
 _JSON_ERRORS = (ValueError, RecursionError)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict, for `json`'s `object_pairs_hook`: a
+    repeated key is an error of the document (a ValueError, so one of `_JSON_ERRORS`)."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+    return members
 
 
 class ValidationError(ValueError):
@@ -89,6 +102,31 @@ def _is_number(value) -> bool:
 def _is_integer(value) -> bool:
     """An integer, numpy integers included; booleans are not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: Each kind of config field: the test its value must pass, the words its error uses
+#: and the type it is stored as.
+_KINDS = {
+    "count": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer", int),
+    "integer": (_is_integer, "an integer", int),
+    "number": (_is_number, "a finite number", float),
+    "numbers": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of finite numbers",
+                lambda v: tuple(map(float, v))),
+}
+
+
+def _check_kinds(record, what: str, kinds: dict[str, str]) -> None:
+    """Check each named field of the dataclass `record` against its kind in `_KINDS`
+    and store it as that kind's type; a field left at a default of None is skipped."""
+    defaults = {f.name: f.default for f in fields(record)}
+    for name, kind in kinds.items():
+        value = getattr(record, name)
+        if value is None and defaults[name] is None:
+            continue
+        test, words, store = _KINDS[kind]
+        if not test(value):
+            raise ValidationError(f"{what} '{name}' must be {words}, got {value!r}")
+        object.__setattr__(record, name, store(value))
 
 
 def _physical_memory() -> float:
@@ -142,17 +180,18 @@ class RandomizationSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (_is_number(self.mu) and _is_number(self.sigma)):
-            raise ValidationError(f"mu and sigma must be finite numbers, got mu={self.mu!r}, sigma={self.sigma!r}")
+        _check_kinds(self, "randomization", {"mu": "number", "sigma": "number"})
         if not self.sigma > 0:
             raise ValidationError(f"sigma must be strictly positive, got {self.sigma}")
         if not -744 < self.mu < 709:  # every importance weight takes ln(theta) - mu
             raise ValidationError(f"mu must lie in (-744, 709), where theta's median exp(mu) is a positive "
                                   f"finite float, got {self.mu}")
-        if not 0 < float(self.sigma) * float(self.sigma) < math.inf:  # every importance weight divides by it
+        if not 0 < self.sigma * self.sigma < math.inf:  # every importance weight divides by it
             raise ValidationError(f"sigma must have a finite square above 0 in floating point, got {self.sigma}")
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma", float(self.sigma))
+
+    @classmethod
+    def from_json(cls, raw) -> "RandomizationSpec":
+        return _from_json(cls, raw, "randomization")
 
 
 def _no_users(dtype):
@@ -328,6 +367,27 @@ class PolicyOutcome:
     cost_se: float
 
 
+def _from_json(cls, raw, what: str, **readers):
+    """The config record `cls` read from the JSON object `raw`, named `what` in errors: every key
+    is a field of `cls`, every field without a default is given, and each nested record is read
+    by its reader, whose error names the key. The constructor of `cls` checks the fields."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"missing {what} key {f.name!r}")
+    nested = {}
+    for key, read in readers.items():  # readers are for fields without defaults
+        try:
+            nested[key] = read(raw[key])
+        except ValidationError as exc:
+            raise ValidationError(f"{what} '{key}': {exc}") from None
+    return cls(**{**raw, **nested})
+
+
 def _json_object(config) -> dict:
     """A config dataclass as a JSON object: tuples as lists, None fields left out."""
     return asdict(config, dict_factory=lambda items: {
@@ -419,7 +479,7 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     except StopIteration:
         raise LogFormatError("empty file: missing header line") from None
     try:
-        header = json.loads(header_line)
+        header = json.loads(header_line, object_pairs_hook=_unique_keys)
     except _JSON_ERRORS as exc:
         raise LogFormatError(f"malformed header: {exc}", 1) from exc
     if not isinstance(header, dict):

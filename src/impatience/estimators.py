@@ -69,7 +69,8 @@ def exact_weight(theta, spec: RandomizationSpec, alpha):
     if not np.all(alpha > 0):
         raise ValidationError(f"alpha must be > 0, got {alpha}")
     la = np.log(alpha)
-    out = np.exp((2 * la * (np.log(theta) - spec.mu) - la * la) / (2 * spec.sigma**2))
+    with np.errstate(over="ignore"):  # a weight past the float range is inf, which `_terms` rejects
+        out = np.exp((2 * la * (np.log(theta) - spec.mu) - la * la) / (2 * spec.sigma**2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -142,10 +143,33 @@ def _resolve_subset(subset, log: RandomizedLog, allow_unsafe: bool) -> np.ndarra
     return subset.mask(log)
 
 
+def _finite(values):
+    """`values` (a float or an array) if every one is finite.
+
+    The one overflow rule of the estimators: a log value so large that its
+    importance-weighted term, or a sum of such terms, leaves the float
+    range is a fault of the log.
+    """
+    if not np.isfinite(values).all():
+        raise ValidationError("the log holds values too large to estimate with: a value times its importance "
+                              "weight, or a sum of such terms, overflows a float")
+    return values
+
+
+def _terms(values: np.ndarray, weights) -> np.ndarray:
+    """The per-user terms values * weights, each of which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(values * weights)
+
+
 def compensated_sum(values) -> float:
-    """Error-free-transformation sum (exactly rounded)."""
-    # fsum reads a list of Python floats faster than it iterates an array
-    return math.fsum(np.asarray(values, dtype=np.float64).tolist())
+    """Error-free-transformation sum (exactly rounded), which must be finite."""
+    try:
+        # fsum reads a list of Python floats faster than it iterates an array
+        total = math.fsum(np.asarray(values, dtype=np.float64).tolist())
+    except OverflowError:  # fsum raises where a partial sum leaves the float range
+        total = math.inf
+    return _finite(total)
 
 
 def ips_estimate(
@@ -170,7 +194,7 @@ def ips_estimate(
         return compensated_sum(m)
     alphas = policy.multiplier_array(log.n_clusters)
     w = exact_weight(arr["theta"][mask], log.spec, alphas[arr["cluster"][mask]])
-    return compensated_sum(m * w)
+    return compensated_sum(_terms(m, w))
 
 
 def _cluster_mask(log: RandomizedLog, cluster: int | None) -> np.ndarray:
@@ -185,7 +209,7 @@ def marginal_estimate(log: RandomizedLog, selector: str, cluster: int | None = N
     _check_metric(selector)
     mask = _cluster_mask(log, cluster)
     arr = log.arrays
-    return compensated_sum(arr[selector][mask] * linear_weight(arr["theta"][mask], log.spec))
+    return compensated_sum(_terms(arr[selector][mask], linear_weight(arr["theta"][mask], log.spec)))
 
 
 def _mroi(dcost, dvalue, scale):
@@ -200,7 +224,8 @@ def _mroi(dcost, dvalue, scale):
 
 def _roi_scale(log: RandomizedLog, cluster: int | None) -> float:
     """The summed |cost| of a cluster's users: the scale of the mROI threshold."""
-    return np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum()
+    with np.errstate(over="ignore"):
+        return _finite(np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum())
 
 
 def marginal_roi(log: RandomizedLog, cluster: int | None) -> ClusterRow:
@@ -343,7 +368,7 @@ class UserSums:
                     np.einsum("bn,kn->bk", counts[:m, a:z], self._rows[:, a:z], out=out[r:r + m, :, g])
 
         _in_parallel(run, n_blocks, n_workers)
-        return out
+        return _finite(out)
 
     def finish(self, sums: np.ndarray) -> np.ndarray:
         """The statistics of (R, k, n_groups) sums, one row per resample."""
@@ -354,9 +379,10 @@ class UserSums:
     def point(self) -> np.ndarray:
         """The statistic with every user counted once; each sum is pairwise over the group's users."""
         sums = np.empty((len(self._rows), len(self._segments)))
-        for g, (a, b) in enumerate(self._segments):
-            self._rows[:, a:b].sum(axis=1, out=sums[:, g])
-        return self.finish(sums[None])[0]
+        with np.errstate(over="ignore"):
+            for g, (a, b) in enumerate(self._segments):
+                self._rows[:, a:b].sum(axis=1, out=sums[:, g])
+        return self.finish(_finite(sums)[None])[0]
 
 
 def bootstrap_ci(
@@ -396,7 +422,7 @@ def _cluster_sums(log: RandomizedLog) -> UserSums:
         dcost, dvalue = sums[:, 0], sums[:, 1]
         return np.concatenate([dcost, dvalue, _mroi(dcost, dvalue, scale)], axis=1)
 
-    per_user = np.stack([arr["cost"] * lw, arr["value_predicted"] * lw])
+    per_user = np.stack([_terms(arr["cost"], lw), _terms(arr["value_predicted"], lw)])
     return UserSums(per_user, groups=arr["cluster"], n_groups=nc, finish=finish)
 
 
@@ -427,10 +453,10 @@ def _policy_delta_sums(log: RandomizedLog, policies: Sequence[PolicySpec]) -> Us
         alphas = policy.multiplier_array(log.n_clusters)
         x = alphas[arr["cluster"]] - 1.0
         w_minus_1 = exact_weight(arr["theta"], log.spec, alphas[arr["cluster"]]) - 1.0
-        rows[4 * j] = x * arr["value_predicted"] * lw
-        rows[4 * j + 1] = x * arr["cost"] * lw
-        rows[4 * j + 2] = arr["value_predicted"] * w_minus_1
-        rows[4 * j + 3] = arr["cost"] * w_minus_1
+        rows[4 * j] = _terms(x * arr["value_predicted"], lw)
+        rows[4 * j + 1] = _terms(x * arr["cost"], lw)
+        rows[4 * j + 2] = _terms(arr["value_predicted"], w_minus_1)
+        rows[4 * j + 3] = _terms(arr["cost"], w_minus_1)
     return UserSums(rows)
 
 

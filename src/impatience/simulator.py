@@ -17,7 +17,7 @@ and any per-cluster policy multiplier. Winning increments exposure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,15 @@ from .domain import (
     ValidationError,
     _COLUMNS,
     _approx,
+    _check_kinds,
     _check_memory,
-    _is_integer,
-    _is_number,
+    _from_json,
     _json_object,
     _physical_memory,
     assign_clusters,
 )
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
-_FLOAT_FIELDS = ("value_per_conversion", "base_conversion_prob", "fatigue_decay")
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
 _BYTES_PER_USER = 64  # a user's log columns and id
 
@@ -59,20 +58,9 @@ class SimConfig:
     activity_by_exposure: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not _is_integer(self.n_users):
-            raise ValidationError(f"sim 'n_users' must be an integer, got {self.n_users!r}")
-        object.__setattr__(self, "n_users", int(self.n_users))
-        for key in _FLOAT_FIELDS:
-            if not _is_number(getattr(self, key)):
-                raise ValidationError(f"sim '{key}' must be a finite number, got {getattr(self, key)!r}")
-            object.__setattr__(self, key, float(getattr(self, key)))
-        for key in ("initial_exposure", "activity_by_exposure"):
-            values = getattr(self, key)
-            if values is None and key == "activity_by_exposure":
-                continue
-            if not (isinstance(values, (list, tuple)) and all(map(_is_number, values))):
-                raise ValidationError(f"sim '{key}' must be a list of finite numbers, got {values!r}")
-            object.__setattr__(self, key, tuple(map(float, values)))
+        _check_kinds(self, "sim", {"n_users": "integer", "value_per_conversion": "number",
+                                   "base_conversion_prob": "number", "fatigue_decay": "number",
+                                   "initial_exposure": "numbers", "activity_by_exposure": "numbers"})
         if self.n_users < 0:
             raise ValidationError("n_users must be >= 0")
         if self.auctions_per_user.kind not in ("poisson", "constant"):
@@ -110,21 +98,9 @@ class SimConfig:
         return _json_object(self)
 
     @classmethod
-    def from_json(cls, raw: dict) -> "SimConfig":
-        known = [f.name for f in fields(cls)]
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ValidationError(f"unknown sim config keys {sorted(unknown)}")
-        missing = [key for key in known if key not in raw and key != "activity_by_exposure"]
-        if missing:
-            raise ValidationError(f"missing sim config key {missing[0]!r}")
-        distributions = {}
-        for key in ("auctions_per_user", "competition"):
-            try:
-                distributions[key] = Distribution.from_json(raw[key])
-            except ValidationError as exc:
-                raise ValidationError(f"sim '{key}': {exc}") from None
-        return cls(**{**raw, **distributions})
+    def from_json(cls, raw) -> "SimConfig":
+        return _from_json(cls, raw, "sim", auctions_per_user=Distribution.from_json,
+                          competition=Distribution.from_json)
 
 
 def default_config(n_users: int = 100_000) -> SimConfig:

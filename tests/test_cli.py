@@ -100,7 +100,8 @@ MALFORMED_CONFIGS = {
     "infinite_sweep_entry": ({**CONFIG, "sweep": [0.1, float("inf")]}, "'sweep' must be a list of finite numbers"),
     "string_sweep_entry": ({**CONFIG, "sweep": [0.1, "x"]}, "'sweep' must be a list of finite numbers"),
     "sweep_not_a_list": ({**CONFIG, "sweep": 0.1}, "'sweep' must be a list of finite numbers"),
-    "sim_not_an_object": ({**CONFIG, "sim": 5}, "'sim' must be an object"),
+    "sim_not_an_object": ({**CONFIG, "sim": 5}, "config 'sim': sim must be a JSON object, got int"),
+    "no_sim": ({k: v for k, v in CONFIG.items() if k != "sim"}, "missing config key 'sim'"),
     "string_bucket_boundaries": ({**CONFIG, "bucket_boundaries": "12"},
                                  "'bucket_boundaries' must be a list of integers"),
     "fractional_bucket_boundaries": ({**CONFIG, "bucket_boundaries": [1.5, 2]},
@@ -117,6 +118,9 @@ MALFORMED_CONFIGS = {
                               "sim 'competition': distribution 'mu' must be a finite number"),
     "nan_auctions_mean": (with_sim(auctions_per_user={"kind": "poisson", "mean": float("nan")}),
                           "sim 'auctions_per_user': distribution 'mean' must be a finite number"),
+    # once reported as `unknown distribution kind None`
+    "distribution_without_kind": (with_sim(competition={"mu": 0.0, "sigma": 1.0}),
+                                  "config 'sim': sim 'competition': missing distribution key 'kind'"),
     "unknown_randomization_key": ({**CONFIG, "randomization": {"mu": 0.0, "sigma": 0.3, "sigmaa": 0.9}},
                                   "unknown randomization keys ['sigmaa']"),
     # sigma**2 rounds to 0 or overflows: every importance weight divides by it
@@ -133,9 +137,10 @@ MALFORMED_CONFIGS = {
 #: The integer digit limit of this interpreter, 0 where it has none.
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 #: Raw bytes that the JSON decoder cannot take: an integer one digit past the
-#: interpreter's limit, an array nested past the recursion limit, and a string
-#: holding a byte that is not UTF-8.
-UNDECODABLE = {"digits": b"9" * (INT_DIGITS + 1), "nested": b"[" * 10**5 + b"]" * 10**5, "byte": b'"\xff"'}
+#: interpreter's limit, an array nested past the recursion limit, a string
+#: holding a byte that is not UTF-8, and an object that repeats a key.
+UNDECODABLE = {"digits": b"9" * (INT_DIGITS + 1), "nested": b"[" * 10**5 + b"]" * 10**5, "byte": b'"\xff"',
+               "repeated": b'{"a": 0, "a": 1}'}
 
 #: Each input that the decoder reads, a defect spliced into it, and the start of the message.
 UNDECODABLE_PROBES = [
@@ -152,6 +157,11 @@ UNDECODABLE_PROBES = [
     ("marginals", "byte", "cannot read {path}: "),
     ("competition", "digits", "competition spec is not valid JSON: "),
     ("competition", "nested", "competition spec is not valid JSON: "),
+    # each of these once kept the last value of the key
+    ("config", "repeated", "config file {path} is not valid JSON: repeated key 'a'"),
+    ("policy", "repeated", "policy file {path} is not valid JSON: repeated key 'a'"),
+    ("log-header", "repeated", "line 1: malformed header: repeated key 'a'"),
+    ("competition", "repeated", "competition spec is not valid JSON: repeated key 'a'"),
 ]
 
 #: 10**400 users at 64 B each, the tiny config's 6 auctions per user
@@ -798,6 +808,44 @@ class TestExitCodes:
         assert done.stdout.splitlines()[-1] == "[1, 1, 1]", done.stderr
         assert [line.split(":")[:2] for line in done.stderr.splitlines()] == [["impatience", " error"]] * 3, done.stderr
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("target,old,new,key", [
+        ("policy", '"multipliers": {"0": 1.1}', '"multipliers": {"1": 1.1, "1": 0.9}', "'1'"),
+        ("config", '"seed": 0', '"seed": 0, "seed": 5', "'seed'"),
+    ])
+    def test_repeated_key_exits_one(self, tiny_config, tmp_path, capsys, target, old, new, key):
+        # once read as the policy {1: 0.9} and as a config with seed 5, each with exit 0
+        files = {"config": Path(tiny_config), "policy": tmp_path / "policy.json"}
+        files["policy"].write_text(json.dumps(POLICY))
+        files[target].write_text(files[target].read_text().replace(old, new))
+        out = tmp_path / "ab.json"
+        assert run("ab", "--config", tiny_config, "--policy", str(files["policy"]), "--reps", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"impatience: error: {target} file {files[target]} is not valid JSON: repeated key {key}\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("user", ["first", "largest_weight"])
+    def test_log_values_that_overflow_the_estimators_exit_one(self, tmp_path, capsys, user):
+        # a 300-user default log with one user's cost at 1e308 exited 0 with an inf or NaN cell and
+        # numpy warnings: for the user with the largest weight the term itself overflows, for the
+        # first user only resample sums that draw it more than once do
+        raw = default_experiment_config().to_json()
+        raw["sim"]["n_users"] = 300
+        config, log, out = tmp_path / "config.json", tmp_path / "log.jsonl", tmp_path / "m.csv"
+        config.write_text(json.dumps(raw))
+        assert run("simulate", "--config", str(config), "--out", str(log)) == 0
+        lines = log.read_text().splitlines(keepends=True)
+        users = [json.loads(line) for line in lines[1:]]
+        i = 0 if user == "first" else max(range(len(users)), key=lambda j: abs(math.log(users[j]["theta"])))
+        lines[i + 1] = json.dumps({**users[i], "cost": 1e308}) + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("marginals", "--config", str(config), "--log", str(log), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("impatience: error: the log holds values too large to estimate with")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["init-config", "simulate"])
     def test_missing_output_directory_exits_one_and_names_target(self, tiny_config, tmp_path, capsys,

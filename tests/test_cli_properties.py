@@ -9,7 +9,8 @@ outside the domain of every field: negative, fractional, NaN and
 infinite; and raw text that the decoder itself rejects: an integer one
 digit past the interpreter's limit, an array nested past the recursion
 limit and a byte that is not UTF-8. Config values also take floats at
-the edges of the float range (`EXTREME_FLOATS`). Large valid sizes are
+the edges of the float range (`EXTREME_FLOATS`), and log values 1e308,
+which overflows the estimators' weighted sums. Large valid sizes are
 left out, since they only make a run long.
 
 A run that exits 0 must write only finite numbers: the cells left empty
@@ -215,8 +216,9 @@ def test_mutated_policy_exits_cleanly(inputs, changes):
 
 
 @SETTINGS
-@given(changes=changes(LOG_PATHS, JSON_VALUES))
+@given(changes=changes(LOG_PATHS, JSON_VALUES + [1e308]))
 @example(changes=[((0, "mu"), "0.5")])
+@example(changes=[((1, "cost"), 1e308)])
 @example(changes=[((0, "sigma"), True)])
 def test_mutated_log_exits_cleanly(inputs, changes):
     check_exits_cleanly(inputs, "log", changes)

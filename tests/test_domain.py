@@ -398,10 +398,11 @@ class TestReadErrors:
                                            ("mu", True)])
     def test_header_mu_and_sigma_must_be_numbers(self, key, value):
         header = {**json.loads(self.HEADER), key: value}
-        with pytest.raises(LogFormatError, match="line 1: invalid header: mu and sigma must be finite numbers"):
+        message = f"randomization '{key}' must be a finite number"
+        with pytest.raises(LogFormatError, match=f"line 1: invalid header: {message}"):
             read_log(io.StringIO(json.dumps(header) + "\n"))
         # the same rule holds for a spec built in code
-        with pytest.raises(ValidationError, match="mu and sigma must be finite numbers"):
+        with pytest.raises(ValidationError, match=message):
             RandomizationSpec(**{"mu": 0.0, "sigma": 0.3, key: value})
 
 

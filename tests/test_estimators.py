@@ -213,6 +213,46 @@ class TestMarginalRoi:
         assert roi.dcost == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """A log value whose weighted term or sum leaves the float range is an error of the log, not an inf."""
+
+    MESSAGE = "overflows a float"
+
+    def log(self, thetas, cost=1e308) -> RandomizedLog:
+        n = len(thetas)
+        return RandomizedLog(SPEC, tuple(f"u{i}" for i in range(n)), theta=thetas, exposure_at_start=[0] * n,
+                             cluster=[0] * n, cost=[cost] * n, value_observed=[1.0] * n, value_predicted=[1.0] * n,
+                             n_auctions=[1] * n, n_wins=[1] * n)
+
+    def test_overflowing_term(self):
+        # ln(theta) / sigma**2 = 10, so 1e308 times the weight is past the float range
+        log = self.log([math.exp(0.9)])
+        for estimate in (lambda: marginal_estimate(log, "cost"), lambda: marginal_roi(log, 0),
+                         lambda: cluster_estimates(log, n_resamples=100)):
+            with pytest.raises(ValidationError, match=self.MESSAGE):
+                estimate()
+
+    def test_overflowing_exact_weight(self):
+        log = self.log([1e300], cost=1.0)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            ips_estimate(log, "cost", policy=PolicySpec({0: 1.2}))
+
+    def test_overflowing_fsum(self):
+        # each term is about 1e308, their sum is not a float: fsum raises OverflowError
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            estimators.compensated_sum([1e308, 1e308])
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            marginal_estimate(self.log([math.exp(0.09)] * 2), "cost")
+
+    def test_overflowing_point_and_resample_sums(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            UserSums(np.array([[1e308, 1e308]])).point()
+        # most resamples of two users draw the first one twice
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            UserSums(np.array([[1e308, 1.0]])).resample(0, 100)
+
+
 def resample_users(n, n_resamples, seed, groups=None):
     """Each resample's drawn users, in resample order, under the block stream
     contract of `UserSums.resample`: blocks of max(1, 2**16 // n) resamples,

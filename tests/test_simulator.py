@@ -70,8 +70,19 @@ class TestConfigValidation:
     def test_missing_key_named(self):
         raw = default_config().to_json()
         del raw["fatigue_decay"]
-        with pytest.raises(ValidationError, match="missing sim config key 'fatigue_decay'"):
+        with pytest.raises(ValidationError, match="missing sim key 'fatigue_decay'"):
             SimConfig.from_json(raw)
+
+    @pytest.mark.parametrize("record,raw,message", [
+        (SimConfig, 5, "sim must be a JSON object, got int"),
+        (Distribution, {"mu": 0.0, "sigma": 1.0}, "missing distribution key 'kind'"),
+        (RandomizationSpec, {"mu": 0.0, "sigma": 0.3, "sigmaa": 0.9}, r"unknown randomization keys \['sigmaa'\]"),
+        (RandomizationSpec, {"mu": 0.0}, "missing randomization key 'sigma'"),
+    ])
+    def test_reader_checks_the_document(self, record, raw, message):
+        # the first once ended in a TypeError and the second named a kind None
+        with pytest.raises(ValidationError, match=message):
+            record.from_json(raw)
 
     def test_integer_json_numbers_become_floats(self):
         raw = {**default_config().to_json(), "value_per_conversion": 10, "initial_exposure": [0, 1]}
