@@ -42,7 +42,7 @@ from .domain import (
     read_log,
     write_log,
 )
-from .estimators import _policy_delta_bootstraps, cluster_estimates, marginal_roi, weight_std_profile
+from .estimators import _ClusterSums, _policy_delta_bootstraps, cluster_estimates, weight_std_profile
 from .optimizer import ReallocationProblem, solve_reallocation_detailed
 from .predictor import ConvergenceError, calibration_curve, events_from_trace, fit_ctr
 from .simulator import (
@@ -309,7 +309,7 @@ def cmd_offline_eval(args) -> int:
     if args.policy:
         policies = [(None, _read_policy(args.policy))]
     else:
-        rows = [marginal_roi(log, c) for c in range(log.n_clusters)]
+        rows = _ClusterSums(log).rows()
         policies = [
             (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy)
             for delta in cfg.sweep

@@ -529,12 +529,17 @@ def _parse_block(texts: list[str]) -> list[tuple] | None:
     with a newline, which no JSON string may hold, so a string cannot span
     two lines; every line opens and closes an object, the block gives one
     object per line and every value is a scalar, so each object is exactly
-    one line.
+    one line. Each member of an object holds one colon outside its strings
+    and a number holds none, so a block with as many colons as fields per
+    line repeats no key (an id holding a colon takes the per-line checks).
     """
     if not all(s[0] == "{" and s[-1] == "}" for s in texts):
         return None
+    text = "[" + "\n,".join(texts) + "]"
+    if text.count(":") != len(_USER_FIELDS) * len(texts):
+        return None
     try:
-        items = json.loads("[" + "\n,".join(texts) + "]")
+        items = json.loads(text)
     except _JSON_ERRORS:  # the array nests one level deeper than a line
         return None
     if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
@@ -558,7 +563,7 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
     rows = []
     for lineno, line in zip(linenos, texts):
         try:
-            raw = json.loads(line)
+            raw = json.loads(line, object_pairs_hook=_unique_keys)
         except _JSON_ERRORS as exc:
             raise LogFormatError(f"malformed user line: {exc}", lineno) from exc
         if not isinstance(raw, dict):

@@ -2,14 +2,9 @@
 
 Exact importance-weighted (IPS) totals, their linearized first-order
 marginals, marginal ROI per cluster, and user-level bootstrap
-confidence intervals. All estimators are pure folds over users.
-`ips_estimate` and `marginal_estimate`, and so the `marginals` points
-and the marginals that the `offline-eval` sweep optimizes, are exactly
-rounded (`math.fsum`), so partitioned and serial evaluation agree.
-`UserSums.point`, and so the `offline-eval` points and
-`predict_policy_delta`, sums each group pairwise with numpy; such a sum
-can differ from the exactly rounded one in the last bits (about 2e-16
-relative on 30k users).
+confidence intervals. All estimators are pure folds over users, and
+every point estimate is an exactly rounded sum (`math.fsum`), so
+partitioned and serial evaluation agree.
 
 User subsets must be declared over pre-randomization state (the
 exposure cluster fixed at collection start): this is what makes the
@@ -23,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,19 +192,12 @@ def ips_estimate(
     return compensated_sum(_terms(m, w))
 
 
-def _cluster_mask(log: RandomizedLog, cluster: int | None) -> np.ndarray:
-    """The users of one cluster, or every user when `cluster` is None."""
-    if cluster is None:
-        return np.ones(len(log), dtype=bool)
-    return log.arrays["cluster"] == cluster
-
-
 def marginal_estimate(log: RandomizedLog, selector: str, cluster: int | None = None) -> float:
-    """Linearized estimate of d(total metric)/d(alpha) at alpha = 1 on a cluster."""
+    """Linearized estimate of d(total metric)/d(alpha) at alpha = 1 on a cluster (None: every user)."""
     _check_metric(selector)
-    mask = _cluster_mask(log, cluster)
     arr = log.arrays
-    return compensated_sum(_terms(arr[selector][mask], linear_weight(arr["theta"][mask], log.spec)))
+    users = slice(None) if cluster is None else arr["cluster"] == cluster
+    return compensated_sum(_terms(arr[selector][users], linear_weight(arr["theta"][users], log.spec)))
 
 
 def _mroi(dcost, dvalue, scale):
@@ -222,20 +210,11 @@ def _mroi(dcost, dvalue, scale):
         return np.where(np.abs(dcost) > ROI_REL_THRESHOLD * scale, np.divide(dvalue, dcost), np.nan)
 
 
-def _roi_scale(log: RandomizedLog, cluster: int | None) -> float:
-    """The summed |cost| of a cluster's users: the scale of the mROI threshold."""
-    with np.errstate(over="ignore"):
-        return _finite(np.abs(log.arrays["cost"][_cluster_mask(log, cluster)]).sum())
-
-
 def marginal_roi(log: RandomizedLog, cluster: int | None) -> ClusterRow:
     """Marginal ROI on a cluster (None: the whole log): marginal value per
     marginal unit of spend, with the two derivatives and no CIs."""
-    dcost = marginal_estimate(log, "cost", cluster)
-    dvalue = marginal_estimate(log, "value_predicted", cluster)
-    roi = float(_mroi(dcost, dvalue, _roi_scale(log, cluster)))
-    n_users = int(np.count_nonzero(_cluster_mask(log, cluster)))
-    return ClusterRow(cluster, n_users, dcost, dvalue, mroi=None if math.isnan(roi) else roi)
+    users = slice(None) if cluster is None else log.arrays["cluster"] == cluster
+    return _ClusterSums(log, users, cluster).rows()[0]
 
 
 @dataclass(frozen=True)
@@ -298,7 +277,8 @@ class UserSums:
     to the j-th sum. With `groups`, one label in [0, n_groups) per user
     fixed before randomization (such as the exposure cluster), each row
     is summed within every group. `finish` maps the (R, k, n_groups) sums
-    of R resamples to R statistics; by default it flattens them.
+    of R resamples to R statistics; here it flattens them, and a subclass
+    may finish them otherwise.
 
     A whole-user resample enters such sums only through how often it drew
     each user, so one resample costs a count-weighted row sum over users,
@@ -307,23 +287,15 @@ class UserSums:
     so none depends on the BLAS thread count.
     """
 
-    def __init__(
-        self,
-        per_user: np.ndarray,
-        groups: np.ndarray | None = None,
-        n_groups: int = 1,
-        finish: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        per_user = np.ascontiguousarray(per_user, dtype=np.float64)
+    def __init__(self, per_user: np.ndarray, groups: np.ndarray | None = None, n_groups: int = 1):
+        per_user = np.asarray(per_user, dtype=np.float64)
         if groups is None:
-            self._rows = per_user
-            bounds = [0, per_user.shape[1]]
+            self._order, bounds = slice(None), [0, per_user.shape[1]]
         else:
-            order = np.argsort(groups, kind="stable")
-            self._rows = np.ascontiguousarray(per_user[:, order])
-            bounds = np.searchsorted(groups[order], np.arange(n_groups + 1)).tolist()
+            self._order = np.argsort(groups, kind="stable")
+            bounds = np.searchsorted(groups[self._order], np.arange(n_groups + 1)).tolist()
+        self._rows = np.ascontiguousarray(per_user[:, self._order])
         self._segments = tuple(zip(bounds[:-1], bounds[1:]))
-        self._finish = finish
 
     @property
     def n_users(self) -> int:
@@ -372,38 +344,24 @@ class UserSums:
 
     def finish(self, sums: np.ndarray) -> np.ndarray:
         """The statistics of (R, k, n_groups) sums, one row per resample."""
-        if self._finish is None:
-            return sums.reshape(len(sums), -1)
-        return self._finish(sums)
+        return sums.reshape(len(sums), -1)
 
     def point(self) -> np.ndarray:
-        """The statistic with every user counted once; each sum is pairwise over the group's users."""
-        sums = np.empty((len(self._rows), len(self._segments)))
-        with np.errstate(over="ignore"):
-            for g, (a, b) in enumerate(self._segments):
-                self._rows[:, a:b].sum(axis=1, out=sums[:, g])
-        return self.finish(_finite(sums)[None])[0]
+        """The statistic with every user counted once; each sum is exactly rounded over its group's users."""
+        sums = [[compensated_sum(row[a:z]) for a, z in self._segments] for row in self._rows]
+        return self.finish(np.array([sums]))[0]
 
 
-def bootstrap_ci(
-    estimator: UserSums,
-    log: RandomizedLog,
-    n_resamples: int = 1000,
-    seed: int = 0,
-) -> BootstrapResult:
+def bootstrap_ci(estimator: UserSums, n_resamples: int = 1000, seed: int = 0) -> BootstrapResult:
     """Percentile interval (CI_LEVEL) from whole-user resamples with replacement.
 
-    `estimator` is a :class:`UserSums` over the log's users. The integer
-    `seed` fixes every resample through the block streams of
+    The integer `seed` fixes every resample through the block streams of
     :meth:`UserSums.resample`, so the interval does not depend on the
     number of cores or BLAS threads. The user is the independence unit,
     so resampling never splits a user's records.
     """
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
-    n = len(log)
-    if estimator.n_users != n:
-        raise ValidationError(f"statistic covers {estimator.n_users} users, log has {n}")
     stats = estimator.finish(estimator.resample(seed, n_resamples))
     tail = (1 - CI_LEVEL) / 2
     low = np.quantile(stats, tail, axis=0)
@@ -411,36 +369,55 @@ def bootstrap_ci(
     return BootstrapResult(low, high, estimator.point())
 
 
-def _cluster_sums(log: RandomizedLog) -> UserSums:
-    """Per-cluster dcost and dvalue sums, finished to (dcost, dvalue, mROI) per cluster."""
-    arr = log.arrays
-    nc = log.n_clusters
-    lw = linear_weight(arr["theta"], log.spec)
-    scale = np.array([_roi_scale(log, c) for c in range(nc)])
+class _ClusterSums(UserSums):
+    """The sums behind a cluster's marginals, the one route to them: each
+    user's cost and predicted value times its linear weight, summed within
+    each cluster of the log, or over `users` (a mask or slice) as the one
+    group `cluster`. A statistic is (dcost, dvalue, mROI) per group, and
+    every mROI is tested against the summed |cost| of its group's users.
+    """
 
-    def finish(sums: np.ndarray) -> np.ndarray:
+    def __init__(self, log: RandomizedLog, users=None, cluster: int | None = None):
+        arr = log.arrays
+        if users is None:
+            users, groups, self.clusters = slice(None), arr["cluster"], list(range(log.n_clusters))
+        else:
+            groups, self.clusters = None, [cluster]
+        cost = arr["cost"][users]
+        lw = linear_weight(arr["theta"][users], log.spec)
+        super().__init__(np.stack([_terms(cost, lw), _terms(arr["value_predicted"][users], lw)]), groups,
+                         len(self.clusters))
+        spend = np.abs(cost[self._order])
+        with np.errstate(over="ignore"):
+            self._scale = _finite(np.array([spend[a:z].sum() for a, z in self._segments]))
+
+    def finish(self, sums: np.ndarray) -> np.ndarray:
         dcost, dvalue = sums[:, 0], sums[:, 1]
-        return np.concatenate([dcost, dvalue, _mroi(dcost, dvalue, scale)], axis=1)
+        return np.concatenate([dcost, dvalue, _mroi(dcost, dvalue, self._scale)], axis=1)
 
-    per_user = np.stack([_terms(arr["cost"], lw), _terms(arr["value_predicted"], lw)])
-    return UserSums(per_user, groups=arr["cluster"], n_groups=nc, finish=finish)
+    def rows(self, ci: BootstrapResult | None = None) -> list[ClusterRow]:
+        """One ClusterRow per group: the point, with the intervals of `ci`, a bootstrap of this statistic."""
+        point = self.point() if ci is None else ci.point
+        g = len(self.clusters)
+
+        def interval(j: int) -> tuple[float, float] | None:
+            if ci is None or not (np.isfinite(ci.low[j]) and np.isfinite(ci.high[j])):
+                return None
+            return float(ci.low[j]), float(ci.high[j])
+
+        return [
+            ClusterRow(c, z - a, float(point[i]), float(point[g + i]),
+                       None if np.isnan(point[2 * g + i]) else float(point[2 * g + i]),
+                       interval(i), interval(g + i), interval(2 * g + i))
+            for i, (c, (a, z)) in enumerate(zip(self.clusters, self._segments))
+        ]
 
 
 def cluster_estimates(log: RandomizedLog, n_resamples: int = 1000, seed: int = 0) -> list[ClusterRow]:
     """Per-cluster marginal cost/value derivatives and marginal ROI, as
     :func:`marginal_roi` gives them, with bootstrap CIs."""
-    nc = log.n_clusters
-    ci = bootstrap_ci(_cluster_sums(log), log, n_resamples=n_resamples, seed=seed)
-    rows = []
-    for c in range(nc):
-        lo, hi = ci.low[2 * nc + c], ci.high[2 * nc + c]
-        rows.append(replace(
-            marginal_roi(log, c),
-            dcost_ci=(float(ci.low[c]), float(ci.high[c])),
-            dvalue_ci=(float(ci.low[nc + c]), float(ci.high[nc + c])),
-            mroi_ci=(float(lo), float(hi)) if np.isfinite(lo) and np.isfinite(hi) else None,
-        ))
-    return rows
+    sums = _ClusterSums(log)
+    return sums.rows(bootstrap_ci(sums, n_resamples, seed))
 
 
 def _policy_delta_sums(log: RandomizedLog, policies: Sequence[PolicySpec]) -> UserSums:
@@ -470,7 +447,7 @@ def _policy_delta_bootstraps(
     """
     if not policies:
         return []
-    ci = bootstrap_ci(_policy_delta_sums(log, policies), log, n_resamples=n_resamples, seed=seed)
+    ci = bootstrap_ci(_policy_delta_sums(log, policies), n_resamples, seed)
     return [BootstrapResult(ci.low[j:j + 4], ci.high[j:j + 4], ci.point[j:j + 4]) for j in range(0, len(ci.point), 4)]
 
 
@@ -483,8 +460,8 @@ def policy_delta_bootstrap(
     """Bootstrap CIs of a policy's (dvalue_linear, dcost_linear, dvalue_exact, dcost_exact).
 
     The linear deltas sum (alpha_S - 1) * m_i * linear weight over users,
-    the exact ones m_i * (exact weight - 1); the point is the plain sum
-    over all users.
+    the exact ones m_i * (exact weight - 1); the point is the exactly
+    rounded sum over all users.
     """
     return _policy_delta_bootstraps(log, [policy], n_resamples, seed)[0]
 

@@ -14,6 +14,7 @@ import impatience
 from impatience import (
     ReallocationProblem,
     ValidationError,
+    linear_weight,
     marginal_roi,
     policy_delta_bootstrap,
     read_log,
@@ -600,6 +601,22 @@ class TestPipeline:
             cells = [delta] + [v for j in range(4) for v in (ci.point[j], ci.low[j], ci.high[j])]
             expected.append(",".join(_fmt(v) for v in cells))
         assert [l for l in ev.read_text().splitlines() if not l.startswith("#")][1:] == expected
+
+    def test_linear_cost_delta_is_exactly_rounded(self, tiny_config, tmp_path):
+        # a cost-neutral policy's linear cost delta cancels to rounding noise,
+        # so its cell is the exactly rounded sum of the per-user terms
+        log, ev = tmp_path / "log.jsonl", tmp_path / "eval.csv"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(ev)) == 0
+        data = read_log(str(log))
+        arr = data.arrays
+        rows = [marginal_roi(data, c) for c in range(data.n_clusters)]
+        lines = [l.split(",") for l in ev.read_text().splitlines() if not l.startswith("#")]
+        for cells in (dict(zip(lines[0], line)) for line in lines[1:]):
+            policy = solve_reallocation_detailed(ReallocationProblem.from_rows(rows, float(cells["delta"]))).policy
+            alpha = policy.multiplier_array(data.n_clusters)[arr["cluster"]]
+            terms = (alpha - 1) * arr["cost"] * linear_weight(arr["theta"], data.spec)
+            assert float(cells["dcost_linear"]) == math.fsum(terms.tolist())
 
     def test_marginals_csv_has_expected_header(self, tiny_config, tmp_path):
         log = tmp_path / "log.jsonl"

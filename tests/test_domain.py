@@ -616,6 +616,7 @@ class TestBlockIO:
             (lambda line: "[" + line[:-1] + "]\n", "user line must be a JSON object"),
             (lambda line: line[:-1] + "," + line, None),  # two rows on one line
             (lambda line: "{not json\n", None),
+            (lambda line: line.replace('"cost":', '"cost":1.0,"cost":'), "malformed user line: repeated key 'cost'"),
         ],
     )
     def test_fault_in_second_block_names_its_line(self, fault, message):
@@ -628,6 +629,11 @@ class TestBlockIO:
         with pytest.raises(LogFormatError) as info:
             read_log(io.StringIO("".join(lines)))
         assert str(info.value) == f"line {B + 6}: {message}"
+
+    def test_ids_holding_colons_read_as_before(self):
+        # a colon inside a string takes the block to the per-line checks, which accept it
+        log = make_log(*(make_user(i, user_id=f"u:{i}") for i in range(B + 2)))
+        assert read_log(io.StringIO(reference_text(log))) == log
 
     def test_too_deeply_nested_line_names_its_line(self):
         line = '{"a":' + "[" * 100_000 + "]" * 100_000 + "}"

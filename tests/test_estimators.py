@@ -32,7 +32,7 @@ from impatience import estimators
 from impatience.estimators import (
     CI_LEVEL,
     UserSums,
-    _cluster_sums,
+    _ClusterSums,
     _in_parallel,
     _policy_delta_bootstraps,
     _policy_delta_sums,
@@ -253,6 +253,14 @@ class TestOverflow:
             UserSums(np.array([[1e308, 1.0]])).resample(0, 100)
 
 
+class TestPoint:
+    def test_point_is_exactly_rounded(self):
+        # a pairwise or left-to-right float sum loses the 1.0 against 1e16, in one group or in several
+        assert UserSums(np.array([[1e16, 1.0, -1e16]])).point().tolist() == [1.0]
+        grouped = UserSums(np.array([[1e16, 2.0, 1.0, 3.0, -1e16]]), groups=np.array([1, 0, 1, 0, 1]), n_groups=3)
+        assert grouped.point().tolist() == [5.0, 1.0, 0.0]
+
+
 def resample_users(n, n_resamples, seed, groups=None):
     """Each resample's drawn users, in resample order, under the block stream
     contract of `UserSums.resample`: blocks of max(1, 2**16 // n) resamples,
@@ -279,15 +287,14 @@ def index_bootstrap(estimator, n, n_resamples, seed):
 class TestBootstrap:
     def test_constant_estimator_zero_width(self):
         # every resample draws n users, so the sum of a column of ones is n in each
-        log = synth_log(n=300)
-        ci = bootstrap_ci(UserSums(np.ones((1, 300))), log, n_resamples=200, seed=0)
+        ci = bootstrap_ci(UserSums(np.ones((1, 300))), n_resamples=200, seed=0)
         assert ci.low.tolist() == ci.high.tolist() == ci.point.tolist() == [300.0]
 
     def test_deterministic_given_seed(self):
         log = synth_log(n=500)
         mean_cost = UserSums(log.arrays["cost"][None] / len(log))
-        a = bootstrap_ci(mean_cost, log, n_resamples=200, seed=9)
-        b = bootstrap_ci(mean_cost, log, n_resamples=200, seed=9)
+        a = bootstrap_ci(mean_cost, n_resamples=200, seed=9)
+        b = bootstrap_ci(mean_cost, n_resamples=200, seed=9)
         for x, y in ((a.low, b.low), (a.high, b.high), (a.point, b.point)):
             np.testing.assert_array_equal(x, y)
 
@@ -295,13 +302,13 @@ class TestBootstrap:
         # mean of ln(theta), sigma=0.3, n=1e4: width ~ 2 * 1.96 * 0.3 / 100
         log = synth_log(n=10_000, seed=11)
         lt = np.log(log.arrays["theta"])
-        ci = bootstrap_ci(UserSums(lt[None] / len(log)), log, n_resamples=1000, seed=1)
+        ci = bootstrap_ci(UserSums(lt[None] / len(log)), n_resamples=1000, seed=1)
         width = ci.high[0] - ci.low[0]
         assert width == pytest.approx(0.01176, rel=0.20)
 
     def test_resample_floor_enforced(self):
         with pytest.raises(ValidationError):
-            bootstrap_ci(UserSums(np.ones((1, 10))), synth_log(n=10), n_resamples=50)
+            bootstrap_ci(UserSums(np.ones((1, 10))), n_resamples=50)
 
 
 def gather_sums(rows, seed, n_resamples, cluster=None, n_clusters=1):
@@ -346,7 +353,7 @@ class TestResampleCounts:
 
     def test_cluster_sums_match_gather(self):
         log = synth_log(n=3000, seed=21)
-        got = _cluster_sums(log).resample(4, 200)
+        got = _ClusterSums(log).resample(4, 200)
         self.check_close(got, cluster_rows(log), 4, log.arrays["cluster"], log.n_clusters)
 
     def test_policy_delta_sums_match_gather(self):
@@ -377,18 +384,13 @@ class TestResampleCounts:
 
     def test_cluster_finish_is_dcost_dvalue_and_their_ratio(self):
         log = synth_log(n=3000, seed=25)
-        stat = _cluster_sums(log)
+        stat = _ClusterSums(log)
         sums = stat.resample(7, 100)
         stats = stat.finish(sums)
         nc = log.n_clusters
         np.testing.assert_array_equal(stats[:, :nc], sums[:, 0])
         np.testing.assert_array_equal(stats[:, nc:2 * nc], sums[:, 1])
         np.testing.assert_array_equal(stats[:, 2 * nc:], sums[:, 1] / sums[:, 0])
-
-    def test_statistic_must_cover_the_log(self):
-        stat = _policy_delta_sums(synth_log(n=500), [POLICY])
-        with pytest.raises(ValidationError, match="500 users"):
-            bootstrap_ci(stat, synth_log(n=400), n_resamples=100)
 
 
 class TestBlockPool:
@@ -399,7 +401,7 @@ class TestBlockPool:
         # 3000 users make blocks of 21 resamples: 130 resamples are 7 blocks,
         # split unevenly; a short switch interval interleaves the workers often
         log = synth_log(n=3000, seed=26)
-        stat = _cluster_sums(log)
+        stat = _ClusterSums(log)
         monkeypatch.setattr(estimators, "_n_workers", lambda: 1)
         one = stat.resample(9, 130)
         monkeypatch.setattr(estimators, "_n_workers", lambda: workers)
@@ -521,9 +523,21 @@ class TestClusterEstimates:
         log = synth_log(n=1000, seed=7, cost_fn=no_cost_at_exposure_0)
         rois = [marginal_roi(log, c) for c in range(log.n_clusters)]
         sums = np.array([[[roi.dcost for roi in rois], [roi.dvalue for roi in rois]]])
-        finished = _cluster_sums(log).finish(sums)[0, 2 * log.n_clusters:]
+        finished = _ClusterSums(log).finish(sums)[0, 2 * log.n_clusters:]
         assert [None if np.isnan(m) else float(m) for m in finished] == [roi.mroi for roi in rois]
         assert rois[0].mroi is None
+
+    def test_one_linear_weight_pass(self, monkeypatch):
+        calls = []
+
+        def counted(theta, spec):
+            calls.append(len(theta))
+            return linear_weight(theta, spec)
+
+        log = synth_log(n=2000, seed=5)
+        monkeypatch.setattr(estimators, "linear_weight", counted)
+        cluster_estimates(log, n_resamples=100, seed=0)
+        assert calls == [len(log)]
 
     def test_ci_brackets_point(self):
         log = synth_log(n=3000, seed=6)
