@@ -16,6 +16,8 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -33,7 +35,6 @@ from .domain import (
     RandomizedLog,
     ValidationError,
     _JSON_ERRORS,
-    _check_boundaries,
     _check_kinds,
     _from_json,
     _json_object,
@@ -78,9 +79,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_kinds(self, "config", {"resamples": "count", "seed": "count", "cap_delta": "number", "sweep": "numbers"})
-        _check_boundaries(self.bucket_boundaries)
-        object.__setattr__(self, "bucket_boundaries", tuple(self.bucket_boundaries))
+        _check_kinds(self, "config", {"bucket_boundaries": "boundaries", "resamples": "count", "cap_delta": "fraction",
+                                      "sweep": "numbers", "seed": "count"})
 
     def to_json(self) -> dict:
         return _json_object(self)
@@ -102,9 +102,18 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _recorded(path: str) -> str:
+    """`path`, checked before it is parsed to name a regular file, since provenance records its
+    sha256: the parser would drain a pipe, and its digest would name bytes that were not read."""
+    with _reading(path):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise UsageError(f"cannot read {path}: not a regular file, so its sha256 cannot be recorded")
+    return path
+
+
 def _load_config(args) -> tuple[ExperimentConfig, str]:
     """The --config file with the flags that override its fields, checked as one config."""
-    raw = _read_json(args.config, "config")
+    raw = _read_json(_recorded(args.config), "config")
     flags = {key: value for key in ("seed", "resamples", "sweep") if (value := getattr(args, key, None)) is not None}
     return replace(ExperimentConfig.from_json(raw), **flags), _file_sha256(args.config)
 
@@ -178,6 +187,9 @@ def _read_marginals_csv(path: str) -> tuple[list[dict], dict[str, str]]:
             rows.append(dict(zip(header, cells)))
     if header is None:
         raise UsageError(f"marginals file {path} has no header row")
+    missing = [column for column in ("cluster", "dcost", "dvalue", "mroi") if column not in header]
+    if missing:
+        raise UsageError(f"marginals file {path} has no columns {missing}")
     return rows, provenance
 
 
@@ -219,7 +231,7 @@ def _read_policy(path: str) -> PolicySpec:
 
 def _read_log_checked(path: str) -> tuple[RandomizedLog, str]:
     with _reading(path):
-        return read_log(path), _file_sha256(path)
+        return read_log(_recorded(path)), _file_sha256(path)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +287,7 @@ def cmd_marginals(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    rows, prov = _read_marginals_csv(args.marginals)
+    rows, prov = _read_marginals_csv(_recorded(args.marginals))
     try:
         cluster_rows = [
             ClusterRow(int(r["cluster"]), None, _finite(r["dcost"]), _finite(r["dvalue"]),
@@ -307,23 +319,20 @@ def cmd_offline_eval(args) -> int:
     names = ("dvalue_linear", "dcost_linear", "dvalue_exact", "dcost_exact")
     out_rows = []
     if args.policy:
-        policies = [(None, _read_policy(args.policy))]
+        policies = [_read_policy(args.policy)]
     else:
         rows = _ClusterSums(log).rows()
-        policies = [
-            (delta, solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy)
-            for delta in cfg.sweep
-        ]
-    cis = _policy_delta_bootstraps(log, [policy for _, policy in policies], cfg.resamples, cfg.seed)
-    for (delta, policy), ci in zip(policies, cis):
-        cap = policy.cap_delta if delta is None else delta
-        row = [cap]
+        policies = [solve_reallocation_detailed(ReallocationProblem.from_rows(rows, delta)).policy
+                    for delta in cfg.sweep]
+    cis = _policy_delta_bootstraps(log, policies, cfg.resamples, cfg.seed)
+    for policy, ci in zip(policies, cis):
+        row = [policy.cap_delta]
         for j in range(4):
             row.extend([ci.point[j], ci.low[j], ci.high[j]])
         out_rows.append(row)
         dv_lin, dc_lin, dv_exact, dc_exact = ci.point
         print(
-            f"offline-eval: delta={cap:g} dV_lin={dv_lin:.2f} dC_lin={dc_lin:.2e} "
+            f"offline-eval: delta={policy.cap_delta:g} dV_lin={dv_lin:.2f} dC_lin={dc_lin:.2e} "
             f"dV_exact={dv_exact:.2f} dC_exact={dc_exact:.2f}"
         )
     header = ["delta"]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .domain import ValidationError, _check_kinds, _from_json, _json_object
 
-_PARAMETERS = dict.fromkeys(("mu", "sigma", "low", "high", "value", "mean"), "number")
+_PARAMETERS = {**dict.fromkeys(("mu", "low", "high", "value", "mean"), "number"), "sigma": "positive"}
 _SQRT2 = math.sqrt(2.0)
 #: The largest x whose exp(x) is a finite float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -54,8 +54,8 @@ class Distribution:
     def __post_init__(self):
         _check_kinds(self, "distribution", _PARAMETERS)
         if self.kind == "lognormal":
-            if self.mu is None or self.sigma is None or self.sigma <= 0:
-                raise ValidationError("lognormal requires finite mu and sigma > 0")
+            if self.mu is None or self.sigma is None:
+                raise ValidationError("lognormal requires mu and sigma")
         elif self.kind == "uniform":
             if self.low is None or self.high is None or not self.low < self.high:
                 raise ValidationError("uniform requires low < high")

@@ -104,15 +104,33 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-#: Each kind of config field: the test its value must pass, the words its error uses
+def _is_boundaries(value) -> bool:
+    """Bucket boundaries: a non-empty list of integers, non-negative and strictly increasing."""
+    return (isinstance(value, (list, tuple)) and len(value) > 0 and all(map(_is_integer, value))
+            and value[0] >= 0 and all(b1 < b2 for b1, b2 in zip(value, value[1:])))
+
+
+#: Each kind of record field: the test its value must pass, the words its error uses
 #: and the type it is stored as.
 _KINDS = {
     "count": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer", int),
-    "integer": (_is_integer, "an integer", int),
     "number": (_is_number, "a finite number", float),
+    "positive": (lambda v: _is_number(v) and v > 0, "a finite number > 0", float),
+    "fraction": (lambda v: _is_number(v) and 0 < v < 1, "a finite number in (0, 1)", float),
     "numbers": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of finite numbers",
                 lambda v: tuple(map(float, v))),
+    "boundaries": (_is_boundaries, "a list of integers: non-empty, non-negative and strictly increasing",
+                   lambda v: tuple(map(int, v))),
 }
+
+
+def _checked(value, what: str, name: str, kind: str):
+    """`value` as the type of its kind in `_KINDS`; the field `name` of the record `what`
+    is an error unless the value passes the kind's test."""
+    test, words, store = _KINDS[kind]
+    if not test(value):
+        raise ValidationError(f"{what} '{name}' must be {words}, got {value!r}")
+    return store(value)
 
 
 def _check_kinds(record, what: str, kinds: dict[str, str]) -> None:
@@ -121,12 +139,8 @@ def _check_kinds(record, what: str, kinds: dict[str, str]) -> None:
     defaults = {f.name: f.default for f in fields(record)}
     for name, kind in kinds.items():
         value = getattr(record, name)
-        if value is None and defaults[name] is None:
-            continue
-        test, words, store = _KINDS[kind]
-        if not test(value):
-            raise ValidationError(f"{what} '{name}' must be {words}, got {value!r}")
-        object.__setattr__(record, name, store(value))
+        if value is not None or defaults[name] is not None:
+            object.__setattr__(record, name, _checked(value, what, name, kind))
 
 
 def _physical_memory() -> float:
@@ -157,17 +171,6 @@ def _check_memory(needed: int, request: str, memory: float) -> None:
         raise ValidationError(f"{request}, more than the {_approx(memory)} B of physical memory")
 
 
-def _check_boundaries(boundaries) -> None:
-    if not (isinstance(boundaries, (list, tuple)) and all(map(_is_integer, boundaries))):
-        raise ValidationError(f"'bucket_boundaries' must be a list of integers, got {boundaries!r}")
-    if len(boundaries) == 0:
-        raise ValidationError("bucket boundaries must be non-empty")
-    if boundaries[0] < 0:
-        raise ValidationError(f"bucket boundaries must be non-negative, got {boundaries}")
-    if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
-        raise ValidationError(f"bucket boundaries must be strictly increasing, got {boundaries}")
-
-
 @dataclass(frozen=True)
 class RandomizationSpec:
     """Lognormal exploration law of the baseline bidder.
@@ -180,9 +183,7 @@ class RandomizationSpec:
     sigma: float
 
     def __post_init__(self):
-        _check_kinds(self, "randomization", {"mu": "number", "sigma": "number"})
-        if not self.sigma > 0:
-            raise ValidationError(f"sigma must be strictly positive, got {self.sigma}")
+        _check_kinds(self, "randomization", {"mu": "number", "sigma": "positive"})
         if not -744 < self.mu < 709:  # every importance weight takes ln(theta) - mu
             raise ValidationError(f"mu must lie in (-744, 709), where theta's median exp(mu) is a positive "
                                   f"finite float, got {self.mu}")
@@ -224,8 +225,7 @@ class RandomizedLog:
 
     def __post_init__(self):
         object.__setattr__(self, "user_ids", tuple(self.user_ids))
-        object.__setattr__(self, "bucket_boundaries", tuple(self.bucket_boundaries))
-        _check_boundaries(self.bucket_boundaries)
+        _check_kinds(self, "log", {"bucket_boundaries": "boundaries"})
         n = len(self.user_ids)
         for name in _COLUMNS:
             object.__setattr__(self, name, _column(name, getattr(self, name), n))
@@ -313,8 +313,7 @@ class PolicySpec:
     cap_delta: float = 0.2
 
     def __post_init__(self):
-        if not (_is_number(self.cap_delta) and 0 < self.cap_delta < 1):
-            raise ValidationError(f"cap_delta must be a finite number in (0, 1), got {self.cap_delta!r}")
+        _check_kinds(self, "policy", {"cap_delta": "fraction"})
         lo, hi = 1 - self.cap_delta, 1 + self.cap_delta
         multipliers = dict(self.multipliers)
         for cluster, alpha in multipliers.items():
@@ -488,9 +487,8 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         raise LogFormatError(f"unsupported schema {header.get('schema')!r}", 1)
     try:
         spec = RandomizationSpec(header.get("mu"), header.get("sigma"))
-        boundaries = header["bucket_boundaries"]
-        _check_boundaries(boundaries)
-    except (KeyError, ValueError) as exc:
+        boundaries = _checked(header.get("bucket_boundaries"), "log", "bucket_boundaries", "boundaries")
+    except ValueError as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
     user_ids: list[str] = []

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import ClusterRow, PolicySpec, RandomizedLog, ValidationError
+from .domain import ClusterRow, PolicySpec, RandomizedLog, ValidationError, _check_kinds
 from .estimators import _policy_delta_sums
 
 
@@ -34,8 +34,7 @@ class ReallocationProblem:
     pinned: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.cap_delta < 1:
-            raise ValidationError(f"cap_delta must lie in (0, 1), got {self.cap_delta}")
+        _check_kinds(self, "reallocation", {"cap_delta": "fraction"})
         object.__setattr__(self, "clusters", tuple((int(c), float(dc), float(dv)) for c, dc, dv in self.clusters))
         object.__setattr__(self, "pinned", tuple(int(c) for c in self.pinned))
         seen = set()

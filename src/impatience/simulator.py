@@ -30,6 +30,7 @@ from .domain import (
     RandomizedLog,
     ValidationError,
     _COLUMNS,
+    _DTYPES,
     _approx,
     _check_kinds,
     _check_memory,
@@ -58,20 +59,14 @@ class SimConfig:
     activity_by_exposure: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_kinds(self, "sim", {"n_users": "integer", "value_per_conversion": "number",
-                                   "base_conversion_prob": "number", "fatigue_decay": "number",
+        _check_kinds(self, "sim", {"n_users": "count", "value_per_conversion": "positive",
+                                   "base_conversion_prob": "fraction", "fatigue_decay": "number",
                                    "initial_exposure": "numbers", "activity_by_exposure": "numbers"})
-        if self.n_users < 0:
-            raise ValidationError("n_users must be >= 0")
         if self.auctions_per_user.kind not in ("poisson", "constant"):
             raise ValidationError("auctions_per_user must be poisson or constant")
         count = self.auctions_per_user.value
         if self.auctions_per_user.kind == "constant" and not (count >= 0 and float(count).is_integer()):
             raise ValidationError(f"a constant auctions_per_user must be a non-negative integer, got {count}")
-        if not self.value_per_conversion > 0:
-            raise ValidationError("value_per_conversion must be > 0")
-        if not 0 < self.base_conversion_prob < 1:
-            raise ValidationError("base_conversion_prob must lie in (0, 1)")
         if not 0 < self.fatigue_decay <= 1:
             raise ValidationError("fatigue_decay must lie in (0, 1]")
         probs = np.asarray(self.initial_exposure)
@@ -142,7 +137,7 @@ class BidPolicy:
         if self.kind == "cluster_multiplier":
             if self.multipliers is None:
                 raise ValidationError("cluster_multiplier policy requires multipliers")
-            object.__setattr__(self, "multipliers", tuple(float(a) for a in self.multipliers))
+            _check_kinds(self, "bid policy", {"multipliers": "numbers"})
             if any(a < 0 for a in self.multipliers):
                 raise ValidationError("multipliers must be >= 0")
         elif self.multipliers is not None:
@@ -182,6 +177,10 @@ def _simulate_population(
     of the draws and the policy: scaling a bid up never consumes
     different randomness.
     """
+    n_clusters = len(bucket_boundaries) + 1
+    if policy.multipliers is not None and len(policy.multipliers) != n_clusters:
+        raise ValidationError(f"the bid policy holds {len(policy.multipliers)} multipliers, but the "
+                              f"bucket boundaries make {n_clusters} clusters")
     _check_population_memory(config)
     rng = np.random.default_rng(seed)
     chunks = []
@@ -193,7 +192,7 @@ def _simulate_population(
 
     if chunks:
         return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-    result = {k: np.array([]) for k in _COLUMNS}
+    result = {k: np.empty(0, _DTYPES[k]) for k in _COLUMNS}
     if collect_displays:
         result["display_exposure"] = np.array([], dtype=np.int64)
         result["display_converted"] = np.array([], dtype=bool)

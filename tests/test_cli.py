@@ -12,6 +12,7 @@ import pytest
 
 import impatience
 from impatience import (
+    PolicySpec,
     ReallocationProblem,
     ValidationError,
     linear_weight,
@@ -59,13 +60,13 @@ MALFORMED_POLICIES = {
     "no_multipliers": ({k: v for k, v in POLICY.items() if k != "multipliers"},
                        " needs a 'multipliers' object, got None"),
     "no_cap_delta": ({k: v for k, v in POLICY.items() if k != "cap_delta"},
-                     ": cap_delta must be a finite number in (0, 1), got None"),
+                     ": policy 'cap_delta' must be a finite number in (0, 1), got None"),
     "multipliers_not_an_object": ({**POLICY, "multipliers": [1.1]}, " needs a 'multipliers' object, got [1.1]"),
     "non_integer_cluster": ({**POLICY, "multipliers": {"a": 1.1}}, f"{KEY_RULE} 'a': 1.1"),
     "string_multiplier": ({**POLICY, "multipliers": {"0": "x"}}, f"{KEY_RULE} 0: 'x'"),
     "nan_multiplier": ({**POLICY, "multipliers": {"0": float("nan")}}, f"{KEY_RULE} 0: nan"),
     "infinite_cap_delta": ({**POLICY, "cap_delta": float("inf")},
-                           ": cap_delta must be a finite number in (0, 1), got inf"),
+                           ": policy 'cap_delta' must be a finite number in (0, 1), got inf"),
     # each key below was once read as a cluster: "01" as 1, so that the 1.1 of "1" was dropped,
     # " 2" as 2 and "1_0" as 10
     "colliding_keys": ({**POLICY, "multipliers": {"1": 1.1, "01": 0.9}}, f"{KEY_RULE} '01': 0.9"),
@@ -107,9 +108,9 @@ MALFORMED_CONFIGS = {
                                  "'bucket_boundaries' must be a list of integers"),
     "fractional_bucket_boundaries": ({**CONFIG, "bucket_boundaries": [1.5, 2]},
                                      "'bucket_boundaries' must be a list of integers"),
-    "string_n_users": (with_sim(n_users="x"), "sim 'n_users' must be an integer"),
-    "fractional_n_users": (with_sim(n_users=2.7), "sim 'n_users' must be an integer"),
-    "boolean_n_users": (with_sim(n_users=True), "sim 'n_users' must be an integer"),
+    "string_n_users": (with_sim(n_users="x"), "sim 'n_users' must be a non-negative integer"),
+    "fractional_n_users": (with_sim(n_users=2.7), "sim 'n_users' must be a non-negative integer"),
+    "boolean_n_users": (with_sim(n_users=True), "sim 'n_users' must be a non-negative integer"),
     "string_fatigue_decay": (with_sim(fatigue_decay="0.5"), "sim 'fatigue_decay' must be a finite number"),
     "null_value_per_conversion": (with_sim(value_per_conversion=None),
                                   "sim 'value_per_conversion' must be a finite number"),
@@ -180,6 +181,24 @@ def test_config_built_in_code_is_checked(field, value, message):
     # the rules a config file must meet hold for a config built in code
     with pytest.raises(ValidationError, match=message):
         replace(default_experiment_config(), **{field: value})
+
+
+#: Each record that holds a cap, built with the given cap.
+CAP_RECORDS = {
+    "config": lambda cap: replace(default_experiment_config(), cap_delta=cap),
+    "policy": lambda cap: PolicySpec({0: 1.0}, cap),
+    "reallocation": lambda cap: ReallocationProblem(((0, 1.0, 2.0),), cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 1.5, -0.1, float("nan"), float("inf"), True, "0.2"])
+@pytest.mark.parametrize("record", sorted(CAP_RECORDS))
+def test_every_cap_lies_in_the_unit_interval(record, cap):
+    # the config once took a cap of 1.5
+    with pytest.raises(ValidationError) as info:
+        CAP_RECORDS[record](cap)
+    assert str(info.value) == f"{record} 'cap_delta' must be a finite number in (0, 1), got {cap!r}"
+    assert CAP_RECORDS[record](0.5).cap_delta == 0.5
 
 
 class TestErrorHandling:
@@ -482,6 +501,16 @@ class TestOptimize:
         self.write_marginals(src, [list(row.values()) + [0] * 6, [1, 100, 1.0, 0.5, 0.5] + [0] * 6])
         assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
         assert "malformed row" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["marginals.csv"]
+
+    @pytest.mark.parametrize("header,missing", [("cluster,n_users,dvalue", ["dcost", "mroi"]),
+                                                ("n_users", ["cluster", "dcost", "dvalue", "mroi"])])
+    def test_header_names_missing_columns(self, tmp_path, capsys, header, missing):
+        # a header with no rows once exited 2 with an all-ones policy
+        src = tmp_path / "marginals.csv"
+        src.write_text(header + "\n")
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        assert capsys.readouterr().err == f"impatience: error: marginals file {src} has no columns {missing}\n"
         assert os.listdir(tmp_path) == ["marginals.csv"]
 
 
@@ -935,3 +964,34 @@ class TestExitCodes:
         assert run(*argv, "--out", out) == 1
         assert capsys.readouterr().err.startswith(f"impatience: error: cannot read {directory}: ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--config", "--log", "--marginals"])
+    def test_pipe_as_a_recorded_input_exits_one(self, tiny_config, tmp_path, flag):
+        # the digest of an input once read the file again after the parser had drained
+        # the pipe, so it recorded the sha256 of zero bytes and the command exited 0
+        log, marginals = tmp_path / "log.jsonl", tmp_path / "marginals.csv"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[:50]))
+        assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marginals)) == 0
+        read, write = os.pipe()
+        pipe = f"/dev/fd/{read}"
+        argv = {
+            "--config": ["weight-profile", "--config", pipe, "--samples", "100"],
+            "--log": ["marginals", "--config", tiny_config, "--log", pipe],
+            "--marginals": ["optimize", "--marginals", pipe],
+        }[flag]
+        code = "import sys; from impatience.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = os.path.dirname(os.path.dirname(impatience.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        out = tmp_path / "out"
+        try:
+            source = {"--config": Path(tiny_config), "--log": log, "--marginals": marginals}[flag]
+            os.write(write, source.read_bytes())  # far less than a pipe holds
+            os.close(write)
+            done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env, pass_fds=(read,),
+                                  capture_output=True, text=True, timeout=120)
+        finally:
+            os.close(read)
+        assert (done.returncode, done.stderr) == (
+            1, f"impatience: error: cannot read {pipe}: not a regular file, so its sha256 cannot be recorded\n")
+        assert not out.exists()

@@ -67,6 +67,7 @@ class TestInvariants:
         (0.0, 1e-200, "sigma must have a finite square above 0"),
         (0.0, 5e-324, "sigma must have a finite square above 0"),
         (0.0, 1e200, "sigma must have a finite square above 0"),
+        (0.0, -0.3, "randomization 'sigma' must be a finite number > 0, got -0.3"),
         # ln(theta) - mu overflowed the linear weight of every user
         (-1e308, 0.3, "mu must lie in (-744, 709)"),
         (709.5, 0.3, "mu must lie in (-744, 709)"),
@@ -116,14 +117,14 @@ class TestInvariants:
         ({0: "1.0"}, 0.2, "got 0: '1.0'"),
         ({0: True}, 0.2, "got 0: True"),
         ({0: float("nan")}, 0.2, "got 0: nan"),
-        ({0: 1.0}, float("inf"), "cap_delta must be a finite number in (0, 1), got inf"),
-        ({0: 1.0}, "0.2", "cap_delta must be a finite number in (0, 1), got '0.2'"),
+        ({0: 1.0}, float("inf"), "policy 'cap_delta' must be a finite number in (0, 1), got inf"),
+        ({0: 1.0}, "0.2", "policy 'cap_delta' must be a finite number in (0, 1), got '0.2'"),
     ])
     def test_policy_checks_every_field(self, multipliers, cap_delta, message):
         # a string key or multiplier once raised a bare TypeError, and a boolean multiplier read as 1.0
         with pytest.raises(ValidationError) as info:
             PolicySpec(multipliers, cap_delta)
-        if not message.startswith("cap_delta"):
+        if not message.startswith("policy"):
             message = "multipliers must map integer clusters >= 0 to finite numbers, " + message
         assert str(info.value) == message
 
@@ -447,6 +448,18 @@ class TestReadInputHoles:
         header = self.HEADER.replace("[1,2,3,4,5]", "[1.5,2]")
         with pytest.raises(LogFormatError, match="line 1.*integers"):
             read_log(io.StringIO(header + "\n"))
+
+    @pytest.mark.parametrize("boundaries", ["[]", "[2,1]", "[1,1]", '"12"', "null"])
+    def test_header_boundaries_follow_the_log_rule(self, boundaries):
+        # the header is checked before the malformed user line after it is read
+        header = self.HEADER.replace("[1,2,3,4,5]", boundaries)
+        with pytest.raises(LogFormatError) as info:
+            read_log(io.StringIO(header + "\nnot json\n"))
+        rule = "log 'bucket_boundaries' must be a list of integers: non-empty, non-negative and strictly increasing"
+        assert str(info.value) == f"line 1: invalid header: {rule}, got {json.loads(boundaries)!r}"
+        with pytest.raises(ValidationError) as info:
+            RandomizedLog(RandomizationSpec(0, 0.3), (), bucket_boundaries=json.loads(boundaries))
+        assert str(info.value).startswith(rule)
 
     @pytest.mark.parametrize("line", ["5", "null", '"text"'])
     def test_non_object_lines_rejected(self, line):

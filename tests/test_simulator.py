@@ -27,7 +27,7 @@ from impatience import (
     write_log,
 )
 from impatience import simulator
-from impatience.domain import assign_clusters
+from impatience.domain import _DTYPES, assign_clusters
 
 
 def small_config(**overrides) -> SimConfig:
@@ -103,8 +103,11 @@ class TestConfigValidation:
         assert simulate_log(cfg, SPEC, 0).n_auctions.tolist() == [7] * cfg.n_users
 
     @pytest.mark.parametrize("field,value,message", [
-        ("n_users", "x", "sim 'n_users' must be an integer"),
-        ("n_users", True, "sim 'n_users' must be an integer"),
+        ("n_users", "x", "sim 'n_users' must be a non-negative integer"),
+        ("n_users", True, "sim 'n_users' must be a non-negative integer"),
+        ("n_users", -1, "sim 'n_users' must be a non-negative integer, got -1"),
+        ("value_per_conversion", 0.0, "sim 'value_per_conversion' must be a finite number > 0, got 0.0"),
+        ("base_conversion_prob", 1.0, r"sim 'base_conversion_prob' must be a finite number in \(0, 1\), got 1.0"),
         ("value_per_conversion", None, "sim 'value_per_conversion' must be a finite number"),
         ("fatigue_decay", float("nan"), "sim 'fatigue_decay' must be a finite number"),
         ("initial_exposure", "abc", "sim 'initial_exposure' must be a list of finite numbers"),
@@ -119,6 +122,8 @@ class TestConfigValidation:
         ("lognormal", dict(mu=float("nan"), sigma=1.0), "distribution 'mu' must be a finite number"),
         ("uniform", dict(low=0.0, high=float("inf")), "distribution 'high' must be a finite number"),
         ("poisson", dict(mean="3"), "distribution 'mean' must be a finite number"),
+        # a sigma that a uniform spec does not read was once taken as it was
+        ("uniform", dict(low=0.0, high=1.0, sigma=0.0), "distribution 'sigma' must be a finite number > 0, got 0.0"),
     ])
     def test_distribution_parameters_must_be_finite_numbers(self, kind, params, message):
         with pytest.raises(ValidationError, match=message):
@@ -269,6 +274,27 @@ class TestOraclePolicyOutcome:
         by_cluster = oracle_cluster_outcomes(cfg, policy, n_reps=n_reps, seed=5)
         assert total.value == pytest.approx(by_cluster["value"].sum(), rel=1e-12)
         assert total.cost == pytest.approx(by_cluster["cost"].sum(), rel=1e-12)
+
+    def test_no_users_give_zero_totals(self):
+        # the empty population's columns were once float64, and bincount refused its clusters
+        out = oracle_cluster_outcomes(default_config(n_users=0), BidPolicy.impatient(SPEC), 2, 0)
+        assert out["value"].tolist() == out["cost"].tolist() == [0.0] * 6
+        pop = simulator._simulate_population(small_config(n_users=0), BidPolicy.impatient(SPEC), 0)
+        assert {k: v.dtype for k, v in pop.items()} == _DTYPES
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_policy_must_fit_the_clusters(self, n):
+        # 3 multipliers once ended in an IndexError, and 8 silently dropped two
+        policy = BidPolicy(kind="cluster_multiplier", randomization=SPEC, multipliers=(1.0,) * n)
+        with pytest.raises(ValidationError, match=f"^the bid policy holds {n} multipliers, but the bucket "
+                                                  "boundaries make 6 clusters$"):
+            oracle_policy_outcome(small_config(n_users=100), policy, n_reps=1, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1.0"])
+    def test_multipliers_must_be_finite_numbers(self, value):
+        # a NaN multiplier once never won an auction, and the run exited 0
+        with pytest.raises(ValidationError, match="^bid policy 'multipliers' must be a list of finite numbers"):
+            BidPolicy(kind="cluster_multiplier", randomization=SPEC, multipliers=(1.0,) * 5 + (value,))
 
     def test_rejects_no_reps(self):
         for oracle in (oracle_policy_outcome, oracle_cluster_outcomes):
@@ -430,7 +456,7 @@ def reference_population(config, spec, seed, bucket_boundaries=DEFAULT_BUCKETS, 
         displays.extend((k, converted) for _, _, k, converted in sorted(chunk_displays))
         for key, arr in zip(keys, (theta, e0, cluster, cost, vobs, vpred, m.astype(np.int64), wins)):
             out[key].append(arr)
-    result = {k: (np.concatenate(v) if v else np.array([])) for k, v in out.items()}
+    result = {k: (np.concatenate(v) if v else np.empty(0, _DTYPES[k])) for k, v in out.items()}
     if collect_displays:
         result["display_exposure"] = np.array([k for k, _ in displays], dtype=np.int64)
         result["display_converted"] = np.array([c for _, c in displays], dtype=bool)
