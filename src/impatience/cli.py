@@ -80,7 +80,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_kinds(self, "config", {"bucket_boundaries": "boundaries", "resamples": "count", "cap_delta": "fraction",
-                                      "sweep": "numbers", "seed": "count"})
+                                      "sweep": "fractions", "seed": "count"})
 
     def to_json(self) -> dict:
         return _json_object(self)

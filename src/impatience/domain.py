@@ -11,13 +11,14 @@ import json
 import math
 import numbers
 import os
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,8 @@ _USER_FIELDS = ("user_id",) + _COLUMNS
 _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
 #: The dtype each column is held in.
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
+#: The least sigma per unit of |mu| that a randomization spec takes (README, "File formats").
+_SIGMA_RESOLUTION = 2.0**-26
 #: User lines are written and read in blocks of this many rows.
 _BLOCK = 1 << 10
 #: Every way the JSON decoder rejects its input: a syntax error
@@ -104,6 +107,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_fraction(value) -> bool:
+    """A finite number strictly between 0 and 1, such as a cap on a multiplier's move."""
+    return _is_number(value) and 0 < value < 1
+
+
 def _is_boundaries(value) -> bool:
     """Bucket boundaries: a non-empty list of integers, non-negative and strictly increasing."""
     return (isinstance(value, (list, tuple)) and len(value) > 0 and all(map(_is_integer, value))
@@ -116,9 +124,11 @@ _KINDS = {
     "count": (lambda v: _is_integer(v) and v >= 0, "a non-negative integer", int),
     "number": (_is_number, "a finite number", float),
     "positive": (lambda v: _is_number(v) and v > 0, "a finite number > 0", float),
-    "fraction": (lambda v: _is_number(v) and 0 < v < 1, "a finite number in (0, 1)", float),
+    "fraction": (_is_fraction, "a finite number in (0, 1)", float),
     "numbers": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)), "a list of finite numbers",
                 lambda v: tuple(map(float, v))),
+    "fractions": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_fraction, v)),
+                  "a list of finite numbers in (0, 1)", lambda v: tuple(map(float, v))),
     "boundaries": (_is_boundaries, "a list of integers: non-empty, non-negative and strictly increasing",
                    lambda v: tuple(map(int, v))),
 }
@@ -150,6 +160,39 @@ def _physical_memory() -> float:
     except (AttributeError, ValueError, OSError):
         return math.inf
     return page * pages if page > 0 and pages > 0 else math.inf  # -1: indeterminate
+
+
+def _n_workers() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parallel(task: Callable[[int, int], None], n_items: int, n_workers: int) -> None:
+    """Run task(first, last) over n_workers contiguous ranges covering range(n_items).
+
+    The calling thread runs the first range and n_workers - 1 threads the
+    others; an exception raised in any range is raised here once all ended.
+    """
+    edges = [n_items * w // n_workers for w in range(n_workers + 1)]
+    errors = []
+
+    def guarded(first: int, last: int) -> None:
+        try:
+            task(first, last)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=edges[w:w + 2]) for w in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    guarded(edges[0], edges[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _approx(n: int) -> str:
@@ -189,6 +232,11 @@ class RandomizationSpec:
                                   f"finite float, got {self.mu}")
         if not 0 < self.sigma * self.sigma < math.inf:  # every importance weight divides by it
             raise ValidationError(f"sigma must have a finite square above 0 in floating point, got {self.sigma}")
+        # ln(theta) - mu rounds in steps of about 2**-52 * |mu|; a sigma within 2**26 such
+        # steps of it leaves each standardized draw (ln(theta) - mu) / sigma below 26 bits
+        if self.sigma < _SIGMA_RESOLUTION * abs(self.mu):
+            raise ValidationError(f"sigma must be at least 2**-26 * |mu| = {_SIGMA_RESOLUTION * abs(self.mu):.6g}, "
+                                  f"or ln(theta) - mu rounds to noise, got {self.sigma}")
 
     @classmethod
     def from_json(cls, raw) -> "RandomizationSpec":

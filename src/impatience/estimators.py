@@ -16,10 +16,9 @@ escape hatch, which exists to demonstrate the resulting bias.
 from __future__ import annotations
 
 import math
-import os
-import threading
+import os  # noqa: F401  (the pool's core count reads os.sched_getaffinity; tests patch it here)
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .domain import (
     ValidationError,
     _approx,
     _check_memory,
+    _in_parallel,
+    _n_workers,
     _physical_memory,
 )
 
@@ -224,39 +225,6 @@ class BootstrapResult:
     low: np.ndarray
     high: np.ndarray
     point: np.ndarray
-
-
-def _n_workers() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _in_parallel(task: Callable[[int, int], None], n_items: int, n_workers: int) -> None:
-    """Run task(first, last) over n_workers contiguous ranges covering range(n_items).
-
-    The calling thread runs the first range and n_workers - 1 threads the
-    others; an exception raised in any range is raised here once all ended.
-    """
-    edges = [n_items * w // n_workers for w in range(n_workers + 1)]
-    errors = []
-
-    def guarded(first: int, last: int) -> None:
-        try:
-            task(first, last)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=edges[w:w + 2]) for w in range(1, n_workers)]
-    for thread in threads:
-        thread.start()
-    guarded(edges[0], edges[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _count_draws(stream: np.random.SeedSequence, counts: np.ndarray) -> None:

@@ -35,7 +35,9 @@ from .domain import (
     _check_kinds,
     _check_memory,
     _from_json,
+    _in_parallel,
     _json_object,
+    _n_workers,
     _physical_memory,
     assign_clusters,
 )
@@ -169,13 +171,15 @@ def _simulate_population(
     seed: int,
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
     collect_displays: bool = False,
+    totals_only: bool = False,
 ) -> dict[str, np.ndarray]:
     """Vectorized simulation of `policy`; one sequential RNG stream, chunked for memory.
 
     All randomness for a chunk is drawn in a fixed order and amount that
     no policy changes, so outcomes for a user are a deterministic function
     of the draws and the policy: scaling a bid up never consumes
-    different randomness.
+    different randomness. With `totals_only` a user keeps only its
+    cluster, cost and value_predicted, the values that the wins alone fix.
     """
     n_clusters = len(bucket_boundaries) + 1
     if policy.multipliers is not None and len(policy.multipliers) != n_clusters:
@@ -188,7 +192,7 @@ def _simulate_population(
     while remaining > 0:
         n = min(remaining, _CHUNK)
         remaining -= n
-        chunks.append(_simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays))
+        chunks.append(_simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays, totals_only))
 
     if chunks:
         return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
@@ -199,8 +203,8 @@ def _simulate_population(
     return result
 
 
-def _check_population_memory(config: SimConfig) -> None:
-    """Reject a population whose estimated memory exceeds physical memory.
+def _check_population_memory(config: SimConfig, populations: int = 1) -> None:
+    """Reject `populations` populations, simulated at once, whose estimated memory exceeds physical memory.
 
     A block of up to `_CHUNK` users holds one 8 B competing bid per real
     auction, and a user has the configured mean auction count (the
@@ -212,11 +216,12 @@ def _check_population_memory(config: SimConfig) -> None:
     count = apu.mean if apu.kind == "poisson" else apu.value
     block = min(config.n_users, _CHUNK)
     draws, users = block * math.ceil(count) * 8, config.n_users * _BYTES_PER_USER
+    at_once = f", for each of {populations} populations simulated at once" if populations > 1 else ""
     _check_memory(
-        draws + users,
+        populations * (draws + users),
         f"sim 'auctions_per_user' ({apu.kind}, {count:g} auctions per user) and 'n_users' need about "
         f"{_approx(draws + users)} B ({_approx(draws)} B of auction draws for a block of {block} users "
-        f"plus {_BYTES_PER_USER} B per user)",
+        f"plus {_BYTES_PER_USER} B per user){at_once}",
         _physical_memory(),
     )
 
@@ -228,6 +233,7 @@ def _simulate_chunk(
     policy: BidPolicy,
     bucket_boundaries: tuple[int, ...],
     collect_displays: bool,
+    totals_only: bool,
 ) -> dict[str, np.ndarray]:
     """Draw and simulate n users; see `_simulate_population`.
 
@@ -235,6 +241,17 @@ def _simulate_chunk(
     with an auction at step t are a prefix and each step costs only its
     real auctions. Per-user outputs come back in user order, and the
     display trace lists each step's winners in that sorted order.
+
+    The stream: after the users' draws, a block draws one competing bid
+    per real auction in step-major order, then one conversion uniform per
+    real auction, step by step. A `totals_only` block needs no
+    conversions, so it draws each step's competing bids as the loop
+    reaches them (the values that one draw of all of them gives, since
+    each distribution draws value after value) and then advances the
+    generator past the uniforms: each `Generator.random` double takes one
+    64-bit PCG64 output, so `advance(n_cells)` leaves the stream where
+    drawing them would. The next block draws the same values either way,
+    and the block holds no 8 B per auction.
     """
     gamma = config.fatigue_decay
     p0 = config.base_conversion_prob
@@ -258,14 +275,15 @@ def _simulate_chunk(
     # one per active user, in sorted-row order; the conversion uniforms follow
     # `comp` in the stream, drawn one step at a time so that one step's are held
     start = np.concatenate(([0], np.cumsum(n_active)))
-    comp = config.competition.sample(rng, int(start[-1]))
+    n_cells = int(start[-1])
+    comp = None if totals_only else config.competition.sample(rng, n_cells)
 
     cluster = assign_clusters(e0, bucket_boundaries)
     # the impatient bidder's multiplier is 1.0 in every cluster
     mult = np.ones(len(bucket_boundaries) + 1) if policy.multipliers is None else np.asarray(policy.multipliers)
     # a bid is at most vpc * alpha * theta (p0 * gamma**k < 1 scales it down), and the
     # block's users win at most one value of at most vpc per auction
-    reach = max(float(mult.max()) * float(theta.max()), int(start[-1]))
+    reach = max(float(mult.max()) * float(theta.max()), n_cells)
     if math.isinf(vpc * reach) and math.isfinite(reach):
         raise ValidationError(f"sim 'value_per_conversion' {vpc:g} overflows a float: a block of {n} users "
                               f"bids or wins up to {reach:.6g} times it")
@@ -286,19 +304,20 @@ def _simulate_chunk(
         c, lo, hi = n_active[t], start[t], start[t + 1]
         # views of the active prefix: adding to them adds to the users' totals
         k_t, cost_t, conversions_t = k[:c], cost[:c], conversions[:c]
-        comp_t = comp[lo:hi]
+        comp_t = config.competition.sample(rng, c) if totals_only else comp[lo:hi]
         p_k = p_by_exposure[k_t]
         if policy.dynamic:
             bid = alpha_by_exposure[k_t] * theta_s[:c] * vpc * p_k
         else:
             bid = bid_scale[:c] * p_k
         won = bid > comp_t
-        converted = won & (rng.random(c) < p_k)
         cost_t += np.where(won, comp_t, 0.0)
-        conversions_t += converted
-        if collect_displays:
-            disp_exposure.append(k_t[won])
-            disp_converted.append(converted[won])
+        if not totals_only:
+            converted = won & (rng.random(c) < p_k)
+            conversions_t += converted
+            if collect_displays:
+                disp_exposure.append(k_t[won])
+                disp_converted.append(converted[won])
         k_t += won
 
     # a user's j-th win is at exposure e0 + j, so the value totals depend only on
@@ -306,12 +325,16 @@ def _simulate_chunk(
     # sum, left to right, of the values in the order they are won, so a total is
     # the float that adding them one step at a time gives
     wins = k[pos] - e0
-    conversions = conversions[pos]
     most = np.zeros(len(levels), dtype=np.int64)  # the most wins from each start level
     np.maximum.at(most, e0, wins)
     # row e, for start level e, is entries 1 + row[e] to row[e] + most[e]; entry 0 is 0.0
     vpred_table = np.concatenate([[0.0]] + [np.cumsum(vpc * p_by_exposure[e:e + w]) for e, w in enumerate(most)])
     row = np.cumsum(most) - most
+    value_predicted = vpred_table[np.where(wins > 0, row[e0] + wins, 0)]
+    if totals_only:
+        rng.bit_generator.advance(n_cells)  # past the conversion uniforms
+        return {"cluster": cluster, "cost": cost[pos], "value_predicted": value_predicted}
+    conversions = conversions[pos]
     vobs_table = np.concatenate(([0.0], np.cumsum(np.full(conversions.max(), vpc))))
     result = {
         "theta": theta,
@@ -319,7 +342,7 @@ def _simulate_chunk(
         "cluster": cluster,
         "cost": cost[pos],
         "value_observed": vobs_table[conversions],
-        "value_predicted": vpred_table[np.where(wins > 0, row[e0] + wins, 0)],
+        "value_predicted": value_predicted,
         "n_auctions": m.astype(np.int64),
         "n_wins": wins,
     }
@@ -365,7 +388,7 @@ def _policy_totals(
     per_cluster: bool,
 ):
     """Total value and cost of one simulated population, overall or per cluster."""
-    pop = _simulate_population(config, policy, seed, bucket_boundaries)
+    pop = _simulate_population(config, policy, seed, bucket_boundaries, totals_only=True)
     if not per_cluster:
         return pop["value_predicted"].sum(), pop["cost"].sum()
     nc = len(bucket_boundaries) + 1
@@ -384,8 +407,14 @@ def _oracle_reps(
 ) -> dict[str, np.ndarray]:
     """Means and standard errors of `_policy_totals` over independent populations.
 
-    Each population lives only inside its `_policy_totals` call, so one
-    is freed before the next is simulated.
+    Repetition r simulates the stream of `SeedSequence([seed, r])`, and
+    its totals are row r, so no total depends on which thread ran it:
+    contiguous ranges of repetitions run on at most one thread per core,
+    the calling thread running the first. Each population lives only
+    inside its `_policy_totals` call, so a worker frees one before it
+    simulates the next, and the memory check counts one per worker.
+    Every population is totals-only: it streams each step's competing
+    bids and holds O(users), not 8 B per auction (see `_simulate_chunk`).
     """
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")
@@ -397,11 +426,17 @@ def _oracle_reps(
     per_rep = 24 * pairs
     _check_memory(n_reps * per_rep, f"reps={n_reps} needs about {_approx(n_reps * per_rep)} B "
                   f"({n_reps}*{per_rep} B of per-repetition totals)", _physical_memory())
+    n_workers = max(1, min(_n_workers(), n_reps))
+    _check_population_memory(config, n_workers)
     shape = (n_reps, pairs) if per_cluster else (n_reps,)
     vals, costs = np.empty(shape), np.empty(shape)
-    for rep in range(n_reps):
-        rep_seed = np.random.SeedSequence([int(seed), rep])
-        vals[rep], costs[rep] = _policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster)
+
+    def run(first: int, last: int) -> None:
+        for rep in range(first, last):
+            rep_seed = np.random.SeedSequence([int(seed), rep])
+            vals[rep], costs[rep] = _policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster)
+
+    _in_parallel(run, n_reps, n_workers)
     ddof = 1 if n_reps > 1 else 0
     return {
         "value": vals.mean(axis=0),

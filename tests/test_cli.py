@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -994,4 +995,75 @@ class TestExitCodes:
             os.close(read)
         assert (done.returncode, done.stderr) == (
             1, f"impatience: error: cannot read {pipe}: not a regular file, so its sha256 cannot be recorded\n")
+        assert not out.exists()
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("entry", [1.5, 1, 0, -0.1])
+    def test_sweep_entry_outside_the_unit_interval_exits_one(self, tiny_config, tmp_path, capsys, entry):
+        # a sweep entry of 1.5 once passed simulate, and offline-eval rejected it only
+        # after reading the log, naming the solver's cap instead of the config key
+        raw = json.loads(Path(tiny_config).read_text())
+        Path(tiny_config).write_text(json.dumps({**raw, "sweep": [0.1, entry]}))
+        out = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", tiny_config, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"impatience: error: config 'sweep' must be a list of finite numbers "
+                                           f"in (0, 1), got [0.1, {entry}]\n")
+        assert not out.exists()
+
+    def test_sweep_flag_is_checked_before_the_log_is_read(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "eval.csv"
+        code = run("offline-eval", "--config", tiny_config, "--log", str(tmp_path / "missing.jsonl"),
+                   "--sweep", "0.1", "1.5", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("impatience: error: config 'sweep' must be a list of finite "
+                                                  "numbers in (0, 1), got [0.1, 1.5]")
+        assert not out.exists()
+
+    def test_sweep_built_in_code_is_checked(self):
+        with pytest.raises(ValidationError, match=re.escape("config 'sweep' must be a list of finite numbers in (0, 1)")):
+            replace(default_experiment_config(), sweep=(0.1, 1.5))
+
+    @pytest.mark.parametrize("command", ["simulate", "marginals"])
+    def test_sigma_below_the_resolution_of_mu_exits_one(self, tiny_config, tmp_path, capsys, command):
+        # mu 0.3 with sigma 1e-155: marginals once exited 0 with a dcost of about 1.6e+295
+        log = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        raw = json.loads(Path(tiny_config).read_text())
+        Path(tiny_config).write_text(json.dumps({**raw, "randomization": {"mu": 0.3, "sigma": 1e-155}}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--config", tiny_config] + (["--log", str(log)] if command == "marginals" else [])
+        assert run(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("impatience: error: config 'randomization': sigma must be at "
+                                                  "least 2**-26 * |mu| = 4.47035e-09")
+        assert not out.exists()
+
+
+class TestOracleWorkers:
+    def test_ab_does_not_depend_on_the_worker_count(self, tiny_config, tmp_path, monkeypatch):
+        # 5 repetitions per arm run on 1, 2 or 3 threads; every arm must write the same bytes
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(POLICY))
+        reports = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulator, "_n_workers", lambda: workers)
+            out = tmp_path / f"ab{workers}.json"
+            assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", "5",
+                       "--users-per-arm", "800", "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    def test_ab_population_check_counts_every_worker(self, tiny_config, tmp_path, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the size check")
+
+        monkeypatch.setattr(simulator, "_simulate_chunk", no_simulation)
+        monkeypatch.setattr(simulator, "_n_workers", lambda: 2)
+        policy, out = tmp_path / "policy.json", tmp_path / "ab.json"
+        policy.write_text(json.dumps(POLICY))
+        assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", "4",
+                   "--users-per-arm", str(10**400), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"impatience: error: {HUGE_POPULATION} (")
         assert not out.exists()

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -132,6 +133,31 @@ class TestInvariants:
         policy = PolicySpec({np.int64(2): np.float64(1.1), 0: 1}, cap_delta=np.float64(0.2))
         assert [(type(c), type(a)) for c, a in policy.multipliers.items()] == [(int, float)] * 2
         assert policy.multipliers == {2: 1.1, 0: 1.0}
+
+
+class TestSigmaResolution:
+    """sigma must be at least 2**-26 * |mu|: ln(theta) - mu rounds in steps of about 2**-52 * |mu|."""
+
+    @pytest.mark.parametrize("mu", [0.3, -2.5, 700.0])
+    def test_sigma_below_the_resolution_of_mu_is_an_error(self, mu):
+        floor = 2.0**-26 * abs(mu)
+        assert RandomizationSpec(mu, floor).sigma == floor
+        with pytest.raises(ValidationError, match=re.escape("sigma must be at least 2**-26 * |mu|")):
+            RandomizationSpec(mu, math.nextafter(floor, 0.0))
+
+    def test_rounding_noise_spec_is_an_error(self):
+        # mu 0.3 with sigma 1e-155 once gave marginals a dcost of about 1.6e+295 and exit 0
+        message = ("sigma must be at least 2**-26 * |mu| = 4.47035e-09, or ln(theta) - mu rounds to noise, "
+                   "got 1e-155")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RandomizationSpec(0.3, 1e-155)
+        header = {**json.loads(TestReadErrors.HEADER), "mu": 0.3, "sigma": 1e-155}
+        with pytest.raises(LogFormatError, match=re.escape(f"line 1: invalid header: {message}")):
+            read_log(io.StringIO(json.dumps(header) + "\n"))
+
+    def test_the_rule_scales_with_mu_alone(self):
+        # at mu = 0 the square rule is the only floor
+        assert RandomizationSpec(0.0, 1e-150).sigma == 1e-150
 
 
 def four_users(**bad) -> list[dict]:

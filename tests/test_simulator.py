@@ -1,8 +1,11 @@
 import __future__
 import inspect
 import io
+import os
 import re
+import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
@@ -605,3 +608,126 @@ class TestMemory:
         monkeypatch.setattr(simulator, "_physical_memory", lambda: needed - 1)
         with pytest.raises(ValidationError, match=re.escape(f"need about {needed:.3g} B")):
             population(cfg, 0)
+
+
+COMPETITIONS = {
+    "lognormal": Distribution(kind="lognormal", mu=float(np.log(0.4)), sigma=1.2),
+    "uniform": Distribution(kind="uniform", low=0.0, high=1.0),
+    "constant": Distribution(kind="constant", value=0.4),
+    "poisson": Distribution(kind="poisson", mean=0.3),
+}
+ORACLE_POLICIES = {
+    "base": BidPolicy.impatient(SPEC),
+    "fixed": BidPolicy("cluster_multiplier", SPEC, MULT),
+    "dynamic": BidPolicy("cluster_multiplier", SPEC, MULT, dynamic=True),
+}
+#: 0.2% of users average about 3300 auctions and the rest about 3.
+HEAVY_TAILED = dict(n_users=5000, auctions_per_user=Distribution(kind="poisson", mean=10.0),
+                    initial_exposure=(0.998, 0.002), activity_by_exposure=(1.0, 1000.0))
+
+
+class TestStreamedOracle:
+    """An oracle population draws each step's competing bids in the step loop,
+    skips the conversions and advances the stream past their uniforms; its
+    totals are the bits that the full population's columns give."""
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 3])
+    @pytest.mark.parametrize("policy", sorted(ORACLE_POLICIES))
+    @pytest.mark.parametrize("competition", sorted(COMPETITIONS))
+    def test_totals_equal_the_sums_of_the_full_columns(self, monkeypatch, competition, policy, n_chunks):
+        # blocks of 2400, 1200 or 800 users: a later block draws what it draws after a full block
+        monkeypatch.setattr(simulator, "_CHUNK", 2400 // n_chunks)
+        cfg = small_config(n_users=2400, competition=COMPETITIONS[competition], **WORLDS["poisson_activity"])
+        pol = ORACLE_POLICIES[policy]
+        full = simulator._simulate_population(cfg, pol, 7)
+        streamed = simulator._simulate_population(cfg, pol, 7, totals_only=True)
+        assert streamed.keys() == {"cluster", "cost", "value_predicted"}
+        for key, column in streamed.items():
+            assert column.tobytes() == full[key].tobytes(), key
+        value, cost = simulator._policy_totals(cfg, pol, 7, DEFAULT_BUCKETS, per_cluster=False)
+        assert (value.tobytes(), cost.tobytes()) == (full["value_predicted"].sum().tobytes(),
+                                                      full["cost"].sum().tobytes())
+        value, cost = simulator._policy_totals(cfg, pol, 7, DEFAULT_BUCKETS, per_cluster=True)
+        for got, column in ((value, "value_predicted"), (cost, "cost")):
+            assert got.tobytes() == np.bincount(full["cluster"], weights=full[column], minlength=6).tobytes()
+
+    def test_outcomes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # 7 repetitions split unevenly; a short switch interval interleaves the workers often
+        cfg = small_config(n_users=1500)
+        pol = ORACLE_POLICIES["dynamic"]
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulator, "_n_workers", lambda: workers)
+                by_cluster = oracle_cluster_outcomes(cfg, pol, n_reps=7, seed=11)
+                outcomes.append((oracle_policy_outcome(cfg, pol, n_reps=7, seed=11),
+                                 {key: v.tobytes() for key, v in by_cluster.items()}))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("cores,n_reps", [(1, 4), (2, 4), (3, 4), (8, 4), (8, 1)])
+    def test_never_starts_more_threads_than_cores(self, monkeypatch, cores, n_reps):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        oracle_policy_outcome(small_config(n_users=300), BidPolicy.impatient(SPEC), n_reps=n_reps, seed=0)
+        # the calling thread runs the first range of repetitions itself
+        assert len(started) + 1 == min(cores, n_reps)
+
+    def test_memory_check_counts_one_population_per_worker(self, monkeypatch):
+        # 1000 users at 7.5 auctions: 8 B per auction for the 8 rounded up, plus 64 B per user
+        cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
+        one = 1000 * 8 * 8 + 1000 * 64
+        simulate_chunk, thread = simulator._simulate_chunk, threading.Thread
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the size check")
+
+        class NoThread(threading.Thread):
+            def start(self):
+                raise AssertionError("started a worker before the size check")
+
+        monkeypatch.setattr(simulator, "_n_workers", lambda: 3)
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 3 * one - 1)
+        monkeypatch.setattr(simulator, "_simulate_chunk", no_simulation)
+        monkeypatch.setattr(threading, "Thread", NoThread)
+        with pytest.raises(ValidationError, match=re.escape(f"need about {one:.3g} B (") + ".*"
+                           + re.escape("per user), for each of 3 populations simulated at once, more than")):
+            oracle_policy_outcome(cfg, BidPolicy.impatient(SPEC), n_reps=5, seed=0)
+        # two repetitions run on two workers, and two populations fit
+        monkeypatch.setattr(simulator, "_simulate_chunk", simulate_chunk)
+        monkeypatch.setattr(threading, "Thread", thread)
+        assert oracle_policy_outcome(cfg, BidPolicy.impatient(SPEC), n_reps=2, seed=0).n_reps == 2
+
+
+class TestOracleMemory:
+    @pytest.mark.parametrize("world", ["2000x10", "10000x40", "40000x160", "heavy_tailed"])
+    def test_population_memory_does_not_grow_with_auctions_per_user(self, world):
+        # an oracle population holds no 8 B per auction: its traced peak stays under
+        # a fixed number of bytes per user from 10 to 160 auctions per user, and
+        # when a few users have thousands; holding the block's competing bids broke it
+        if world == "heavy_tailed":
+            cfg = small_config(**HEAVY_TAILED)
+        else:
+            n_users, mean = map(int, world.split("x"))
+            cfg = small_config(n_users=n_users, auctions_per_user=Distribution(kind="poisson", mean=float(mean)))
+        policy = BidPolicy.impatient(SPEC)
+        simulator._policy_totals(small_config(n_users=10), policy, 0, DEFAULT_BUCKETS, True)  # first-call work
+        for per_cluster in (False, True):
+            tracemalloc.start()
+            try:
+                simulator._policy_totals(cfg, policy, 0, DEFAULT_BUCKETS, per_cluster)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 160 * cfg.n_users + (1 << 16)
