@@ -1,17 +1,21 @@
-"""Shared data types and the randomized-log file contract.
+"""Shared data types and every file format the command line reads or writes.
 
 The log format is line-delimited JSON: one metadata line (mu, sigma,
-bucket boundaries, schema version), then one line per user. All types
-are immutable after construction.
+bucket boundaries, schema version), then one line per user. The policy
+is one JSON document, and every CSV opens with `# key=value` provenance
+comments. All types are immutable after construction.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
 import os
+import stat
 import threading
+from argparse import ArgumentTypeError
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
@@ -22,7 +26,17 @@ from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import __version__
+
 SCHEMA_VERSION = "impatience-log/1"
+POLICY_SCHEMA = "impatience-policy/1"
+#: The program that every output's provenance names.
+TOOL = f"impatience/{__version__}"
+#: The columns of a marginals CSV: the fields of a `ClusterRow`, each interval as a low and a high column.
+MARGINALS_COLUMNS = ("cluster", "n_users", "dcost", "dvalue", "mroi", "dcost_ci_low", "dcost_ci_high",
+                     "dvalue_ci_low", "dvalue_ci_high", "mroi_ci_low", "mroi_ci_high")
+#: The marginals columns a reallocation reads, which every marginals file must hold.
+_MARGINALS_NEEDED = ("cluster", "dcost", "dvalue", "mroi")
 
 #: Default ad-exposure bucket boundaries: buckets {0, 1, 2, 3, 4, 5+}.
 DEFAULT_BUCKETS: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -34,7 +48,7 @@ _USER_FIELDS = ("user_id",) + _COLUMNS
 _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
 #: The dtype each column is held in.
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
-#: The least sigma per unit of |mu| that a randomization spec takes (README, "File formats").
+#: The least sigma per unit of max(1, |mu|) that a randomization spec takes (README, "File formats").
 _SIGMA_RESOLUTION = 2.0**-26
 #: User lines are written and read in blocks of this many rows.
 _BLOCK = 1 << 10
@@ -78,6 +92,10 @@ class LogFormatError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+class UsageError(Exception):
+    """A file cannot be used: it cannot be read or written, or its document breaks its format."""
 
 
 class IndependenceViolationError(ValueError):
@@ -232,10 +250,11 @@ class RandomizationSpec:
                                   f"finite float, got {self.mu}")
         if not 0 < self.sigma * self.sigma < math.inf:  # every importance weight divides by it
             raise ValidationError(f"sigma must have a finite square above 0 in floating point, got {self.sigma}")
-        # ln(theta) - mu rounds in steps of about 2**-52 * |mu|; a sigma within 2**26 such
-        # steps of it leaves each standardized draw (ln(theta) - mu) / sigma below 26 bits
-        if self.sigma < _SIGMA_RESOLUTION * abs(self.mu):
-            raise ValidationError(f"sigma must be at least 2**-26 * |mu| = {_SIGMA_RESOLUTION * abs(self.mu):.6g}, "
+        # ln(theta) is rounded to about 2**-52 and ln(theta) - mu to about 2**-52 * |mu|, so
+        # a sigma within 2**26 such steps leaves each standardized draw below 26 bits
+        floor = _SIGMA_RESOLUTION * max(1.0, abs(self.mu))
+        if self.sigma < floor:
+            raise ValidationError(f"sigma must be at least 2**-26 * max(1, |mu|) = {floor:.6g}, "
                                   f"or ln(theta) - mu rounds to noise, got {self.sigma}")
 
     @classmethod
@@ -413,6 +432,19 @@ class PolicyOutcome:
     value_se: float
     cost_se: float
 
+    def relative_to(self, baseline: "PolicyOutcome") -> dict[str, float]:
+        """`rel_dvalue` and `rel_dcost`, this outcome's value and cost over `baseline`'s minus 1,
+        each with its delta-method standard error (`rel_dvalue_se`, `rel_dcost_se`)."""
+        rel = {}
+        for name in ("value", "cost"):
+            t, t_se, b, b_se = (getattr(outcome, name + se) for outcome in (self, baseline) for se in ("", "_se"))
+            if b == 0:
+                raise ValidationError(f"the baseline arm's {name} is 0, so a relative delta is undefined; "
+                                      "each arm needs users who win auctions")
+            rel[f"rel_d{name}"] = t / b - 1.0
+            rel[f"rel_d{name}_se"] = np.hypot(t_se / b, t * b_se / b**2)
+        return rel
+
 
 def _from_json(cls, raw, what: str, **readers):
     """The config record `cls` read from the JSON object `raw`, named `what` in errors: every key
@@ -452,6 +484,15 @@ _ROW = "{" + ",".join(f'"{f}":%s' for f in _ROW_FIELDS) + "}\n"
 
 
 @contextmanager
+def _file_errors(path: str, verb: str = "read"):
+    """Report a file that cannot be read (or decoded) or written as a usage error naming it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+@contextmanager
 def atomic_write(path: str) -> Iterator[IO[str]]:
     """Open `path` for writing text; the file changes only if the block succeeds.
 
@@ -474,9 +515,10 @@ def atomic_write(path: str) -> Iterator[IO[str]]:
 
 
 def write_log(log: RandomizedLog, destination: str | IO[str]) -> None:
-    """Write a log as JSONL: one header line, then one line per user."""
+    """Write a log as JSONL: one header line, then one line per user; a path that cannot
+    be written is a UsageError naming it."""
     if isinstance(destination, str):
-        with atomic_write(destination) as fh:
+        with _file_errors(destination, "write"), atomic_write(destination) as fh:
             _write_lines(log, fh)
     else:
         _write_lines(log, destination)
@@ -512,9 +554,10 @@ def _texts(values: np.ndarray) -> list[str]:
 
 
 def read_log(source: str | IO[str]) -> RandomizedLog:
-    """Read and validate a JSONL log produced by :func:`write_log`."""
+    """Read and validate a JSONL log produced by :func:`write_log`; a path that cannot be
+    read or decoded is a UsageError naming it."""
     if isinstance(source, str):
-        with open(source) as fh:
+        with _file_errors(source), open(source) as fh:
             return _read_lines(fh)
     return _read_lines(source)
 
@@ -637,3 +680,130 @@ def _parse_columns(columns: list[tuple], linenos: Iterable[int]) -> list[np.ndar
                 except OverflowError:
                     raise LogFormatError(f"{f} is out of range, got {value!r}", lineno) from None
         raise
+
+
+# ---------------------------------------------------------------------------
+# the files around the log: JSON documents, the policy, and CSVs with provenance
+
+
+def recorded(path: str, name: str, provenance: dict) -> str:
+    """`path`, with its sha256 added to `provenance` as `<name>_sha256`: the one way an input
+    enters an output's provenance. It must be a regular file, since a parser would drain a
+    pipe, and the digest would name bytes that were not read."""
+    with _file_errors(path):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise UsageError(f"cannot read {path}: not a regular file, so its sha256 cannot be recorded")
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    provenance[f"{name}_sha256"] = digest.hexdigest()
+    return path
+
+
+def read_json(path: str, what: str):
+    """The JSON document in the `what` file at `path`."""
+    try:
+        with _file_errors(path), open(path) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except _JSON_ERRORS as exc:
+        raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def write_json(path: str, doc: dict) -> None:
+    with _file_errors(path, "write"), atomic_write(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_policy(path: str) -> PolicySpec:
+    """The policy in a policy file; the reader checks the document, `PolicySpec` the fields."""
+    doc = read_json(path, "policy")
+    if not isinstance(doc, dict):
+        raise UsageError(f"policy file {path} does not hold a JSON object")
+    if doc.get("schema") != POLICY_SCHEMA:
+        raise UsageError(f"policy file {path} has an unsupported schema {doc.get('schema')!r}")
+    multipliers = doc.get("multipliers")
+    if not isinstance(multipliers, dict):
+        raise UsageError(f"policy file {path} needs a 'multipliers' object, got {multipliers!r}")
+    try:
+        # a cluster key is the decimal text `write_policy` writes, with no sign, space, underscore
+        # or leading zero; any other key stays a string, which `PolicySpec` rejects
+        clusters = [int(k) if k.isascii() and k.isdigit() and (k == "0" or k[0] != "0") else k for k in multipliers]
+        return PolicySpec(dict(zip(clusters, multipliers.values())), doc.get("cap_delta"))
+    except ValueError as exc:  # a ValidationError, or a key past `sys.get_int_max_str_digits()`
+        raise UsageError(f"policy file {path}: {exc}") from None
+
+
+def write_policy(path: str, policy: PolicySpec, provenance: dict, diagnostic: str | None = None) -> None:
+    doc = {"schema": POLICY_SCHEMA, "cap_delta": policy.cap_delta, "provenance": {"tool": TOOL, **provenance},
+           "multipliers": {str(k): v for k, v in policy.multipliers.items()}}
+    write_json(path, {**doc, "diagnostic": diagnostic} if diagnostic else doc)
+
+
+def _fmt(x) -> str:
+    """A CSV cell: empty for None, text as it is, an integer by `str` and any other number by `repr` of its float."""
+    if x is None or isinstance(x, str):
+        return x or ""
+    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
+def _finite(text: str) -> float:
+    """A float flag or CSV cell: a finite number, as every computation on it needs."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def write_csv(path: str, provenance: dict, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """A CSV with one `# key=value` comment for the tool and then one for each provenance entry, in key order."""
+    with _file_errors(path, "write"), atomic_write(path) as fh:
+        fh.write(f"# tool={TOOL}\n")
+        fh.writelines(f"# {key}={_fmt(provenance[key])}\n" for key in sorted(provenance))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def write_marginals(path: str, rows: Iterable[ClusterRow], provenance: dict) -> None:
+    write_csv(path, provenance, MARGINALS_COLUMNS, (
+        [r.cluster, r.n_users, r.dcost, r.dvalue, r.mroi,
+         *chain.from_iterable(ci or (None, None) for ci in (r.dcost_ci, r.dvalue_ci, r.mroi_ci))]
+        for r in rows
+    ))
+
+
+def read_marginals(path: str) -> tuple[list[ClusterRow], dict[str, str]]:
+    """The rows and the provenance of a marginals CSV. The columns a reallocation reads must be
+    there; `n_users` and the interval columns are read where they are, an empty cell as None."""
+    provenance, cells, header = {}, [], None
+    with _file_errors(path), open(path) as fh:
+        for line in filter(None, map(str.strip, fh)):
+            if line.startswith("#"):
+                key, eq, value = line[1:].strip().partition("=")
+                if eq:
+                    provenance[key] = value
+            elif header is None:
+                header = line.split(",")
+            else:
+                cells.append(dict(zip(header, line.split(","))))
+    if header is None:
+        raise UsageError(f"marginals file {path} has no header row")
+    missing = [column for column in _MARGINALS_NEEDED if column not in header]
+    if missing:
+        raise UsageError(f"marginals file {path} has no columns {missing}")
+    try:
+        return [_marginals_row(row) for row in cells], provenance
+    except (KeyError, ValueError, ArgumentTypeError) as exc:
+        raise UsageError(f"marginals file {path} has a malformed row: {exc!r}") from None
+
+
+def _marginals_row(cells: dict[str, str]) -> ClusterRow:
+    def interval(stem: str) -> tuple[float, float] | None:
+        low, high = cells.get(f"{stem}_ci_low", ""), cells.get(f"{stem}_ci_high", "")
+        return None if low == high == "" else (_finite(low), _finite(high))
+
+    cluster, dcost, dvalue = int(cells["cluster"]), _finite(cells["dcost"]), _finite(cells["dvalue"])
+    mroi = _finite(cells["mroi"]) if cells["mroi"] != "" else None
+    n_users = int(cells["n_users"]) if cells.get("n_users", "") != "" else None
+    return ClusterRow(cluster, n_users, dcost, dvalue, mroi, interval("dcost"), interval("dvalue"), interval("mroi"))

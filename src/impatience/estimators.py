@@ -16,7 +16,6 @@ escape hatch, which exists to demonstrate the resulting bias.
 from __future__ import annotations
 
 import math
-import os  # noqa: F401  (the pool's core count reads os.sched_getaffinity; tests patch it here)
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import ClusterRow, PolicySpec, RandomizedLog, ValidationError, _check_kinds
-from .estimators import _policy_delta_sums
+from .estimators import _ClusterSums, _policy_delta_sums
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,12 @@ def solve_reallocation_detailed(problem: ReallocationProblem) -> SolveResult:
             "no feasible cost-neutral improvement; returning all-ones",
         )
     return SolveResult(PolicySpec(multipliers, cap), objective, None)
+
+
+def sweep_policies(log: RandomizedLog, caps: Sequence[float]) -> list[PolicySpec]:
+    """The policy of each cap in an amplitude sweep: the reallocation solved on the log's marginals."""
+    rows = _ClusterSums(log).rows()
+    return [solve_reallocation_detailed(ReallocationProblem.from_rows(rows, cap)).policy for cap in caps]
 
 
 @dataclass(frozen=True)

@@ -237,3 +237,12 @@ def calibration_curve(model: CtrModel, events: DisplayEvents) -> list[Calibratio
         )
         for b, n in enumerate(counts)
     ]
+
+
+def calibration_curves(events: DisplayEvents, l2: float = 0.0,
+                       fatigue_boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> dict[str, list[CalibrationRow]]:
+    """The calibration curve of a CTR model fit to `events` without (`no_fatigue`) and
+    with (`fatigue`) the exposure bucket as its feature."""
+    return {name: calibration_curve(fit_ctr(events, include_fatigue=fatigue, l2=l2,
+                                            fatigue_boundaries=fatigue_boundaries), events)
+            for name, fatigue in (("no_fatigue", False), ("fatigue", True))}

@@ -118,6 +118,37 @@ def default_randomization() -> RandomizationSpec:
     return RandomizationSpec(mu=0.0, sigma=0.3)
 
 
+DEFAULT_SWEEP = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Experiment-level knobs shared across subcommands: the config file."""
+
+    sim: SimConfig
+    randomization: RandomizationSpec
+    bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS
+    resamples: int = 1000
+    cap_delta: float = 0.2
+    sweep: tuple[float, ...] = DEFAULT_SWEEP
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_kinds(self, "config", {"bucket_boundaries": "boundaries", "resamples": "count", "cap_delta": "fraction",
+                                      "sweep": "fractions", "seed": "count"})
+
+    def to_json(self) -> dict:
+        return _json_object(self)
+
+    @classmethod
+    def from_json(cls, raw) -> "ExperimentConfig":
+        return _from_json(cls, raw, "config", sim=SimConfig.from_json, randomization=RandomizationSpec.from_json)
+
+
+def default_experiment_config() -> ExperimentConfig:
+    return ExperimentConfig(sim=default_config(), randomization=default_randomization())
+
+
 @dataclass(frozen=True)
 class BidPolicy:
     """The bidder under simulation.
@@ -467,6 +498,22 @@ def oracle_cluster_outcomes(
 ) -> dict[str, np.ndarray]:
     """Per-cluster oracle totals (means and standard errors over reps)."""
     return _oracle_reps(config, policy, n_reps, seed, bucket_boundaries, per_cluster=True)
+
+
+def ab_outcomes(config: SimConfig, spec: RandomizationSpec, policy: PolicySpec, n_reps: int, seed: int,
+                bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS) -> dict[str, PolicyOutcome]:
+    """A simulated A/B test of `policy`: the oracle outcome of the impatient bidder
+    (`baseline`, seeded `seed`), of the policy's multipliers fixed at each user's
+    cluster at collection start (`fixed_factor`, `seed + 1`) and of them looked up
+    from the current exposure (`dynamic_factor`, `seed + 2`)."""
+    n_clusters = len(bucket_boundaries) + 1
+    arms = {
+        "baseline": BidPolicy.impatient(spec),
+        "fixed_factor": BidPolicy.from_policy_spec(spec, policy, n_clusters),
+        "dynamic_factor": BidPolicy.from_policy_spec(spec, policy, n_clusters, dynamic=True),
+    }
+    return {name: oracle_policy_outcome(config, bids, n_reps, seed + i, bucket_boundaries)
+            for i, (name, bids) in enumerate(arms.items())}
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,26 @@ class TestPipeline:
         run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marg2))
         assert marg.read_bytes() == marg2.read_bytes()
 
+    def test_policy_digest_is_recorded(self, tiny_config, tmp_path):
+        # offline-eval and ab once recorded the config and log digests but not the policy's
+        log, policy = tmp_path / "log.jsonl", tmp_path / "policy.json"
+        ev, sweep, ab = tmp_path / "eval.csv", tmp_path / "sweep.csv", tmp_path / "ab.json"
+        policy.write_text(json.dumps(POLICY))
+        digest = hashlib.sha256(policy.read_bytes()).hexdigest()
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--policy", str(policy),
+                   "--out", str(ev)) == 0
+        assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(sweep)) == 0
+        assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", "2", "--users-per-arm", "300",
+                   "--out", str(ab)) == 0
+        comments = [line for line in ev.read_text().splitlines() if line.startswith("#")]
+        assert comments[3:] == [f"# policy_sha256={digest}", "# seed=0"]
+        assert "policy_sha256" not in sweep.read_text()  # a sweep reads no policy file
+        report = json.loads(ab.read_text())
+        assert report["policy_sha256"] == digest
+        assert sorted(report) == ["arms", "config_sha256", "n_reps", "policy_sha256", "seed", "tool",
+                                  "users_per_arm"]
+
     def test_sweep_rows_equal_the_rows_of_optimized_policies(self, tiny_config, tmp_path):
         # one route from a log to a policy: the sweep's row for a cap is the
         # row offline-eval gives for the policy optimize writes at that cap
@@ -700,9 +720,9 @@ class TestAtomicOutputs:
         argv = ("weight-profile", "--config", tiny_config, "--out", str(out), "--samples", "2000")
         assert run(*argv) == 0
         before = out.read_bytes()
-        import impatience.cli as cli
+        import impatience.domain as domain
 
-        fmt, calls = cli._fmt, []
+        fmt, calls = domain._fmt, []
 
         def fail_on_fifth_cell(x):
             calls.append(x)
@@ -710,7 +730,7 @@ class TestAtomicOutputs:
                 raise RuntimeError("formatter failed")
             return fmt(x)
 
-        monkeypatch.setattr(cli, "_fmt", fail_on_fifth_cell)
+        monkeypatch.setattr(domain, "_fmt", fail_on_fifth_cell)
         with pytest.raises(RuntimeError, match="formatter failed"):
             run(*argv, "--alphas", "0.7", "1.3")
         assert out.read_bytes() == before
@@ -807,7 +827,7 @@ class TestExitCodes:
         def failing_fit(*args, **kwargs):
             raise ConvergenceError(1.0, CtrModel((0.0,), False, (1,)))
 
-        monkeypatch.setattr("impatience.cli.fit_ctr", failing_fit)
+        monkeypatch.setattr("impatience.predictor.fit_ctr", failing_fit)
         code = run("fit-ctr", "--config", tiny_config, "--out", str(tmp_path / "c.csv"))
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -966,7 +986,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"impatience: error: cannot read {directory}: ")
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("flag", ["--config", "--log", "--marginals"])
+    @pytest.mark.parametrize("flag", ["--config", "--log", "--marginals", "--policy"])
     def test_pipe_as_a_recorded_input_exits_one(self, tiny_config, tmp_path, flag):
         # the digest of an input once read the file again after the parser had drained
         # the pipe, so it recorded the sha256 of zero bytes and the command exited 0
@@ -980,13 +1000,16 @@ class TestExitCodes:
             "--config": ["weight-profile", "--config", pipe, "--samples", "100"],
             "--log": ["marginals", "--config", tiny_config, "--log", pipe],
             "--marginals": ["optimize", "--marginals", pipe],
+            "--policy": ["offline-eval", "--config", tiny_config, "--log", str(log), "--policy", pipe],
         }[flag]
         code = "import sys; from impatience.cli import main; sys.exit(main(sys.argv[1:]))"
         src = os.path.dirname(os.path.dirname(impatience.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         out = tmp_path / "out"
         try:
-            source = {"--config": Path(tiny_config), "--log": log, "--marginals": marginals}[flag]
+            policy = tmp_path / "policy.json"
+            policy.write_text(json.dumps(POLICY))
+            source = {"--config": Path(tiny_config), "--log": log, "--marginals": marginals, "--policy": policy}[flag]
             os.write(write, source.read_bytes())  # far less than a pipe holds
             os.close(write)
             done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env, pass_fds=(read,),
@@ -1024,19 +1047,22 @@ class TestConfigRanges:
         with pytest.raises(ValidationError, match=re.escape("config 'sweep' must be a list of finite numbers in (0, 1)")):
             replace(default_experiment_config(), sweep=(0.1, 1.5))
 
+    @pytest.mark.parametrize("mu,sigma", [(0.3, 1e-155), (0.0, 1e-15)])
     @pytest.mark.parametrize("command", ["simulate", "marginals"])
-    def test_sigma_below_the_resolution_of_mu_exits_one(self, tiny_config, tmp_path, capsys, command):
-        # mu 0.3 with sigma 1e-155: marginals once exited 0 with a dcost of about 1.6e+295
+    def test_sigma_below_the_resolution_of_mu_exits_one(self, tiny_config, tmp_path, capsys, command, mu, sigma):
+        # mu 0.3 with sigma 1e-155: marginals once exited 0 with a dcost of about 1.6e+295;
+        # mu 0 with sigma 1e-15: both once exited 0, marginals with a dcost of about 5.7e+15
         log = tmp_path / "log.jsonl"
         assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
         raw = json.loads(Path(tiny_config).read_text())
-        Path(tiny_config).write_text(json.dumps({**raw, "randomization": {"mu": 0.3, "sigma": 1e-155}}))
+        Path(tiny_config).write_text(json.dumps({**raw, "randomization": {"mu": mu, "sigma": sigma}}))
         capsys.readouterr()
         out = tmp_path / "out"
         argv = [command, "--config", tiny_config] + (["--log", str(log)] if command == "marginals" else [])
         assert run(*argv, "--out", str(out)) == 1
-        assert capsys.readouterr().err.startswith("impatience: error: config 'randomization': sigma must be at "
-                                                  "least 2**-26 * |mu| = 4.47035e-09")
+        assert capsys.readouterr().err == ("impatience: error: config 'randomization': sigma must be at least "
+                                           "2**-26 * max(1, |mu|) = 1.49012e-08, or ln(theta) - mu rounds to noise, "
+                                           f"got {sigma}\n")
         assert not out.exists()
 
 

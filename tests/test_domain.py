@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from impatience import (
     DEFAULT_BUCKETS,
+    ClusterRow,
     LogFormatError,
     PolicySpec,
     RandomizationSpec,
@@ -79,7 +80,7 @@ class TestInvariants:
         header = {**json.loads(TestReadErrors.HEADER), "mu": mu, "sigma": sigma}
         with pytest.raises(LogFormatError, match=re.escape(f"line 1: invalid header: {message}")):
             read_log(io.StringIO(json.dumps(header) + "\n"))
-        RandomizationSpec(0.0, 1e-160)  # its square is subnormal, but above 0
+        RandomizationSpec(0.0, 2.0**-26)  # the least sigma at mu = 0
         RandomizationSpec(-743.0, 1e150)
 
     def test_spec_holds_floats(self):
@@ -136,28 +137,31 @@ class TestInvariants:
 
 
 class TestSigmaResolution:
-    """sigma must be at least 2**-26 * |mu|: ln(theta) - mu rounds in steps of about 2**-52 * |mu|."""
+    """sigma must be at least 2**-26 * max(1, |mu|): ln(theta) rounds in steps of about 2**-52,
+    and ln(theta) - mu in steps of about 2**-52 * |mu|."""
 
-    @pytest.mark.parametrize("mu", [0.3, -2.5, 700.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, -1.0, -2.5, 700.0])
     def test_sigma_below_the_resolution_of_mu_is_an_error(self, mu):
-        floor = 2.0**-26 * abs(mu)
+        floor = 2.0**-26 * max(1.0, abs(mu))
         assert RandomizationSpec(mu, floor).sigma == floor
-        with pytest.raises(ValidationError, match=re.escape("sigma must be at least 2**-26 * |mu|")):
+        with pytest.raises(ValidationError, match=re.escape("sigma must be at least 2**-26 * max(1, |mu|)")):
             RandomizationSpec(mu, math.nextafter(floor, 0.0))
 
     def test_rounding_noise_spec_is_an_error(self):
         # mu 0.3 with sigma 1e-155 once gave marginals a dcost of about 1.6e+295 and exit 0
-        message = ("sigma must be at least 2**-26 * |mu| = 4.47035e-09, or ln(theta) - mu rounds to noise, "
-                   "got 1e-155")
+        message = ("sigma must be at least 2**-26 * max(1, |mu|) = 1.49012e-08, or ln(theta) - mu rounds to "
+                   "noise, got 1e-155")
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             RandomizationSpec(0.3, 1e-155)
         header = {**json.loads(TestReadErrors.HEADER), "mu": 0.3, "sigma": 1e-155}
         with pytest.raises(LogFormatError, match=re.escape(f"line 1: invalid header: {message}")):
             read_log(io.StringIO(json.dumps(header) + "\n"))
 
-    def test_the_rule_scales_with_mu_alone(self):
-        # at mu = 0 the square rule is the only floor
-        assert RandomizationSpec(0.0, 1e-150).sigma == 1e-150
+    @pytest.mark.parametrize("sigma", [1e-15, 1e-150])
+    def test_the_rule_has_a_floor_near_mu_0(self, sigma):
+        # mu 0 with sigma 1e-15 once passed, and marginals gave a dcost of 5.66e+15 with exit 0
+        with pytest.raises(ValidationError, match=re.escape("at least 2**-26 * max(1, |mu|) = 1.49012e-08")):
+            RandomizationSpec(0.0, sigma)
 
 
 def four_users(**bad) -> list[dict]:
@@ -390,6 +394,54 @@ class TestRoundTrip:
             )
         log = make_log(*users, spec=RandomizationSpec(mu, sigma))
         assert roundtrip(log) == log
+
+
+def same_bits(rows_a, rows_b) -> bool:
+    """Equal rows whose floats have the same bits: `repr` tells -0.0 from 0.0."""
+    return rows_a == rows_b and repr(rows_a) == repr(rows_b)
+
+
+class TestFileRoundTrips:
+    """Each file the CLI writes and reads again reads back as the record it was written from."""
+
+    ROWS = [
+        ClusterRow(0, 120, 3.5, 7.25, 7.25 / 3.5, (1.0, 6.0), (-0.0, 9.5), (0.1, 3.0)),
+        ClusterRow(1, 0, 0.0, -0.0, None),  # an undefined mROI and no intervals
+        ClusterRow(2, None, -1e-300, 2.2250738585072014e-308, None, (-5e-324, 1e308), (0.0, 1.0), (-2.5, 4.0)),
+        ClusterRow(12, 7, 0.1 + 0.2, 1 / 3, (1 / 3) / (0.1 + 0.2), (0.25, 0.5), (0.125, 0.75), None),
+    ]
+
+    def test_marginals_rows_read_back_bit_for_bit(self, tmp_path):
+        path = str(tmp_path / "marginals.csv")
+        domain.write_marginals(path, self.ROWS, {"log_sha256": "ab12", "seed": 3})
+        rows, provenance = domain.read_marginals(path)
+        assert same_bits(rows, self.ROWS)
+        assert provenance == {"tool": domain.TOOL, "log_sha256": "ab12", "seed": "3"}
+
+    def test_estimated_marginals_read_back_bit_for_bit(self, tmp_path):
+        from impatience import cluster_estimates, default_config, default_randomization, simulate_log
+
+        # no user starts at an exposure of 50 or more, so the last cluster's mROI is undefined
+        log = simulate_log(default_config(300), default_randomization(), 2, DEFAULT_BUCKETS + (50,))
+        rows = cluster_estimates(log, 100, seed=1)
+        assert not all(row.defined for row in rows)
+        path = str(tmp_path / "marginals.csv")
+        domain.write_marginals(path, rows, {})
+        assert same_bits(domain.read_marginals(path)[0], rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cap=st.floats(1e-6, 0.999), moves=st.lists(st.floats(-1, 1), max_size=12))
+    def test_policy_reads_back_equal(self, tmp_path_factory, cap, moves):
+        policy = PolicySpec({3 * c: 1 + cap * move for c, move in enumerate(moves)}, cap)
+        path = str(tmp_path_factory.mktemp("policy") / "policy.json")
+        domain.write_policy(path, policy, {"marginals_sha256": "cd34"}, "a diagnostic")
+        back = domain.read_policy(path)
+        assert back == policy  # the file lists clusters in key order: compare the multipliers' bits in one order
+        assert repr(sorted(back.multipliers.items())) == repr(sorted(policy.multipliers.items()))
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["provenance"] == {"marginals_sha256": "cd34", "tool": domain.TOOL}
+        assert doc["diagnostic"] == "a diagnostic"
 
 
 class TestReadErrors:

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import sys
 import threading
@@ -423,7 +424,7 @@ class TestBlockPool:
                 super().start()
 
         monkeypatch.setattr(threading, "Thread", CountedThread)
-        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         # 300 users make blocks of 218 resamples: 500 resamples are 3 blocks, 100 are 1
         UserSums(np.ones((1, 300))).resample(0, n_resamples)
         n_blocks = -(-n_resamples // 218)
@@ -431,8 +432,8 @@ class TestBlockPool:
         assert len(started) + 1 == min(cores, n_blocks)
 
     def test_falls_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(estimators.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert estimators._n_workers() == 3
 
     def test_worker_exception_propagates(self):
@@ -468,7 +469,7 @@ class TestBlockPool:
     def test_indeterminate_physical_memory_checks_nothing(self, monkeypatch, page_size, pages):
         # os.sysconf returns -1 without raising when a value is indeterminate
         values = {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}
-        monkeypatch.setattr(estimators.os, "sysconf", values.__getitem__)
+        monkeypatch.setattr(os, "sysconf", values.__getitem__)
         assert estimators._physical_memory() == math.inf
         UserSums(np.ones((1, 300))).resample(0, 100)
 
