@@ -36,7 +36,6 @@ from .domain import (
     read_log,
     read_marginals,
     read_policy,
-    recorded,
     write_csv,
     write_json,
     write_log,
@@ -63,7 +62,7 @@ def _load_config(args) -> tuple[ExperimentConfig, dict]:
     """The --config file with the flags that override its fields, checked as one config, and
     the provenance every output of the run records: the config's sha256 and the seed."""
     provenance = {}
-    raw = read_json(recorded(args.config, "config", provenance), "config")
+    raw = read_json(args.config, "config", provenance)
     flags = {key: value for key in ("seed", "resamples", "sweep") if (value := getattr(args, key, None)) is not None}
     cfg = replace(ExperimentConfig.from_json(raw), **flags)
     return cfg, {**provenance, "seed": cfg.seed}
@@ -88,7 +87,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_marginals(args) -> int:
     cfg, provenance = _load_config(args)
-    log = read_log(recorded(args.log, "log", provenance))
+    log = read_log(args.log, provenance)
     rows = cluster_estimates(log, n_resamples=cfg.resamples, seed=cfg.seed)
     write_marginals(args.out, rows, provenance)
     print(f"marginals: wrote {len(rows)} clusters to {args.out}")
@@ -100,7 +99,7 @@ def cmd_marginals(args) -> int:
 
 def cmd_optimize(args) -> int:
     provenance = {}
-    rows, upstream = read_marginals(recorded(args.marginals, "marginals", provenance))
+    rows, upstream = read_marginals(args.marginals, provenance)
     result = solve_reallocation_detailed(ReallocationProblem.from_rows(rows, cap_delta=args.cap))
     if "log_sha256" in upstream:
         provenance["log_sha256"] = upstream["log_sha256"]
@@ -116,9 +115,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_offline_eval(args) -> int:
     cfg, provenance = _load_config(args)
-    log = read_log(recorded(args.log, "log", provenance))
+    log = read_log(args.log, provenance)
     if args.policy:
-        policies = [read_policy(recorded(args.policy, "policy", provenance))]
+        policies = [read_policy(args.policy, provenance)]
     else:
         policies = sweep_policies(log, cfg.sweep)
     cis = _policy_delta_bootstraps(log, policies, cfg.resamples, cfg.seed)
@@ -135,7 +134,7 @@ def cmd_offline_eval(args) -> int:
 
 def cmd_ab(args) -> int:
     cfg, provenance = _load_config(args)
-    policy = read_policy(recorded(args.policy, "policy", provenance))
+    policy = read_policy(args.policy, provenance)
     sim = cfg.sim if args.users_per_arm is None else replace(cfg.sim, n_users=args.users_per_arm)
     outcomes = ab_outcomes(sim, cfg.randomization, policy, args.reps, cfg.seed, cfg.bucket_boundaries)
     print(f"ab: {sim.n_users} users/arm x {args.reps} reps")
@@ -165,13 +164,14 @@ def cmd_weight_profile(args) -> int:
 
 
 def cmd_two_auctions(args) -> int:
-    try:
-        raw = json.loads(args.competition, object_pairs_hook=_unique_keys)
-        raw2 = json.loads(args.competition2, object_pairs_hook=_unique_keys) if args.competition2 else None
-    except _JSON_ERRORS as exc:
-        raise UsageError(f"competition spec is not valid JSON: {exc}") from None
-    comp2 = Distribution.from_json(raw2) if args.competition2 else None
-    result = two_auction_demo(args.value, Distribution.from_json(raw), args.step, comp2)
+    competitions = []
+    for text in [args.competition, *filter(None, [args.competition2])]:  # in the order the flags are listed
+        try:
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
+        except _JSON_ERRORS as exc:
+            raise UsageError(f"competition spec is not valid JSON: {exc}") from None
+        competitions.append(Distribution.from_json(raw))
+    result = two_auction_demo(args.value, competitions[0], args.step, *competitions[1:])
     write_csv(args.out, {"best_first_bid": result.best_first_bid, "ticket_value": args.value},
               ["bid", "expected_profit"], zip(result.bids, result.expected_profit))
     print(f"two-auctions: best first bid {result.best_first_bid:g} (ticket value {args.value:g})")

@@ -9,11 +9,11 @@ comments. All types are immutable after construction.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import numbers
 import os
-import stat
 import threading
 from argparse import ArgumentTypeError
 from contextlib import contextmanager, suppress
@@ -492,6 +492,34 @@ def _file_errors(path: str, verb: str = "read"):
         raise UsageError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+class _Hashing(io.RawIOBase):
+    """A binary file that adds every chunk read from it to a sha256."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self._raw, self.digest = raw, hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+
+@contextmanager
+def _opened(path: str, name: str, provenance: dict | None) -> Iterator[IO[str]]:
+    """`path` opened once, as text as `open(path)` opens it; once the block has read it to the end, the
+    sha256 of the bytes read goes to `provenance` as `<name>_sha256`, the one way an input enters an
+    output's provenance. A file that cannot be read or decoded is a UsageError naming it."""
+    with _file_errors(path), open(path, "rb", buffering=0) as raw:
+        hashing = _Hashing(raw)
+        with io.TextIOWrapper(io.BufferedReader(hashing)) as fh:
+            yield fh
+    if provenance is not None:
+        provenance[f"{name}_sha256"] = hashing.digest.hexdigest()
+
+
 @contextmanager
 def atomic_write(path: str) -> Iterator[IO[str]]:
     """Open `path` for writing text; the file changes only if the block succeeds.
@@ -553,11 +581,11 @@ def _texts(values: np.ndarray) -> list[str]:
     return np.array(list(map(to_text, distinct.view(values.dtype).tolist())), dtype=object)[where].tolist()
 
 
-def read_log(source: str | IO[str]) -> RandomizedLog:
+def read_log(source: str | IO[str], provenance: dict | None = None) -> RandomizedLog:
     """Read and validate a JSONL log produced by :func:`write_log`; a path that cannot be
-    read or decoded is a UsageError naming it."""
+    read or decoded is a UsageError naming it, and its digest goes to `provenance` as `log_sha256`."""
     if isinstance(source, str):
-        with _file_errors(source), open(source) as fh:
+        with _opened(source, "log", provenance) as fh:
             return _read_lines(fh)
     return _read_lines(source)
 
@@ -686,25 +714,10 @@ def _parse_columns(columns: list[tuple], linenos: Iterable[int]) -> list[np.ndar
 # the files around the log: JSON documents, the policy, and CSVs with provenance
 
 
-def recorded(path: str, name: str, provenance: dict) -> str:
-    """`path`, with its sha256 added to `provenance` as `<name>_sha256`: the one way an input
-    enters an output's provenance. It must be a regular file, since a parser would drain a
-    pipe, and the digest would name bytes that were not read."""
-    with _file_errors(path):
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise UsageError(f"cannot read {path}: not a regular file, so its sha256 cannot be recorded")
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-    provenance[f"{name}_sha256"] = digest.hexdigest()
-    return path
-
-
-def read_json(path: str, what: str):
-    """The JSON document in the `what` file at `path`."""
+def read_json(path: str, what: str, provenance: dict | None = None):
+    """The JSON document in the `what` file at `path`, whose digest goes to `provenance` as `<what>_sha256`."""
     try:
-        with _file_errors(path), open(path) as fh:
+        with _opened(path, what, provenance) as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except _JSON_ERRORS as exc:
         raise UsageError(f"{what} file {path} is not valid JSON: {exc}") from None
@@ -716,9 +729,9 @@ def write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def read_policy(path: str) -> PolicySpec:
+def read_policy(path: str, provenance: dict | None = None) -> PolicySpec:
     """The policy in a policy file; the reader checks the document, `PolicySpec` the fields."""
-    doc = read_json(path, "policy")
+    doc = read_json(path, "policy", provenance)
     if not isinstance(doc, dict):
         raise UsageError(f"policy file {path} does not hold a JSON object")
     if doc.get("schema") != POLICY_SCHEMA:
@@ -773,32 +786,36 @@ def write_marginals(path: str, rows: Iterable[ClusterRow], provenance: dict) -> 
     ))
 
 
-def read_marginals(path: str) -> tuple[list[ClusterRow], dict[str, str]]:
-    """The rows and the provenance of a marginals CSV. The columns a reallocation reads must be
-    there; `n_users` and the interval columns are read where they are, an empty cell as None."""
-    provenance, cells, header = {}, [], None
-    with _file_errors(path), open(path) as fh:
+def read_marginals(path: str, provenance: dict | None = None) -> tuple[list[ClusterRow], dict[str, str]]:
+    """The rows and upstream provenance of a marginals CSV; its digest goes to `provenance`. Each row has one
+    cell per column, an empty cell read as None; the columns a reallocation reads must be there, others may not."""
+    upstream, rows, header = {}, [], None
+    with _opened(path, "marginals", provenance) as fh:
         for line in filter(None, map(str.strip, fh)):
             if line.startswith("#"):
                 key, eq, value = line[1:].strip().partition("=")
                 if eq:
-                    provenance[key] = value
+                    upstream[key] = value
             elif header is None:
                 header = line.split(",")
             else:
-                cells.append(dict(zip(header, line.split(","))))
+                rows.append(line.split(","))
     if header is None:
         raise UsageError(f"marginals file {path} has no header row")
     missing = [column for column in _MARGINALS_NEEDED if column not in header]
     if missing:
         raise UsageError(f"marginals file {path} has no columns {missing}")
     try:
-        return [_marginals_row(row) for row in cells], provenance
+        return [_marginals_row(header, cells) for cells in rows], upstream
     except (KeyError, ValueError, ArgumentTypeError) as exc:
         raise UsageError(f"marginals file {path} has a malformed row: {exc!r}") from None
 
 
-def _marginals_row(cells: dict[str, str]) -> ClusterRow:
+def _marginals_row(header: list[str], values: list[str]) -> ClusterRow:
+    if len(values) != len(header):
+        raise ValueError(f"{len(values)} cells under {len(header)} columns: {values}")
+    cells = dict(zip(header, values))
+
     def interval(stem: str) -> tuple[float, float] | None:
         low, high = cells.get(f"{stem}_ci_low", ""), cells.get(f"{stem}_ci_high", "")
         return None if low == high == "" else (_finite(low), _finite(high))

@@ -82,7 +82,7 @@ def linear_weight(theta, spec: RandomizationSpec):
 class UserSubset:
     """A set of users declared over pre-randomization state only.
 
-    Safe constructors select by exposure cluster. The unsafe
+    A safe subset selects by exposure cluster (`clusters`). The unsafe
     constructor accepts an arbitrary membership mask and taints the
     subset; estimators reject tainted subsets unless explicitly told
     not to.
@@ -90,14 +90,6 @@ class UserSubset:
 
     clusters: frozenset[int] | None = None
     unsafe_mask: tuple[bool, ...] | None = None
-
-    @classmethod
-    def all_users(cls) -> "UserSubset":
-        return cls()
-
-    @classmethod
-    def from_clusters(cls, clusters) -> "UserSubset":
-        return cls(clusters=frozenset(int(c) for c in clusters))
 
     @classmethod
     def unsafe_from_mask(cls, mask) -> "UserSubset":
@@ -123,7 +115,7 @@ class UserSubset:
 
 def _resolve_subset(subset, log: RandomizedLog, allow_unsafe: bool) -> np.ndarray:
     if subset is None:
-        subset = UserSubset.all_users()
+        subset = UserSubset()
     if not isinstance(subset, UserSubset):
         raise IndependenceViolationError(
             "user subsets must be UserSubset instances declared over "

@@ -71,9 +71,6 @@ class CtrModel:
         n_buckets = len(self.fatigue_boundaries) + 1
         return _sigmoid(_design(np.arange(n_buckets), self.includes_fatigue, n_buckets) @ np.asarray(self.weights))
 
-    def predict_proba(self, events: DisplayEvents) -> np.ndarray:
-        return self.bucket_proba()[assign_clusters(events.fatigue, self.fatigue_boundaries)]
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # the exponent -|z| never overflows; it is -z where z >= 0 and z below. It is

@@ -22,7 +22,7 @@ from impatience import (
     read_log,
     solve_reallocation_detailed,
 )
-from impatience import estimators, simulator
+from impatience import cli, estimators, simulator
 from impatience.cli import DEFAULT_SWEEP, ExperimentConfig, _fmt, default_experiment_config, main
 
 
@@ -223,6 +223,15 @@ class TestErrorHandling:
         code = run("two-auctions", "--competition", "{not json", "--out", str(tmp_path / "o.csv"))
         assert code == 1
         assert "JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second", ['{"kind":"nope2"}', '{"kind":'])
+    def test_the_first_malformed_competition_flag_is_reported(self, tmp_path, capsys, second):
+        # --competition2 was once read first, so with both malformed the error named the second
+        out = tmp_path / "o.csv"
+        assert run("two-auctions", "--competition", '{"kind":"nope"}', "--competition2", second,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == "impatience: error: unknown distribution kind 'nope'\n"
+        assert not out.exists()
 
     def test_nan_competition_parameter_exits_one(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -504,6 +513,19 @@ class TestOptimize:
         assert "malformed row" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["marginals.csv"]
 
+    @pytest.mark.parametrize("header,row", [("cluster,dcost,dvalue,mroi", "0,1.0,2.0,2.0,junk,9"),
+                                            ("cluster,dcost,dvalue,mroi,n_users", "0,1.0,2.0,2.0")])
+    def test_row_of_another_width_exits_one(self, tmp_path, capsys, header, row):
+        # a row's cells were once paired with the columns by zip, which dropped the extra cells
+        # and left a missing trailing column out, so each file below gave a policy
+        src = tmp_path / "marginals.csv"
+        src.write_text(f"{header}\n{row}\n1,1.0,0.5,0.5{',9' * header.endswith('n_users')}\n")
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        cells, columns = row.split(","), header.split(",")
+        error = ValueError(f"{len(cells)} cells under {len(columns)} columns: {cells}")
+        assert capsys.readouterr().err == f"impatience: error: marginals file {src} has a malformed row: {error!r}\n"
+        assert os.listdir(tmp_path) == ["marginals.csv"]
+
     @pytest.mark.parametrize("header,missing", [("cluster,n_users,dvalue", ["dcost", "mroi"]),
                                                 ("n_users", ["cluster", "dcost", "dvalue", "mroi"])])
     def test_header_names_missing_columns(self, tmp_path, capsys, header, missing):
@@ -554,12 +576,16 @@ class TestPipeline:
         assert marg.read_bytes() == marg2.read_bytes()
 
     def test_policy_digest_is_recorded(self, tiny_config, tmp_path):
-        # offline-eval and ab once recorded the config and log digests but not the policy's
+        # offline-eval and ab once recorded the config and log digests but not the policy's;
+        # every recorded digest is the sha256 of its input's bytes
         log, policy = tmp_path / "log.jsonl", tmp_path / "policy.json"
         ev, sweep, ab = tmp_path / "eval.csv", tmp_path / "sweep.csv", tmp_path / "ab.json"
+        marg, optimized = tmp_path / "marginals.csv", tmp_path / "optimized.json"
         policy.write_text(json.dumps(POLICY))
         digest = hashlib.sha256(policy.read_bytes()).hexdigest()
         assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marg)) == 0
+        assert run("optimize", "--marginals", str(marg), "--out", str(optimized)) == 0
         assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--policy", str(policy),
                    "--out", str(ev)) == 0
         assert run("offline-eval", "--config", tiny_config, "--log", str(log), "--out", str(sweep)) == 0
@@ -572,6 +598,17 @@ class TestPipeline:
         assert report["policy_sha256"] == digest
         assert sorted(report) == ["arms", "config_sha256", "n_reps", "policy_sha256", "seed", "tool",
                                   "users_per_arm"]
+        files = {"config": Path(tiny_config), "log": log, "marginals": marg, "policy": policy}
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+        recorded = {output: dict(re.findall(r'(\w+)_sha256["=: ]+([0-9a-f]+)', output.read_text()))
+                    for output in (marg, optimized, ev, sweep, ab)}
+        assert recorded == {
+            marg: {"config": digests["config"], "log": digests["log"]},
+            optimized: {"log": digests["log"], "marginals": digests["marginals"]},
+            ev: {name: digests[name] for name in ("config", "log", "policy")},
+            sweep: {"config": digests["config"], "log": digests["log"]},
+            ab: {"config": digests["config"], "policy": digests["policy"]},
+        }
 
     def test_sweep_rows_equal_the_rows_of_optimized_policies(self, tiny_config, tmp_path):
         # one route from a log to a policy: the sweep's row for a cap is the
@@ -987,38 +1024,78 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--config", "--log", "--marginals", "--policy"])
-    def test_pipe_as_a_recorded_input_exits_one(self, tiny_config, tmp_path, flag):
-        # the digest of an input once read the file again after the parser had drained
-        # the pipe, so it recorded the sha256 of zero bytes and the command exited 0
+    def test_pipe_as_a_recorded_input_gives_the_output_of_its_file(self, tiny_config, tmp_path, flag):
+        # each input is read once and hashed as it is parsed, so a pipe's digest names the bytes
+        # that were read: the output equals the one from the same bytes in a file
         log, marginals = tmp_path / "log.jsonl", tmp_path / "marginals.csv"
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(POLICY))
         assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
         log.write_text("".join(log.read_text().splitlines(keepends=True)[:50]))
         assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(marginals)) == 0
-        read, write = os.pipe()
-        pipe = f"/dev/fd/{read}"
-        argv = {
-            "--config": ["weight-profile", "--config", pipe, "--samples", "100"],
-            "--log": ["marginals", "--config", tiny_config, "--log", pipe],
-            "--marginals": ["optimize", "--marginals", pipe],
-            "--policy": ["offline-eval", "--config", tiny_config, "--log", str(log), "--policy", pipe],
-        }[flag]
+        source = {"--config": Path(tiny_config), "--log": log, "--marginals": marginals, "--policy": policy}[flag]
+
+        def argv(path):
+            return {
+                "--config": ["weight-profile", "--config", path, "--samples", "100"],
+                "--log": ["marginals", "--config", tiny_config, "--log", path],
+                "--marginals": ["optimize", "--marginals", path],
+                "--policy": ["offline-eval", "--config", tiny_config, "--log", str(log), "--policy", path],
+            }[flag]
+
+        from_file = tmp_path / "from-file"
+        assert run(*argv(str(source)), "--out", str(from_file)) == 0
         code = "import sys; from impatience.cli import main; sys.exit(main(sys.argv[1:]))"
         src = os.path.dirname(os.path.dirname(impatience.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        out = tmp_path / "out"
+        from_pipe = tmp_path / "from-pipe"
+        read, write = os.pipe()
         try:
-            policy = tmp_path / "policy.json"
-            policy.write_text(json.dumps(POLICY))
-            source = {"--config": Path(tiny_config), "--log": log, "--marginals": marginals, "--policy": policy}[flag]
             os.write(write, source.read_bytes())  # far less than a pipe holds
             os.close(write)
-            done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], env=env, pass_fds=(read,),
-                                  capture_output=True, text=True, timeout=120)
+            done = subprocess.run([sys.executable, "-c", code, *argv(f"/dev/fd/{read}"), "--out", str(from_pipe)],
+                                  env=env, pass_fds=(read,), capture_output=True, text=True, timeout=120)
         finally:
             os.close(read)
-        assert (done.returncode, done.stderr) == (
-            1, f"impatience: error: cannot read {pipe}: not a regular file, so its sha256 cannot be recorded\n")
-        assert not out.exists()
+        assert (done.returncode, done.stderr) == (0, "")
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--config", "--log", "--marginals", "--policy"])
+    def test_digest_names_the_bytes_parsed_when_the_input_is_replaced(self, tiny_config, tmp_path, monkeypatch,
+                                                                        flag):
+        # the digest was once taken in a pass of its own before the parse, so a file replaced in
+        # between (as a concurrent run's atomic write replaces it) was recorded by the old bytes
+        log, marginals, policy = tmp_path / "log.jsonl", tmp_path / "marginals.csv", tmp_path / "policy.json"
+        log2, marginals2, policy2 = tmp_path / "log2.jsonl", tmp_path / "marginals2.csv", tmp_path / "policy2.json"
+        config2 = tmp_path / "config2.json"
+        config2.write_text(json.dumps({**json.loads(Path(tiny_config).read_text()), "seed": 2}))
+        policy.write_text(json.dumps(POLICY))
+        policy2.write_text(json.dumps({**POLICY, "multipliers": {"0": 0.9}}))
+        for cfg, lg, marg in ((tiny_config, log, marginals), (str(config2), log2, marginals2)):
+            assert run("simulate", "--config", cfg, "--out", str(lg)) == 0
+            lg.write_text("".join(lg.read_text().splitlines(keepends=True)[:50]))
+            assert run("marginals", "--config", cfg, "--log", str(lg), "--out", str(marg)) == 0
+        name, reader, path, replacement, argv = {
+            "--config": ("config", "read_json", Path(tiny_config), config2,
+                         ["weight-profile", "--config", tiny_config, "--samples", "100"]),
+            "--log": ("log", "read_log", log, log2, ["marginals", "--config", tiny_config, "--log", str(log)]),
+            "--marginals": ("marginals", "read_marginals", marginals, marginals2,
+                            ["optimize", "--marginals", str(marginals)]),
+            "--policy": ("policy", "read_policy", policy, policy2,
+                         ["offline-eval", "--config", tiny_config, "--log", str(log), "--policy", str(policy)]),
+        }[flag]
+        parsed = hashlib.sha256(replacement.read_bytes()).hexdigest()
+        real = getattr(cli, reader)
+
+        def replaced_then_read(source, *args):
+            if source == str(path):
+                os.replace(replacement, path)
+            return real(source, *args)
+
+        monkeypatch.setattr(cli, reader, replaced_then_read)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 0
+        assert re.findall(rf'{name}_sha256["=: ]+([0-9a-f]+)', out.read_text()) == [parsed]
 
 
 class TestConfigRanges:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -442,6 +443,41 @@ class TestFileRoundTrips:
             doc = json.load(fh)
         assert doc["provenance"] == {"marginals_sha256": "cd34", "tool": domain.TOOL}
         assert doc["diagnostic"] == "a diagnostic"
+
+
+class TestReadersHashWhatTheyParse:
+    """A reader given a path opens it once, parses it as `open(path)` gives its text, and records
+    the sha256 of the bytes it read."""
+
+    def write_crlf(self, path, text: str) -> str:
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        return str(path)
+
+    def test_log_of_many_chunks(self, tmp_path):
+        log = make_log(*(make_user(i) for i in range(3000)))
+        buf = io.StringIO()
+        write_log(log, buf)
+        path = self.write_crlf(tmp_path / "log.jsonl", buf.getvalue())
+        assert os.path.getsize(path) > 8 * io.DEFAULT_BUFFER_SIZE
+        provenance = {"seed": 1}
+        assert read_log(path, provenance) == log
+        assert provenance == {"seed": 1, "log_sha256": hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()}
+
+    def test_config_policy_and_marginals(self, tmp_path):
+        policy = PolicySpec({0: 1.1, 2: 0.9}, 0.2)
+        domain.write_policy(str(tmp_path / "policy.json"), policy, {})
+        domain.write_marginals(str(tmp_path / "marginals.csv"), TestFileRoundTrips.ROWS, {"seed": 3})
+        paths = {name: self.write_crlf(tmp_path / f"crlf-{name}", (tmp_path / name).read_text())
+                 for name in ("policy.json", "marginals.csv")}
+        paths["config.json"] = self.write_crlf(tmp_path / "config.json", '{\n  "seed": 4\n}\n')
+        provenance = {}
+        assert domain.read_json(paths["config.json"], "config", provenance) == {"seed": 4}
+        assert domain.read_policy(paths["policy.json"], provenance) == policy
+        rows, upstream = domain.read_marginals(paths["marginals.csv"], provenance)
+        assert same_bits(rows, TestFileRoundTrips.ROWS) and upstream == {"tool": domain.TOOL, "seed": "3"}
+        digests = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest() for name, path in paths.items()}
+        assert provenance == {"config_sha256": digests["config.json"], "policy_sha256": digests["policy.json"],
+                              "marginals_sha256": digests["marginals.csv"]}
 
 
 class TestReadErrors:

@@ -151,7 +151,7 @@ class TestIpsEstimate:
 
     def test_empty_subset_is_zero(self):
         log = synth_log()
-        assert ips_estimate(log, "cost", subset=UserSubset.from_clusters([])) == 0.0
+        assert ips_estimate(log, "cost", subset=UserSubset(clusters=frozenset())) == 0.0
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValidationError, match="metric"):
@@ -163,7 +163,7 @@ class TestIpsEstimate:
         policy = PolicySpec({c: 1.0 + 0.02 * (c - 2) for c in range(6)}, cap_delta=0.2)
         total = ips_estimate(log, "cost", policy=policy)
         partials = [
-            ips_estimate(log, "cost", subset=UserSubset.from_clusters([c]), policy=policy)
+            ips_estimate(log, "cost", subset=UserSubset(clusters=frozenset({c})), policy=policy)
             for c in range(6)
         ]
         assert sum(partials) == pytest.approx(total, rel=1e-10)

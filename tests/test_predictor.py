@@ -115,7 +115,7 @@ class TestFitCtr:
         events = bernoulli_events(rng, [0.12], [4000])
         model = fit_ctr(events, include_fatigue=False, tol=1e-9)
         rate = events.converted.sum() / len(events)
-        assert model.predict_proba(events)[0] == pytest.approx(rate, rel=1e-6)
+        assert model.bucket_proba()[0] == pytest.approx(rate, rel=1e-6)
 
     def test_saturated_model_matches_per_bucket_rates(self):
         rng = np.random.default_rng(5)
@@ -174,7 +174,7 @@ class TestFitCtr:
             fit_ctr(events, l2=0.0, max_iters=200, tol=1e-12)
         err = exc_info.value
         assert err.grad_norm > 0
-        pred = err.model.predict_proba(events)
+        pred = err.model.bucket_proba()[assign_clusters(events.fatigue, err.model.fatigue_boundaries)]
         assert np.all(pred[:50] > 0.5)
         assert np.all(pred[50:] < 0.5)
 
@@ -227,7 +227,7 @@ class TestCalibrationCurve:
         events = bernoulli_events(rng, probs, [9000, 7000, 5000, 4000, 3000, 2000, 1500])
         model = fit_ctr(events, include_fatigue=include_fatigue)
         bucket = assign_clusters(events.fatigue, model.fatigue_boundaries)
-        predicted = model.predict_proba(events)
+        predicted = model.bucket_proba()[bucket]
         rows = [row for row in calibration_curve(model, events) if row.n > 0]
         assert len(rows) == 6
         for row in rows:
