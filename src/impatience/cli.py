@@ -165,7 +165,8 @@ def cmd_weight_profile(args) -> int:
 
 def cmd_two_auctions(args) -> int:
     competitions = []
-    for text in [args.competition, *filter(None, [args.competition2])]:  # in the order the flags are listed
+    # in the order the flags are listed; an empty --competition2 is a spec to read, not an absent flag
+    for text in [args.competition] + ([] if args.competition2 is None else [args.competition2]):
         try:
             raw = json.loads(text, object_pairs_hook=_unique_keys)
         except _JSON_ERRORS as exc:

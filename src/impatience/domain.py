@@ -48,6 +48,9 @@ _USER_FIELDS = ("user_id",) + _COLUMNS
 _INT_FIELDS = ("exposure_at_start", "cluster", "n_auctions", "n_wins")
 #: The dtype each column is held in.
 _DTYPES = {f: np.int64 if f in _INT_FIELDS else np.float64 for f in _COLUMNS}
+#: The dtype the user ids are held in: strings of any length, 16 B each up to 15 UTF-8 bytes,
+#: NULs kept and each element read back as a `str`. Only strings are taken, not coerced.
+_ID_DTYPE = np.dtypes.StringDType(coerce=False)
 #: The least sigma per unit of max(1, |mu|) that a randomization spec takes (README, "File formats").
 _SIGMA_RESOLUTION = 2.0**-26
 #: User lines are written and read in blocks of this many rows.
@@ -271,15 +274,19 @@ def _no_users(dtype):
 class RandomizedLog:
     """Per-user outcomes of one randomized collection period, as columns.
 
-    Row i of every column belongs to the user `user_ids[i]`. The columns
-    are read-only numpy arrays: float64 for theta and the outcomes, int64
-    for exposure, cluster and the auction counts. Construction checks
-    every invariant of the log at once and reports the first user that
-    breaks one.
+    Row i of every column belongs to the user `user_ids[i]`. The ids are
+    one read-only array of `numpy.dtypes.StringDType`, whose elements are
+    `str`; the constructor takes any sequence of strings, and an id that
+    is not a string, or that UTF-8 cannot encode (a lone surrogate), is an
+    error. The columns are read-only numpy arrays: float64 for theta and
+    the outcomes, int64 for exposure, cluster and the auction counts. The
+    constructor copies what it is given. Construction checks every
+    invariant of the log at once and reports the first user that breaks
+    one.
     """
 
     spec: RandomizationSpec
-    user_ids: tuple[str, ...]
+    user_ids: np.ndarray
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS
     theta: np.ndarray = _no_users(np.float64)
     exposure_at_start: np.ndarray = _no_users(np.int64)
@@ -291,11 +298,29 @@ class RandomizedLog:
     n_wins: np.ndarray = _no_users(np.int64)
 
     def __post_init__(self):
-        object.__setattr__(self, "user_ids", tuple(self.user_ids))
+        ids = self.user_ids
+        object.__setattr__(self, "user_ids", _id_array(ids if isinstance(ids, np.ndarray) else list(ids)))
+        self._hold(owned=False)
+
+    @classmethod
+    def _adopt(cls, spec: RandomizationSpec, user_ids: np.ndarray, bucket_boundaries: tuple[int, ...],
+               columns: dict[str, np.ndarray]) -> "RandomizedLog":
+        """The log of arrays that its caller built for it and keeps no reference to: the ids as an
+        array of `_ID_DTYPE` and every column. Each is made read-only and held as it is, not copied."""
+        log = object.__new__(cls)
+        for name, value in dict(spec=spec, user_ids=user_ids, bucket_boundaries=bucket_boundaries, **columns).items():
+            object.__setattr__(log, name, value)
+        user_ids.setflags(write=False)
+        log._hold(owned=True)
+        return log
+
+    def _hold(self, owned: bool) -> None:
+        """Hold each column as a read-only array of its dtype (a copy unless `owned`), then check
+        every invariant of the log and report the first user who breaks one."""
         _check_kinds(self, "log", {"bucket_boundaries": "boundaries"})
         n = len(self.user_ids)
         for name in _COLUMNS:
-            object.__setattr__(self, name, _column(name, getattr(self, name), n))
+            object.__setattr__(self, name, _column(name, getattr(self, name), n, owned))
         theta, e0, wins = self.theta, self.exposure_at_start, self.n_wins
         expected = assign_clusters(e0, self.bucket_boundaries)
         # per-user rules (0 < x < inf also rejects NaN), then rules across users
@@ -327,11 +352,11 @@ class RandomizedLog:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RandomizedLog):
             return NotImplemented
-        return (self.spec, self.bucket_boundaries, self.user_ids) == (
-            other.spec, other.bucket_boundaries, other.user_ids
-        ) and all(
-            getattr(self, f).dtype == getattr(other, f).dtype and np.array_equal(getattr(self, f), getattr(other, f))
-            for f in _COLUMNS
+        return (
+            (self.spec, self.bucket_boundaries) == (other.spec, other.bucket_boundaries)
+            and np.array_equal(self.user_ids, other.user_ids)
+            and all(getattr(self, f).dtype == getattr(other, f).dtype
+                    and np.array_equal(getattr(self, f), getattr(other, f)) for f in _COLUMNS)
         )
 
     @property
@@ -344,8 +369,30 @@ class RandomizedLog:
         return {f: getattr(self, f) for f in _COLUMNS}
 
 
-def _column(name: str, values, n: int) -> np.ndarray:
-    """A read-only copy of one column: int64 counts, float64 otherwise.
+def _id_array(user_ids) -> np.ndarray:
+    """A new read-only array of `_ID_DTYPE` holding `user_ids`. An id that is not a string, or
+    that UTF-8 cannot encode (a lone surrogate, which `json` decodes from an escaped
+    `"\\ud800"`), is a ValidationError naming its position."""
+    try:
+        ids = np.array(user_ids, dtype=_ID_DTYPE)
+    except ValueError:  # UnicodeEncodeError is one
+        for i, uid in enumerate(user_ids):
+            if not isinstance(uid, str):
+                raise ValidationError(f"user_id must be a string, got {uid!r}", i) from None
+            try:
+                uid.encode()
+            except UnicodeEncodeError:
+                raise ValidationError(f"user_id must be text that UTF-8 can encode, got {uid!r}", i) from None
+        raise
+    if ids.ndim != 1:
+        raise ValidationError(f"user_ids must hold one string per user, got shape {ids.shape}")
+    ids.setflags(write=False)
+    return ids
+
+
+def _column(name: str, values, n: int, owned: bool) -> np.ndarray:
+    """One column as a read-only array: int64 counts, float64 otherwise. It is a
+    copy unless `owned` and `values` is already an array of that dtype.
 
     Count columns must already hold integers, so that no fractional
     count is silently truncated. An empty column holds no value to lose.
@@ -356,19 +403,23 @@ def _column(name: str, values, n: int) -> np.ndarray:
         raise ValidationError(f"column {name} cannot be held as {np.dtype(dtype)}, got dtype {col.dtype}")
     if col.shape != (n,):
         raise ValidationError(f"column {name} must hold one value per user ({n}), got shape {col.shape}")
-    col = np.array(col, dtype=dtype)
+    col = np.array(col, dtype=dtype, copy=None if owned else True)
     col.setflags(write=False)
     return col
 
 
-def _first_occurrences(user_ids: tuple[str, ...]) -> np.ndarray:
-    """True where a user id has not appeared earlier in the log."""
+def _first_occurrences(user_ids: np.ndarray) -> np.ndarray:
+    """True where a user id has not appeared earlier in the log.
+
+    Strictly increasing ids, as `simulate_log` writes them, cannot repeat;
+    any others are sorted, stably, so that a repeat follows its id's first
+    occurrence in the sorted order.
+    """
     first = np.ones(len(user_ids), dtype=bool)
-    if len(set(user_ids)) < len(user_ids):
-        seen = set()
-        for i, uid in enumerate(user_ids):
-            first[i] = uid not in seen
-            seen.add(uid)
+    if not (user_ids[1:] > user_ids[:-1]).all():
+        order = np.argsort(user_ids, kind="stable")
+        ranked = user_ids[order]
+        first[order[1:][ranked[1:] == ranked[:-1]]] = False
     return first
 
 
@@ -563,7 +614,8 @@ def _write_lines(log: RandomizedLog, fh: IO[str]) -> None:
     for start in range(0, len(log), _BLOCK):
         block = slice(start, start + _BLOCK)
         columns = [
-            map(encode_basestring_ascii, log.user_ids[block]) if f == "user_id" else _texts(log.arrays[f][block])
+            map(encode_basestring_ascii, log.user_ids[block].tolist()) if f == "user_id"
+            else _texts(log.arrays[f][block])
             for f in _ROW_FIELDS
         ]
         fh.write("".join(map(_ROW.__mod__, zip(*columns))))
@@ -610,8 +662,8 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
     except ValueError as exc:
         raise LogFormatError(f"invalid header: {exc}", 1) from exc
 
-    user_ids: list[str] = []
-    blocks = []  # the columns of each block, as arrays
+    # each field's arrays, one per block; an empty one first, so that a log of no users has typed columns
+    parts = {f: [np.empty(0, dtype)] for f, dtype in zip(_USER_FIELDS, (_ID_DTYPE, *_DTYPES.values()))}
     user_lines = []  # the line numbers of each block's users
     lineno = 2
     while chunk := list(islice(lines, _BLOCK)):
@@ -622,12 +674,17 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
             if not texts:
                 continue
         ids, *columns = _parse_block(texts) or _check_lines(texts, linenos)
-        user_ids.extend(ids)
-        blocks.append(_parse_columns(columns, linenos))
+        try:
+            ids = _id_array(ids)
+        except ValidationError as exc:
+            raise LogFormatError(str(exc), linenos[exc.user_index]) from None
+        for part, array in zip(parts.values(), (ids, *_parse_columns(columns, linenos))):
+            part.append(array)
         user_lines.append(linenos)
-    columns = dict(zip(_COLUMNS, map(np.concatenate, zip(*blocks))))
+    # one array per field, letting go of each field's blocks as soon as they are joined
+    joined = {f: np.concatenate(parts.pop(f)) for f in _USER_FIELDS}
     try:
-        return RandomizedLog(spec, tuple(user_ids), boundaries, **columns)
+        return RandomizedLog._adopt(spec, joined.pop("user_id"), boundaries, joined)
     except ValidationError as exc:
         lineno = None if exc.user_index is None else list(chain.from_iterable(user_lines))[exc.user_index]
         raise LogFormatError(str(exc), lineno) from exc

@@ -31,6 +31,7 @@ from .domain import (
     ValidationError,
     _COLUMNS,
     _DTYPES,
+    _ID_DTYPE,
     _approx,
     _check_kinds,
     _check_memory,
@@ -45,6 +46,8 @@ from .domain import (
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
 _BYTES_PER_USER = 64  # a user's log columns and id
+#: The columns a totals-only population keeps: the values that the wins alone fix.
+_TOTALS = ("cluster", "cost", "value_predicted")
 
 
 @dataclass(frozen=True)
@@ -218,20 +221,23 @@ def _simulate_population(
                               f"bucket boundaries make {n_clusters} clusters")
     _check_population_memory(config)
     rng = np.random.default_rng(seed)
-    chunks = []
-    remaining = config.n_users
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        remaining -= n
-        chunks.append(_simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays, totals_only))
-
-    if chunks:
-        return {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-    result = {k: np.empty(0, _DTYPES[k]) for k in _COLUMNS}
-    if collect_displays:
-        result["display_exposure"] = np.array([], dtype=np.int64)
-        result["display_converted"] = np.array([], dtype=bool)
-    return result
+    firsts = range(0, config.n_users, _CHUNK)
+    if len(firsts) == 1:  # one block: its arrays are the population's
+        return _simulate_chunk(rng, config.n_users, config, policy, bucket_boundaries, collect_displays, totals_only)
+    # each block writes its users' slice of columns allocated once; the display trace's
+    # length is known only block by block, so its parts are joined at the end
+    population = {k: np.empty(config.n_users, _DTYPES[k]) for k in (_TOTALS if totals_only else _COLUMNS)}
+    trace = ({"display_exposure": [np.empty(0, np.int64)], "display_converted": [np.empty(0, bool)]}
+             if collect_displays else {})
+    for first in firsts:
+        n = min(config.n_users - first, _CHUNK)
+        block = _simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays, totals_only)
+        for k, column in population.items():
+            column[first:first + n] = block[k]
+        for k, parts in trace.items():
+            parts.append(block[k])
+    population.update((k, np.concatenate(parts)) for k, parts in trace.items())
+    return population
 
 
 def _check_population_memory(config: SimConfig, populations: int = 1) -> None:
@@ -299,8 +305,6 @@ def _simulate_chunk(
     # The key is unsigned and as narrow as mmax allows, so that up to 16 bits
     # numpy's stable sort is a radix sort
     order = np.argsort((mmax - m).astype(np.min_scalar_type(mmax)), kind="stable")
-    pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
-    pos[order] = np.arange(n)
     n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
     # step-major cells: step t's auctions are cells start[t]:start[t + 1],
     # one per active user, in sorted-row order; the conversion uniforms follow
@@ -322,10 +326,12 @@ def _simulate_chunk(
     # exposure k, these tables hold p0 * gamma**k and the multiplier of k's cluster
     exposures = np.arange(len(levels) + mmax)
     p_by_exposure = p0 * gamma ** exposures.astype(np.float64)
+    # only the bid factor that the policy reads is built
     if policy.dynamic:
         alpha_by_exposure = mult[assign_clusters(exposures, bucket_boundaries)]
-    theta_s = theta[order]
-    bid_scale = mult[cluster][order] * theta_s * vpc  # the bid's left factors, per user
+        theta_s = theta[order]
+    else:
+        bid_scale = mult[cluster][order] * theta[order] * vpc  # the bid's left factors, per user
 
     k = e0[order]
     cost = np.zeros(n)
@@ -342,7 +348,7 @@ def _simulate_chunk(
         else:
             bid = bid_scale[:c] * p_k
         won = bid > comp_t
-        cost_t += np.where(won, comp_t, 0.0)
+        cost_t += np.where(won, comp_t, 0.0)  # a masked np.add is slower, and its saving is one step's temporary
         if not totals_only:
             converted = won & (rng.random(c) < p_k)
             conversions_t += converted
@@ -351,6 +357,8 @@ def _simulate_chunk(
                 disp_converted.append(converted[won])
         k_t += won
 
+    pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
+    pos[order] = np.arange(n)
     # a user's j-th win is at exposure e0 + j, so the value totals depend only on
     # the start level and the win and conversion counts. Each table is a running
     # sum, left to right, of the values in the order they are won, so a total is
@@ -374,7 +382,7 @@ def _simulate_chunk(
         "cost": cost[pos],
         "value_observed": vobs_table[conversions],
         "value_predicted": value_predicted,
-        "n_auctions": m.astype(np.int64),
+        "n_auctions": m.astype(np.int64, copy=False),
         "n_wins": wins,
     }
     if collect_displays:
@@ -391,8 +399,31 @@ def simulate_log(
 ) -> RandomizedLog:
     """Run one randomized collection period and aggregate it per user."""
     pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries)
-    user_ids = tuple(f"u{i:08d}" for i in range(config.n_users))
-    return RandomizedLog(spec, user_ids, bucket_boundaries, **pop)
+    return RandomizedLog._adopt(spec, _user_ids(0, config.n_users), bucket_boundaries, pop)
+
+
+def _user_ids(start: int, stop: int) -> np.ndarray:
+    """The ids `f"u{i:08d}"` for i in range(start, stop), as one array of `_ID_DTYPE`.
+
+    No id is a Python str on the way: up to `_CHUNK` ids of one width at a
+    time are written digit by digit, last digit first, into the columns of
+    a byte buffer, whose rows are then cast to strings.
+    """
+    ids = np.empty(stop - start, dtype=_ID_DTYPE)
+    lo = start
+    while lo < stop:
+        width = max(8, len(str(lo)))
+        hi = min(stop, lo + _CHUNK, 10**width)
+        text = np.empty((hi - lo, 1 + width), dtype=np.uint8)
+        text[:, 0] = ord("u")
+        rest = np.arange(lo, hi)
+        for j in range(width, 0, -1):
+            text[:, j] = rest % 10
+            rest //= 10
+        text[:, 1:] += ord("0")
+        ids[lo - start:hi - start] = text.view(f"S{1 + width}")[:, 0]
+        lo = hi
+    return ids
 
 
 def simulate_display_trace(

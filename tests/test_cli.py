@@ -219,10 +219,14 @@ class TestErrorHandling:
         assert code == 1
         assert "typo_key" in capsys.readouterr().err
 
-    def test_invalid_competition_json_exits_one(self, tmp_path, capsys):
-        code = run("two-auctions", "--competition", "{not json", "--out", str(tmp_path / "o.csv"))
+    @pytest.mark.parametrize("flags", [["--competition", "{not json"],
+                                       ["--competition", '{"kind":"uniform","low":0,"high":1}', "--competition2", ""]],
+                             ids=["competition", "empty_competition2"])
+    def test_invalid_competition_json_exits_one(self, tmp_path, capsys, flags):
+        # an empty --competition2 was once taken as no flag, so the first distribution served both auctions
+        code = run("two-auctions", *flags, "--out", str(tmp_path / "o.csv"))
         assert code == 1
-        assert "JSON" in capsys.readouterr().err
+        assert "competition spec is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("second", ['{"kind":"nope2"}', '{"kind":'])
     def test_the_first_malformed_competition_flag_is_reported(self, tmp_path, capsys, second):
@@ -857,6 +861,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "m.csv"))
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_lone_surrogate_user_id_exits_one_and_names_line(self, tiny_config, tmp_path, capsys):
+        # json reads the escape "\\ud800" as a lone surrogate, which UTF-8 cannot encode; it was once a user
+        log = tmp_path / "log.jsonl"
+        assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+        lines = log.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "user_id": "\ud800"})
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.csv"
+        assert run("marginals", "--config", tiny_config, "--log", str(log), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "impatience: error: line 3: user_id must be text that UTF-8 can encode, got '\\ud800'\n")
+        assert not out.exists()
 
     def test_fit_ctr_convergence_failure_exits_two(self, tiny_config, tmp_path, capsys, monkeypatch):
         from impatience import CtrModel, ConvergenceError

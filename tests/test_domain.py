@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from impatience import (
     RandomizedLog,
     ValidationError,
     assign_clusters,
+    default_config,
     read_log,
+    simulate_log,
     write_log,
 )
 from impatience import domain
@@ -103,6 +106,33 @@ class TestInvariants:
     def test_duplicate_user_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             make_log(make_user(1), make_user(1))
+
+    def test_the_first_repeat_in_log_order_is_reported(self):
+        # sorted, the repeated "a" comes first; in log order the repeated "b" does
+        with pytest.raises(ValidationError) as info:
+            make_log(*(make_user(i, user_id=uid) for i, uid in enumerate("bcba")))
+        assert str(info.value) == "duplicate user_id 'b'" and info.value.user_index == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["", "a", "a\x00", "b", "\u00e9", "x" * 20]), max_size=12))
+    def test_first_occurrences_match_a_set(self, ids):
+        seen, expected = set(), []
+        for uid in ids:
+            expected.append(uid not in seen)
+            seen.add(uid)
+        array = np.array(ids, dtype=domain._ID_DTYPE)
+        assert domain._first_occurrences(array).tolist() == expected
+
+    @pytest.mark.parametrize("user_id,message", [
+        (7, "user_id must be a string, got 7"),
+        (None, "user_id must be a string, got None"),
+        ("\ud800", "user_id must be text that UTF-8 can encode, got '\\ud800'"),
+    ])
+    def test_user_id_must_be_a_string_that_utf8_encodes(self, user_id, message):
+        # a non-string id was once held, and writing the log then raised a bare TypeError
+        with pytest.raises(ValidationError) as info:
+            make_log(make_user(0), make_user(1, user_id=user_id))
+        assert str(info.value) == message and info.value.user_index == 1
 
     def test_cluster_must_match_exposure(self):
         with pytest.raises(ValidationError, match="cluster"):
@@ -606,10 +636,27 @@ class TestReadInputHoles:
     @pytest.mark.parametrize("extra", [{}, {"extra": 1}], ids=["block", "per_line"])
     def test_integer_user_id_is_its_decimal_text(self, extra):
         log = self.read(self.user_line(user_id=7, **extra))
-        assert log.user_ids == ("ok", "7")
+        assert log.user_ids.tolist() == ["ok", "7"]
         with pytest.raises(LogFormatError, match="line 4: duplicate user_id '7'"):
             read_log(io.StringIO("\n".join([self.HEADER, self.user_line(user_id="7"),
                                             self.user_line(user_id=3), self.user_line(user_id=7, **extra)])))
+
+    @pytest.mark.parametrize("extra", [{}, {"extra": 1}], ids=["block", "per_line"])
+    def test_lone_surrogate_user_id_names_its_line(self, extra):
+        # json reads the escape "\\ud800" as a lone surrogate, which UTF-8 cannot encode
+        with pytest.raises(LogFormatError) as info:
+            self.read(self.user_line(user_id="\ud800", **extra))
+        assert str(info.value) == "line 3: user_id must be text that UTF-8 can encode, got '\\ud800'"
+
+    def test_ids_apart_by_a_nul_a_byte_or_their_length_are_distinct_users(self):
+        ids = ["a", "a\x00", "\u00e9", 7, "x" * 40]
+        log = read_log(io.StringIO("\n".join([self.HEADER, *(self.user_line(user_id=u) for u in ids)]) + "\n"))
+        assert log.user_ids.tolist() == ["a", "a\x00", "\u00e9", "7", "x" * 40]
+        written = io.StringIO()
+        write_log(log, written)
+        again = io.StringIO()
+        write_log(read_log(io.StringIO(written.getvalue())), again)
+        assert again.getvalue() == written.getvalue()
 
     @pytest.mark.parametrize("field,value", [("n_auctions", 10**30), ("cost", 10**400)])
     def test_out_of_range_numbers_name_their_line(self, field, value):
@@ -664,6 +711,28 @@ def repeating_log(n: int) -> RandomizedLog:
 B = domain._BLOCK
 
 
+class TestLogMemory:
+    def test_read_log_bytes_per_user(self, tmp_path):
+        # the slope of the traced peak between two log sizes, so that a block's fixed working
+        # set cancels: 80 B per user are the columns and ids that the log holds. One str per
+        # id, a set of them for the duplicate check and two more copies of every column made
+        # it 342 B per user
+        small = tmp_path / "small.jsonl"
+        write_log(simulate_log(default_config(2000), RandomizationSpec(0, 0.3), 1), str(small))
+        read_log(str(small))  # first-call work
+        peaks = {}
+        for n in (10_000, 40_000):
+            path = tmp_path / f"{n}.jsonl"
+            write_log(simulate_log(default_config(n), RandomizationSpec(0, 0.3), 0), str(path))
+            tracemalloc.start()
+            try:
+                read_log(str(path))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[40_000] - peaks[10_000]) / 30_000 < 140
+
+
 class TestBlockIO:
     """The row-template writer and the block-parsed reader against the per-line format."""
 
@@ -678,6 +747,11 @@ class TestBlockIO:
 
     def lines(self, log: RandomizedLog) -> list[str]:
         return reference_text(log).splitlines(keepends=True)
+
+    def test_ids_longer_than_an_inline_string_round_trip_over_blocks(self):
+        # an id of more than 15 UTF-8 bytes is held outside the array's 16 B element
+        log = make_log(*(make_user(i, user_id="\u00e9" * 12 + str(i)) for i in range(2 * B + 1)))
+        assert roundtrip(log) == log
 
     @pytest.mark.parametrize("user", [1, B + 1])
     @pytest.mark.parametrize("variant", ["extra_key", "reordered_keys", "int_theta", "number_id", "whitespace"])

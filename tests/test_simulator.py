@@ -30,7 +30,7 @@ from impatience import (
     write_log,
 )
 from impatience import simulator
-from impatience.domain import _DTYPES, assign_clusters
+from impatience.domain import _DTYPES, _ID_DTYPE, assign_clusters
 
 
 def small_config(**overrides) -> SimConfig:
@@ -147,6 +147,19 @@ class TestSimulateLog:
         assert log_bytes(a) == log_bytes(b)
         c = simulate_log(cfg, SPEC, seed=124)
         assert log_bytes(a) != log_bytes(c)
+
+    @pytest.mark.parametrize("first", [0, 99_999_999, 10**8, 123_456_789_012])
+    def test_user_ids_are_u_and_eight_or_more_digits(self, first):
+        ids = simulator._user_ids(first, first + 3)
+        assert ids.dtype == _ID_DTYPE
+        assert ids.tolist() == [f"u{i:08d}" for i in range(first, first + 3)]
+
+    def test_user_ids_across_blocks_and_widths(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 7)
+        ids = simulator._user_ids(99_999_990, 100_000_010)
+        assert ids.tolist() == [f"u{i:08d}" for i in range(99_999_990, 100_000_010)]
+        log = simulate_log(small_config(n_users=30), SPEC, seed=0)
+        assert log.user_ids.tolist() == [f"u{i:08d}" for i in range(30)]
 
     def test_no_users_gives_the_empty_log(self):
         log = simulate_log(small_config(n_users=0), SPEC, seed=0)
@@ -595,6 +608,22 @@ class TestMemory:
         padded = 16 * cfg.n_users * int(pop["n_auctions"].max())
         assert padded >= 10 * bound  # the padded grid would break the bound
         assert peak < bound
+
+    def test_simulate_log_bytes_per_user(self, monkeypatch):
+        # the slope of the traced peak between two sizes, so that a block's fixed working set
+        # cancels: 80 B per user are the columns and ids that the log holds. One str per id, a
+        # set of them, the blocks' columns joined and then copied by the log made it 209 B per user
+        monkeypatch.setattr(simulator, "_CHUNK", 4096)
+        simulate_log(default_config(2000), SPEC, 1)  # first-call work
+        peaks = {}
+        for n in (20_000, 60_000):
+            tracemalloc.start()
+            try:
+                simulate_log(default_config(n), SPEC, 0)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[60_000] - peaks[20_000]) / 40_000 < 120
 
     @pytest.mark.parametrize("chunk", [simulator._CHUNK, 100])
     def test_population_memory_estimate_is_checked_before_simulating(self, monkeypatch, chunk):
