@@ -11,6 +11,8 @@ import numpy as np
 from .domain import ValidationError, _check_kinds, _from_json, _json_object
 
 _PARAMETERS = {**dict.fromkeys(("mu", "low", "high", "value", "mean"), "number"), "sigma": "positive"}
+#: The parameters that each kind reads; it takes no other.
+_BY_KIND = {"lognormal": ("mu", "sigma"), "uniform": ("low", "high"), "constant": ("value",), "poisson": ("mean",)}
 _SQRT2 = math.sqrt(2.0)
 #: The largest x whose exp(x) is a finite float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -34,14 +36,9 @@ def _erfcx(t: float) -> float:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A scalar distribution spec: lognormal, uniform, constant or poisson.
-
-    Parameters by kind:
-      lognormal: mu, sigma (of the underlying normal)
-      uniform:   low, high
-      constant:  value
-      poisson:   mean
-    """
+    """A scalar distribution spec: lognormal (mu and sigma of the underlying
+    normal), uniform (low, high), constant (value) or poisson (mean). A kind
+    takes only its own parameters."""
 
     kind: str
     mu: float | None = None
@@ -53,20 +50,18 @@ class Distribution:
 
     def __post_init__(self):
         _check_kinds(self, "distribution", _PARAMETERS)
-        if self.kind == "lognormal":
-            if self.mu is None or self.sigma is None:
-                raise ValidationError("lognormal requires mu and sigma")
-        elif self.kind == "uniform":
-            if self.low is None or self.high is None or not self.low < self.high:
-                raise ValidationError("uniform requires low < high")
-        elif self.kind == "constant":
-            if self.value is None:
-                raise ValidationError("constant requires a finite value")
-        elif self.kind == "poisson":
-            if self.mean is None or self.mean < 0:
-                raise ValidationError("poisson requires mean >= 0")
-        else:
+        names = _BY_KIND.get(self.kind) if isinstance(self.kind, str) else None
+        if names is None:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
+        stray = [name for name in _PARAMETERS if name not in names and getattr(self, name) is not None]
+        if stray:
+            raise ValidationError(f"{self.kind} takes only {' and '.join(names)}, not {' or '.join(stray)}")
+        if any(getattr(self, name) is None for name in names):
+            raise ValidationError(f"{self.kind} requires {' and '.join(names)}")
+        if self.kind == "uniform" and not self.low < self.high:
+            raise ValidationError("uniform requires low < high")
+        if self.kind == "poisson" and self.mean < 0:
+            raise ValidationError("poisson requires mean >= 0")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "lognormal":

@@ -45,7 +45,9 @@ from .domain import (
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
-_BYTES_PER_USER = 64  # a user's log columns and id
+#: simulate_log's traced peak grows by 103.0 B per user from 8 to 16 blocks of default-config users: the
+#: log holds 80.0 (64 B of columns and a 16 B id), and the masks of its invariant checks 23 more
+_BYTES_PER_USER = 103
 #: The columns a totals-only population keeps: the values that the wins alone fix.
 _TOTALS = ("cluster", "cost", "value_predicted")
 
@@ -243,21 +245,21 @@ def _simulate_population(
 def _check_population_memory(config: SimConfig, populations: int = 1) -> None:
     """Reject `populations` populations, simulated at once, whose estimated memory exceeds physical memory.
 
-    A block of up to `_CHUNK` users holds one 8 B competing bid per real
-    auction, and a user has the configured mean auction count (the
-    activity multipliers have mean one); every user then keeps
-    `_BYTES_PER_USER` of columns and id. The estimate is exact integer
-    arithmetic, so a size past the float range is still compared right.
+    A block of up to `_CHUNK` users is counted at 8 B per auction, a bound
+    on its winning rows, with the configured mean auction count per user
+    (the activity multipliers have mean one); every user then takes
+    `_BYTES_PER_USER`. The estimate is exact integer arithmetic, so a size
+    past the float range is still compared right.
     """
     apu = config.auctions_per_user
     count = apu.mean if apu.kind == "poisson" else apu.value
     block = min(config.n_users, _CHUNK)
-    draws, users = block * math.ceil(count) * 8, config.n_users * _BYTES_PER_USER
+    rows, users = block * math.ceil(count) * 8, config.n_users * _BYTES_PER_USER
     at_once = f", for each of {populations} populations simulated at once" if populations > 1 else ""
     _check_memory(
-        populations * (draws + users),
+        populations * (rows + users),
         f"sim 'auctions_per_user' ({apu.kind}, {count:g} auctions per user) and 'n_users' need about "
-        f"{_approx(draws + users)} B ({_approx(draws)} B of auction draws for a block of {block} users "
+        f"{_approx(rows + users)} B ({_approx(rows)} B of winning rows for a block of {block} users "
         f"plus {_BYTES_PER_USER} B per user){at_once}",
         _physical_memory(),
     )
@@ -280,15 +282,15 @@ def _simulate_chunk(
     display trace lists each step's winners in that sorted order.
 
     The stream: after the users' draws, a block draws one competing bid
-    per real auction in step-major order, then one conversion uniform per
-    real auction, step by step. A `totals_only` block needs no
-    conversions, so it draws each step's competing bids as the loop
-    reaches them (the values that one draw of all of them gives, since
-    each distribution draws value after value) and then advances the
-    generator past the uniforms: each `Generator.random` double takes one
-    64-bit PCG64 output, so `advance(n_cells)` leaves the stream where
-    drawing them would. The next block draws the same values either way,
-    and the block holds no 8 B per auction.
+    per real auction, step by step, then one conversion uniform per real
+    auction, step by step. The step loop draws each step's competing bids
+    as it reaches them, and a log population keeps only each step's
+    winning rows (8 B per win). After the loop it draws each step's
+    uniforms and walks the wins again from the start exposures, which
+    gives each win's conversion probability. A `totals_only` block needs
+    no conversions, so it advances the generator past the uniforms: each
+    `Generator.random` double takes one 64-bit PCG64 output, so
+    `advance(n_cells)` leaves the stream where drawing them would.
     """
     gamma = config.fatigue_decay
     p0 = config.base_conversion_prob
@@ -306,12 +308,7 @@ def _simulate_chunk(
     # numpy's stable sort is a radix sort
     order = np.argsort((mmax - m).astype(np.min_scalar_type(mmax)), kind="stable")
     n_active = n - np.cumsum(np.bincount(m, minlength=mmax + 1))[:mmax]  # count(m > t)
-    # step-major cells: step t's auctions are cells start[t]:start[t + 1],
-    # one per active user, in sorted-row order; the conversion uniforms follow
-    # `comp` in the stream, drawn one step at a time so that one step's are held
-    start = np.concatenate(([0], np.cumsum(n_active)))
-    n_cells = int(start[-1])
-    comp = None if totals_only else config.competition.sample(rng, n_cells)
+    n_cells = int(n_active.sum())
 
     cluster = assign_clusters(e0, bucket_boundaries)
     # the impatient bidder's multiplier is 1.0 in every cluster
@@ -335,13 +332,11 @@ def _simulate_chunk(
 
     k = e0[order]
     cost = np.zeros(n)
-    conversions = np.zeros(n, dtype=np.int64)
-    disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
-    for t in range(mmax):
-        c, lo, hi = n_active[t], start[t], start[t + 1]
+    won_rows = []  # a log population's winning sorted rows, step by step
+    for c in n_active:
         # views of the active prefix: adding to them adds to the users' totals
-        k_t, cost_t, conversions_t = k[:c], cost[:c], conversions[:c]
-        comp_t = config.competition.sample(rng, c) if totals_only else comp[lo:hi]
+        k_t, cost_t = k[:c], cost[:c]
+        comp_t = config.competition.sample(rng, c)
         p_k = p_by_exposure[k_t]
         if policy.dynamic:
             bid = alpha_by_exposure[k_t] * theta_s[:c] * vpc * p_k
@@ -350,11 +345,7 @@ def _simulate_chunk(
         won = bid > comp_t
         cost_t += np.where(won, comp_t, 0.0)  # a masked np.add is slower, and its saving is one step's temporary
         if not totals_only:
-            converted = won & (rng.random(c) < p_k)
-            conversions_t += converted
-            if collect_displays:
-                disp_exposure.append(k_t[won])
-                disp_converted.append(converted[won])
+            won_rows.append(np.flatnonzero(won))
         k_t += won
 
     pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
@@ -373,6 +364,19 @@ def _simulate_chunk(
     if totals_only:
         rng.bit_generator.advance(n_cells)  # past the conversion uniforms
         return {"cluster": cluster, "cost": cost[pos], "value_predicted": value_predicted}
+    # each step's uniforms, read at its wins: walking the wins again from the start
+    # exposures gives each win's exposure k, and so its conversion probability
+    k = e0[order]
+    conversions = np.zeros(n, dtype=np.int64)
+    disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
+    for c, rows in zip(n_active, won_rows):
+        k_w = k[rows]
+        converted = rng.random(c)[rows] < p_by_exposure[k_w]
+        conversions[rows] += converted
+        k[rows] += 1
+        if collect_displays:
+            disp_exposure.append(k_w)
+            disp_converted.append(converted)
     conversions = conversions[pos]
     vobs_table = np.concatenate(([0.0], np.cumsum(np.full(conversions.max(), vpc))))
     result = {
@@ -475,8 +479,8 @@ def _oracle_reps(
     the calling thread running the first. Each population lives only
     inside its `_policy_totals` call, so a worker frees one before it
     simulates the next, and the memory check counts one per worker.
-    Every population is totals-only: it streams each step's competing
-    bids and holds O(users), not 8 B per auction (see `_simulate_chunk`).
+    Every population is totals-only: it keeps no winning rows, skips the
+    conversions and holds O(users) (see `_simulate_chunk`).
     """
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")

@@ -121,6 +121,9 @@ MALFORMED_CONFIGS = {
                               "sim 'competition': distribution 'mu' must be a finite number"),
     "nan_auctions_mean": (with_sim(auctions_per_user={"kind": "poisson", "mean": float("nan")}),
                           "sim 'auctions_per_user': distribution 'mean' must be a finite number"),
+    # once simulated, and the config's to_json wrote the mu back
+    "stray_competition_parameter": (with_sim(competition={"kind": "constant", "value": 0.4, "mu": 3}),
+                                    "sim 'competition': constant takes only value, not mu"),
     # once reported as `unknown distribution kind None`
     "distribution_without_kind": (with_sim(competition={"mu": 0.0, "sigma": 1.0}),
                                   "config 'sim': sim 'competition': missing distribution key 'kind'"),
@@ -167,8 +170,8 @@ UNDECODABLE_PROBES = [
     ("competition", "repeated", "competition spec is not valid JSON: repeated key 'a'"),
 ]
 
-#: 10**400 users at 64 B each, the tiny config's 6 auctions per user
-HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 6.4e+401 B"
+#: 10**400 users at 103 B each, the tiny config's 6 auctions per user
+HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 1.03e+402 B"
 
 
 @pytest.mark.parametrize("field,value,message", [

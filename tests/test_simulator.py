@@ -132,6 +132,17 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=message):
             Distribution(kind=kind, **params)
 
+    @pytest.mark.parametrize("kind,params,stray", [
+        ("constant", dict(value=0.4, mu=3.0), "mu"),
+        ("lognormal", dict(mu=0.0, sigma=1.0, low=0.0, high=2.0), "low or high"),
+        ("poisson", dict(mean=2.0, value=2.0), "value"),
+        ("uniform", dict(low=0.0, high=1.0, sigma=1.0), "sigma"),
+    ])
+    def test_distribution_rejects_parameters_its_kind_does_not_read(self, kind, params, stray):
+        # each was once kept, and `to_json` wrote it back
+        with pytest.raises(ValidationError, match=f"^{kind} takes only .+, not {stray}$"):
+            Distribution(kind=kind, **params)
+
     @pytest.mark.parametrize("count", [2.5, -2])
     def test_constant_auction_count_must_be_a_non_negative_integer(self, count):
         # 2.5 was read as 2 auctions; -2 ended in a numpy ValueError
@@ -539,13 +550,13 @@ def mutate_chunk(monkeypatch, old, new):
 
 
 MUTANTS = {
-    # every step after the first reads its cells t places early
-    "slice_offset": ("c, lo, hi = n_active[t], start[t], start[t + 1]",
-                     "c, lo, hi = n_active[t], start[t] - t, start[t + 1] - t"),
+    # each step draws a uniform for every user of the block, so every step after the
+    # first reads uniforms that belong to other steps' auctions
+    "other_steps_uniforms": ("rng.random(c)[rows]", "rng.random(n)[rows]"),
     # each step also bids for the first user with no auction left
     "extra_user": ("# count(m > t)\n", "# count(m > t)\n    n_active = np.minimum(n_active + 1, n)\n"),
     # each display records the exposure after its win, not at it
-    "display_exposure_after_win": ("disp_exposure.append(k_t[won])", "disp_exposure.append(k_t[won] + 1)"),
+    "display_exposure_after_win": ("disp_exposure.append(k_w)", "disp_exposure.append(k_w + 1)"),
     # each start level's value table begins one win late
     "value_table_shift": ("p_by_exposure[e:e + w]", "p_by_exposure[e + 1:e + 1 + w]"),
 }
@@ -609,6 +620,20 @@ class TestMemory:
         assert padded >= 10 * bound  # the padded grid would break the bound
         assert peak < bound
 
+    def test_log_population_holds_no_competing_bid_per_auction(self):
+        # 400 auctions per user, about 3% of them won: a log population keeps each step's
+        # winning rows, 8 B per win; holding every competing bid of the block made it 8.4 B
+        # per real auction
+        cfg = small_config(n_users=5000, auctions_per_user=Distribution(kind="constant", value=400))
+        population(small_config(n_users=10), 0)  # first-call work
+        tracemalloc.start()
+        try:
+            population(cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (5000 * 400) < 2
+
     def test_simulate_log_bytes_per_user(self, monkeypatch):
         # the slope of the traced peak between two sizes, so that a block's fixed working set
         # cancels: 80 B per user are the columns and ids that the log holds. One str per id, a
@@ -627,10 +652,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("chunk", [simulator._CHUNK, 100])
     def test_population_memory_estimate_is_checked_before_simulating(self, monkeypatch, chunk):
-        # a block of min(n, chunk) users draws 8 B per auction at the mean count
-        # rounded up, and every user keeps 64 B: exact integers throughout
+        # a block of min(n, chunk) users counts 8 B per auction at the mean count
+        # rounded up, and every user 103 B: exact integers throughout
         cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
-        needed = min(1000, chunk) * 8 * 8 + 1000 * 64
+        needed = min(1000, chunk) * 8 * 8 + 1000 * 103
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: needed)
         assert len(population(cfg, 0)["theta"]) == 1000
@@ -714,9 +739,9 @@ class TestStreamedOracle:
         assert len(started) + 1 == min(cores, n_reps)
 
     def test_memory_check_counts_one_population_per_worker(self, monkeypatch):
-        # 1000 users at 7.5 auctions: 8 B per auction for the 8 rounded up, plus 64 B per user
+        # 1000 users at 7.5 auctions: 8 B per auction for the 8 rounded up, plus 103 B per user
         cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
-        one = 1000 * 8 * 8 + 1000 * 64
+        one = 1000 * 8 * 8 + 1000 * 103
         simulate_chunk, thread = simulator._simulate_chunk, threading.Thread
 
         def no_simulation(*args, **kwargs):
