@@ -115,11 +115,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_offline_eval(args) -> int:
     cfg, provenance = _load_config(args)
+    policy = read_policy(args.policy, provenance) if args.policy else None  # a bad one fails before the log read
     log = read_log(args.log, provenance)
-    if args.policy:
-        policies = [read_policy(args.policy, provenance)]
-    else:
-        policies = sweep_policies(log, cfg.sweep)
+    policies = [policy] if args.policy else sweep_policies(log, cfg.sweep)
     cis = _policy_delta_bootstraps(log, policies, cfg.resamples, cfg.seed)
     for policy, ci in zip(policies, cis):
         dv_lin, dc_lin, dv_exact, dc_exact = ci.point

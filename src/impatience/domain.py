@@ -322,29 +322,28 @@ class RandomizedLog:
         for name in _COLUMNS:
             object.__setattr__(self, name, _column(name, getattr(self, name), n, owned))
         theta, e0, wins = self.theta, self.exposure_at_start, self.n_wins
-        expected = assign_clusters(e0, self.bucket_boundaries)
-        # per-user rules (0 < x < inf also rejects NaN), then rules across users
+        # per-user rules (0 < x < inf also rejects NaN), then rules across users; each rule's
+        # mask is built only when the rule is checked, so one mask is held at a time
         per_user = [
-            ((0 < theta) & (theta < np.inf), "theta must be finite and > 0, got {theta}"),
-            (e0 >= 0, "exposure_at_start must be >= 0"),
-            *(((0 <= getattr(self, f)) & (getattr(self, f) < np.inf), f"{f} must be finite and >= 0, got {{{f}}}")
+            (lambda: (0 < theta) & (theta < np.inf), "theta must be finite and > 0, got {theta}"),
+            (lambda: e0 >= 0, "exposure_at_start must be >= 0"),
+            *((lambda x=getattr(self, f): (0 <= x) & (x < np.inf), f"{f} must be finite and >= 0, got {{{f}}}")
               for f in ("cost", "value_observed", "value_predicted")),
-            ((0 <= wins) & (wins <= self.n_auctions),
+            (lambda: (0 <= wins) & (wins <= self.n_auctions),
              "need 0 <= n_wins <= n_auctions, got n_wins={n_wins}, n_auctions={n_auctions}"),
         ]
         across_users = [
-            (_first_occurrences(self.user_ids), "duplicate user_id {user_id!r}"),
-            (self.cluster == expected, "user {user_id}: cluster {cluster} inconsistent with "
-                                       "exposure_at_start {exposure_at_start} (expected {expected})"),
+            (lambda: _first_occurrences(self.user_ids), "duplicate user_id {user_id!r}"),
+            (lambda: self.cluster == assign_clusters(e0, self.bucket_boundaries), "user {user_id}: cluster {cluster} "
+             "inconsistent with exposure_at_start {exposure_at_start} (expected {expected})"),
         ]
         # report the first user who breaks a rule, under the first rule they break
         for rules, prefix in ((per_user, "user {user_id}: "), (across_users, "")):
-            ok = np.logical_and.reduce([mask for mask, _ in rules])
-            if not ok.all():
-                i = int(np.argmin(ok))
-                message = prefix + next(m for mask, m in rules if not mask[i])
+            i, _, message = min((_first_false(mask()), r, text) for r, (mask, text) in enumerate(rules))
+            if i < n:
                 row = {f: getattr(self, f)[i].item() for f in _COLUMNS}
-                raise ValidationError(message.format(user_id=self.user_ids[i], expected=int(expected[i]), **row), i)
+                row["expected"] = int(assign_clusters(e0[i], self.bucket_boundaries))
+                raise ValidationError((prefix + message).format(user_id=self.user_ids[i], **row), i)
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -406,6 +405,11 @@ def _column(name: str, values, n: int, owned: bool) -> np.ndarray:
     col = np.array(col, dtype=dtype, copy=None if owned else True)
     col.setflags(write=False)
     return col
+
+
+def _first_false(mask: np.ndarray) -> int:
+    """The index of the first False in `mask`, or its length if there is none."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
 
 
 def _first_occurrences(user_ids: np.ndarray) -> np.ndarray:

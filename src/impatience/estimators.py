@@ -281,12 +281,9 @@ class UserSums:
         n_workers = max(1, min(_n_workers(), n_blocks))
         # per worker: one float64 count buffer and one block of int32 draws
         sums_bytes, buffer_bytes = n_resamples * k * n_groups * 8, n_workers * block * n * 12
-        _check_memory(
-            sums_bytes + buffer_bytes,
-            f"resamples={n_resamples} needs about {_approx(sums_bytes + buffer_bytes)} B "
-            f"({n_resamples}*{k}*{n_groups}*8 B of resample sums plus {_approx(buffer_bytes)} B of worker buffers)",
-            _physical_memory(),
-        )
+        _check_memory(sums_bytes + buffer_bytes, f"resamples={_approx(n_resamples)} needs about "
+                      f"{_approx(sums_bytes + buffer_bytes)} B ({_approx(n_resamples)}*{k}*{n_groups}*8 B of resample "
+                      f"sums plus {_approx(buffer_bytes)} B of worker buffers)", _physical_memory())
         out = np.empty((n_resamples, k, n_groups))
 
         def run(first: int, last: int) -> None:
@@ -448,15 +445,13 @@ def weight_std_profile(
     if n_samples < 2:  # each std has ddof=1
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
     # theta, a weight array and two temporaries of the same size are held at once
-    _check_memory(n_samples * 32, f"samples={n_samples} needs about {_approx(n_samples * 32)} B "
-                  f"({n_samples}*4*8 B of samples, weights and temporaries)", _physical_memory())
+    _check_memory(n_samples * 32, f"samples={_approx(n_samples)} needs about {_approx(n_samples * 32)} B "
+                  f"({_approx(n_samples)}*4*8 B of samples, weights and temporaries)", _physical_memory())
     rng = np.random.default_rng(seed)
     theta = rng.lognormal(spec.mu, spec.sigma, n_samples)
     lin_std = float(np.std(linear_weight(theta, spec), ddof=1))
     rows = []
     for alpha in alphas:
-        if not alpha > 0:
-            raise ValidationError(f"alpha must be > 0, got {alpha}")
         w = exact_weight(theta, spec, alpha)
         rows.append(
             WeightProfileRow(

@@ -45,11 +45,13 @@ from .domain import (
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
-#: simulate_log's traced peak grows by 103.0 B per user from 8 to 16 blocks of default-config users: the
-#: log holds 80.0 (64 B of columns and a 16 B id), and the masks of its invariant checks 23 more
-_BYTES_PER_USER = 103
-#: The columns a totals-only population keeps: the values that the wins alone fix.
+#: simulate_log's traced peak grows by 86.7 B per user from 8 to 16 blocks of default-config users, and by
+#: 89.0 from 16 to 32: the log holds 80.0 (64 B of columns and a 16 B id), and its cluster check 9 more
+_BYTES_PER_USER = 89
+#: What `_simulate_population` keeps for an oracle: the values that the wins alone fix.
 _TOTALS = ("cluster", "cost", "value_predicted")
+#: What it keeps for a display trace: each won display's exposure and whether it converted.
+_TRACE = ("display_exposure", "display_converted")
 
 
 @dataclass(frozen=True)
@@ -206,16 +208,15 @@ def _simulate_population(
     policy: BidPolicy,
     seed: int,
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
-    collect_displays: bool = False,
-    totals_only: bool = False,
+    keep: tuple[str, ...] = _COLUMNS,
 ) -> dict[str, np.ndarray]:
     """Vectorized simulation of `policy`; one sequential RNG stream, chunked for memory.
 
     All randomness for a chunk is drawn in a fixed order and amount that
     no policy changes, so outcomes for a user are a deterministic function
     of the draws and the policy: scaling a bid up never consumes
-    different randomness. With `totals_only` a user keeps only its
-    cluster, cost and value_predicted, the values that the wins alone fix.
+    different randomness. `keep` names the kind of population by what it
+    returns: a log's `_COLUMNS`, an oracle's `_TOTALS` or a display `_TRACE`.
     """
     n_clusters = len(bucket_boundaries) + 1
     if policy.multipliers is not None and len(policy.multipliers) != n_clusters:
@@ -225,20 +226,18 @@ def _simulate_population(
     rng = np.random.default_rng(seed)
     firsts = range(0, config.n_users, _CHUNK)
     if len(firsts) == 1:  # one block: its arrays are the population's
-        return _simulate_chunk(rng, config.n_users, config, policy, bucket_boundaries, collect_displays, totals_only)
-    # each block writes its users' slice of columns allocated once; the display trace's
-    # length is known only block by block, so its parts are joined at the end
-    population = {k: np.empty(config.n_users, _DTYPES[k]) for k in (_TOTALS if totals_only else _COLUMNS)}
-    trace = ({"display_exposure": [np.empty(0, np.int64)], "display_converted": [np.empty(0, bool)]}
-             if collect_displays else {})
-    for first in firsts:
-        n = min(config.n_users - first, _CHUNK)
-        block = _simulate_chunk(rng, n, config, policy, bucket_boundaries, collect_displays, totals_only)
+        return _simulate_chunk(rng, config.n_users, config, policy, bucket_boundaries, keep)
+    # blocks run in turn, and each writes its users' slice of per-user columns allocated once;
+    # a trace's length is known only block by block, so its parts are joined at the end
+    blocks = (_simulate_chunk(rng, min(config.n_users - first, _CHUNK), config, policy, bucket_boundaries, keep)
+              for first in firsts)
+    if keep == _TRACE:
+        parts = [{"display_exposure": np.empty(0, np.int64), "display_converted": np.empty(0, bool)}, *blocks]
+        return {k: np.concatenate([part[k] for part in parts]) for k in _TRACE}
+    population = {k: np.empty(config.n_users, _DTYPES[k]) for k in keep}
+    for first, block in zip(firsts, blocks):
         for k, column in population.items():
-            column[first:first + n] = block[k]
-        for k, parts in trace.items():
-            parts.append(block[k])
-    population.update((k, np.concatenate(parts)) for k, parts in trace.items())
+            column[first:first + _CHUNK] = block[k]
     return population
 
 
@@ -271,8 +270,7 @@ def _simulate_chunk(
     config: SimConfig,
     policy: BidPolicy,
     bucket_boundaries: tuple[int, ...],
-    collect_displays: bool,
-    totals_only: bool,
+    keep: tuple[str, ...],
 ) -> dict[str, np.ndarray]:
     """Draw and simulate n users; see `_simulate_population`.
 
@@ -284,10 +282,10 @@ def _simulate_chunk(
     The stream: after the users' draws, a block draws one competing bid
     per real auction, step by step, then one conversion uniform per real
     auction, step by step. The step loop draws each step's competing bids
-    as it reaches them, and a log population keeps only each step's
+    as it reaches them, and a log or trace block keeps only each step's
     winning rows (8 B per win). After the loop it draws each step's
     uniforms and walks the wins again from the start exposures, which
-    gives each win's conversion probability. A `totals_only` block needs
+    gives each win's conversion probability. A `_TOTALS` block needs
     no conversions, so it advances the generator past the uniforms: each
     `Generator.random` double takes one 64-bit PCG64 output, so
     `advance(n_cells)` leaves the stream where drawing them would.
@@ -332,7 +330,7 @@ def _simulate_chunk(
 
     k = e0[order]
     cost = np.zeros(n)
-    won_rows = []  # a log population's winning sorted rows, step by step
+    won_rows, keep_rows = [], keep != _TOTALS  # a log or trace block's winning sorted rows, step by step
     for c in n_active:
         # views of the active prefix: adding to them adds to the users' totals
         k_t, cost_t = k[:c], cost[:c]
@@ -344,10 +342,30 @@ def _simulate_chunk(
             bid = bid_scale[:c] * p_k
         won = bid > comp_t
         cost_t += np.where(won, comp_t, 0.0)  # a masked np.add is slower, and its saving is one step's temporary
-        if not totals_only:
+        if keep_rows:
             won_rows.append(np.flatnonzero(won))
         k_t += won
 
+    if keep == _TOTALS:
+        rng.bit_generator.advance(n_cells)  # past the conversion uniforms
+    else:
+        # each step's uniforms, read at its wins: walking the wins again from the start exposures
+        # gives each win's exposure k, and so its conversion probability, and ends at the same k
+        trace = keep == _TRACE
+        k = e0[order]
+        conversions = np.zeros(n, dtype=np.int64)
+        disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
+        for c, rows in zip(n_active, won_rows):
+            k_w = k[rows]
+            converted = rng.random(c)[rows] < p_by_exposure[k_w]
+            k[rows] += 1
+            if trace:
+                disp_exposure.append(k_w)
+                disp_converted.append(converted)
+            else:
+                conversions[rows] += converted
+        if trace:
+            return dict(zip(_TRACE, map(np.concatenate, (disp_exposure, disp_converted))))
     pos = np.empty(n, dtype=np.intp)  # user i is sorted row pos[i]
     pos[order] = np.arange(n)
     # a user's j-th win is at exposure e0 + j, so the value totals depend only on
@@ -361,25 +379,11 @@ def _simulate_chunk(
     vpred_table = np.concatenate([[0.0]] + [np.cumsum(vpc * p_by_exposure[e:e + w]) for e, w in enumerate(most)])
     row = np.cumsum(most) - most
     value_predicted = vpred_table[np.where(wins > 0, row[e0] + wins, 0)]
-    if totals_only:
-        rng.bit_generator.advance(n_cells)  # past the conversion uniforms
+    if keep == _TOTALS:
         return {"cluster": cluster, "cost": cost[pos], "value_predicted": value_predicted}
-    # each step's uniforms, read at its wins: walking the wins again from the start
-    # exposures gives each win's exposure k, and so its conversion probability
-    k = e0[order]
-    conversions = np.zeros(n, dtype=np.int64)
-    disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
-    for c, rows in zip(n_active, won_rows):
-        k_w = k[rows]
-        converted = rng.random(c)[rows] < p_by_exposure[k_w]
-        conversions[rows] += converted
-        k[rows] += 1
-        if collect_displays:
-            disp_exposure.append(k_w)
-            disp_converted.append(converted)
     conversions = conversions[pos]
     vobs_table = np.concatenate(([0.0], np.cumsum(np.full(conversions.max(), vpc))))
-    result = {
+    return {
         "theta": theta,
         "exposure_at_start": e0,
         "cluster": cluster,
@@ -389,10 +393,6 @@ def _simulate_chunk(
         "n_auctions": m.astype(np.int64, copy=False),
         "n_wins": wins,
     }
-    if collect_displays:
-        result["display_exposure"] = np.concatenate(disp_exposure)
-        result["display_converted"] = np.concatenate(disp_converted)
-    return result
 
 
 def simulate_log(
@@ -402,7 +402,7 @@ def simulate_log(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> RandomizedLog:
     """Run one randomized collection period and aggregate it per user."""
-    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries)
+    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries, keep=_COLUMNS)
     return RandomizedLog._adopt(spec, _user_ids(0, config.n_users), bucket_boundaries, pop)
 
 
@@ -442,7 +442,7 @@ def simulate_display_trace(
     auction count (descending, ties by user index). The fit and the
     calibration read per-bucket counts, so no output depends on this order.
     """
-    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, collect_displays=True)
+    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, keep=_TRACE)
     return pop["display_exposure"], pop["display_converted"]
 
 
@@ -454,7 +454,7 @@ def _policy_totals(
     per_cluster: bool,
 ):
     """Total value and cost of one simulated population, overall or per cluster."""
-    pop = _simulate_population(config, policy, seed, bucket_boundaries, totals_only=True)
+    pop = _simulate_population(config, policy, seed, bucket_boundaries, keep=_TOTALS)
     if not per_cluster:
         return pop["value_predicted"].sum(), pop["cost"].sum()
     nc = len(bucket_boundaries) + 1
@@ -479,7 +479,7 @@ def _oracle_reps(
     the calling thread running the first. Each population lives only
     inside its `_policy_totals` call, so a worker frees one before it
     simulates the next, and the memory check counts one per worker.
-    Every population is totals-only: it keeps no winning rows, skips the
+    Every population keeps `_TOTALS`: it keeps no winning rows, skips the
     conversions and holds O(users) (see `_simulate_chunk`).
     """
     if n_reps < 1:
@@ -490,8 +490,8 @@ def _oracle_reps(
     # from 100k repetitions on, for overall totals and for 2-20 clusters.
     pairs = len(bucket_boundaries) + 1 if per_cluster else 1
     per_rep = 24 * pairs
-    _check_memory(n_reps * per_rep, f"reps={n_reps} needs about {_approx(n_reps * per_rep)} B "
-                  f"({n_reps}*{per_rep} B of per-repetition totals)", _physical_memory())
+    _check_memory(n_reps * per_rep, f"reps={_approx(n_reps)} needs about {_approx(n_reps * per_rep)} B "
+                  f"({_approx(n_reps)}*{per_rep} B of per-repetition totals)", _physical_memory())
     n_workers = max(1, min(_n_workers(), n_reps))
     _check_population_memory(config, n_workers)
     shape = (n_reps, pairs) if per_cluster else (n_reps,)

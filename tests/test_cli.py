@@ -170,8 +170,8 @@ UNDECODABLE_PROBES = [
     ("competition", "repeated", "competition spec is not valid JSON: repeated key 'a'"),
 ]
 
-#: 10**400 users at 103 B each, the tiny config's 6 auctions per user
-HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 1.03e+402 B"
+#: 10**400 users at 89 B each, the tiny config's 6 auctions per user
+HUGE_POPULATION = "sim 'auctions_per_user' (poisson, 6 auctions per user) and 'n_users' need about 8.9e+401 B"
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -296,6 +296,8 @@ class TestErrorHandling:
         (["weight-profile", "--config", "CONFIG", "--samples", "-1"], "n_samples must be >= 2, got -1"),
         (["weight-profile", "--config", "CONFIG", "--samples", "0"], "n_samples must be >= 2, got 0"),
         (["weight-profile", "--config", "CONFIG", "--samples", "1"], "n_samples must be >= 2, got 1"),
+        (["weight-profile", "--config", "CONFIG", "--alphas", "0"], "alpha must be > 0, got 0.0"),
+        (["weight-profile", "--config", "CONFIG", "--alphas", "-1"], "alpha must be > 0, got -1.0"),
         (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--value", "1e308",
           "--step", "1e-300"], "ticket_value / grid_step must be at most 1000000, got inf"),
         (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--step", "1e-5"],
@@ -323,14 +325,14 @@ class TestErrorHandling:
                    "--out", str(out))
         assert code == 1
         # 10**12 resamples * 2 sums * 6 clusters * 8 B, plus the worker buffers
-        assert capsys.readouterr().err.startswith("impatience: error: resamples=1000000000000 needs about 9.6e+13 B")
+        assert capsys.readouterr().err.startswith("impatience: error: resamples=1e+12 needs about 9.6e+13 B")
         assert not out.exists()
 
     def test_weight_profile_samples_beyond_physical_memory_exit_one(self, tiny_config, tmp_path, capsys):
         # once a numpy MemoryError traceback asking for 7.28 TiB of samples
         out = tmp_path / "profile.csv"
         assert run("weight-profile", "--config", tiny_config, "--samples", str(10**12), "--out", str(out)) == 1
-        assert capsys.readouterr().err.startswith("impatience: error: samples=1000000000000 needs about 3.2e+13 B")
+        assert capsys.readouterr().err.startswith("impatience: error: samples=1e+12 needs about 3.2e+13 B")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,sim,message", [
@@ -375,8 +377,8 @@ class TestErrorHandling:
         reps = 10**400
         assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", str(reps), "--out", str(out)) == 1
         # 24 B for the one value-and-cost pair of each repetition
-        assert capsys.readouterr().err.startswith(f"impatience: error: reps={reps} needs about 2.4e+401 B "
-                                                  f"({reps}*24 B of per-repetition totals)")
+        assert capsys.readouterr().err.startswith("impatience: error: reps=1e+400 needs about 2.4e+401 B "
+                                                  "(1e+400*24 B of per-repetition totals)")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])
@@ -1138,6 +1140,17 @@ class TestConfigRanges:
         assert code == 1
         assert capsys.readouterr().err.startswith("impatience: error: config 'sweep' must be a list of finite "
                                                   "numbers in (0, 1), got [0.1, 1.5]")
+        assert not out.exists()
+
+    def test_policy_is_checked_before_the_log_is_read(self, tiny_config, tmp_path, capsys):
+        # the whole log was read first: a bad policy failed only after the log read, and a
+        # missing log hid it
+        policy, out = tmp_path / "policy.json", tmp_path / "eval.csv"
+        policy.write_text("{")
+        code = run("offline-eval", "--config", tiny_config, "--log", str(tmp_path / "missing.jsonl"),
+                   "--policy", str(policy), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"impatience: error: policy file {policy} is not valid JSON: ")
         assert not out.exists()
 
     def test_sweep_built_in_code_is_checked(self):

@@ -462,7 +462,7 @@ class TestBlockPool:
         # max(1, 2**16 // n) resamples * n users * 12 B (1 resample at 70k users)
         block = max(1, 2**16 // n_users)
         needed = n_resamples * 2 * 6 * 8 + 2 * block * n_users * 12
-        with pytest.raises(ValidationError, match=re.escape(f"resamples={n_resamples} needs about {needed:.3g} B")):
+        with pytest.raises(ValidationError, match=re.escape(f"resamples={n_resamples:.3g} needs about {needed:.3g} B")):
             stat.resample(0, n_resamples)
 
     @pytest.mark.parametrize("page_size,pages", [(-1, 10**6), (4096, -1), (0, 0)])
@@ -557,7 +557,7 @@ class TestWeightStdProfile:
         # 4 float64 arrays of n samples: 31250 samples fill 10**6 B exactly
         with pytest.raises(AssertionError, match="drew before the size check"):
             weight_std_profile(SPEC, [1.0], n_samples=31_250)
-        with pytest.raises(ValidationError, match=re.escape("samples=31251 needs about 1e+06 B")):
+        with pytest.raises(ValidationError, match=re.escape("samples=3.13e+04 needs about 1e+06 B")):
             weight_std_profile(SPEC, [1.0], n_samples=31_251)
 
     def test_alpha_one_has_zero_spread(self):

@@ -25,6 +25,7 @@ from impatience import (
     default_randomization,
     oracle_cluster_outcomes,
     oracle_policy_outcome,
+    simulate_display_trace,
     simulate_log,
     two_auction_demo,
     write_log,
@@ -522,12 +523,16 @@ POLICIES = {
 
 
 def population(cfg, seed, multipliers=None, dynamic=False, collect_displays=False):
-    """`_simulate_population` of the policy that `reference_population` takes as loose arguments."""
+    """`_simulate_population` of the policy that `reference_population` takes as loose arguments; with
+    `collect_displays`, a log population and a trace population of the same seed, merged."""
     if multipliers is None:
         policy = BidPolicy.impatient(SPEC)
     else:
         policy = BidPolicy("cluster_multiplier", SPEC, tuple(multipliers), dynamic)
-    return simulator._simulate_population(cfg, policy, seed, collect_displays=collect_displays)
+    pop = simulator._simulate_population(cfg, policy, seed)
+    if collect_displays:
+        pop.update(simulator._simulate_population(cfg, policy, seed, keep=simulator._TRACE))
+    return pop
 
 
 def assert_same_bytes(got, ref):
@@ -650,12 +655,33 @@ class TestMemory:
                 tracemalloc.stop()
         assert (peaks[60_000] - peaks[20_000]) / 40_000 < 120
 
+    @pytest.mark.parametrize("blocks", [4, 8])
+    def test_display_trace_peak_stays_under_the_memory_estimate(self, monkeypatch, blocks):
+        # a trace population holds no log column: one that built every column of a log and
+        # copied them into full-size arrays peaked at 1.05-1.08 times the estimate
+        monkeypatch.setattr(simulator, "_CHUNK", 8192)
+        estimates, check_memory = [], simulator._check_memory
+
+        def recorded(needed, *args):
+            estimates.append(needed)
+            check_memory(needed, *args)
+
+        monkeypatch.setattr(simulator, "_check_memory", recorded)
+        simulate_display_trace(default_config(2000), SPEC, 1)  # first-call work
+        tracemalloc.start()
+        try:
+            simulate_display_trace(default_config(blocks * 8192), SPEC, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimates[-1]
+
     @pytest.mark.parametrize("chunk", [simulator._CHUNK, 100])
     def test_population_memory_estimate_is_checked_before_simulating(self, monkeypatch, chunk):
         # a block of min(n, chunk) users counts 8 B per auction at the mean count
-        # rounded up, and every user 103 B: exact integers throughout
+        # rounded up, and every user 89 B: exact integers throughout
         cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
-        needed = min(1000, chunk) * 8 * 8 + 1000 * 103
+        needed = min(1000, chunk) * 8 * 8 + 1000 * 89
         monkeypatch.setattr(simulator, "_CHUNK", chunk)
         monkeypatch.setattr(simulator, "_physical_memory", lambda: needed)
         assert len(population(cfg, 0)["theta"]) == 1000
@@ -694,7 +720,7 @@ class TestStreamedOracle:
         cfg = small_config(n_users=2400, competition=COMPETITIONS[competition], **WORLDS["poisson_activity"])
         pol = ORACLE_POLICIES[policy]
         full = simulator._simulate_population(cfg, pol, 7)
-        streamed = simulator._simulate_population(cfg, pol, 7, totals_only=True)
+        streamed = simulator._simulate_population(cfg, pol, 7, keep=simulator._TOTALS)
         assert streamed.keys() == {"cluster", "cost", "value_predicted"}
         for key, column in streamed.items():
             assert column.tobytes() == full[key].tobytes(), key
@@ -739,9 +765,9 @@ class TestStreamedOracle:
         assert len(started) + 1 == min(cores, n_reps)
 
     def test_memory_check_counts_one_population_per_worker(self, monkeypatch):
-        # 1000 users at 7.5 auctions: 8 B per auction for the 8 rounded up, plus 103 B per user
+        # 1000 users at 7.5 auctions: 8 B per auction for the 8 rounded up, plus 89 B per user
         cfg = small_config(n_users=1000, auctions_per_user=Distribution(kind="poisson", mean=7.5))
-        one = 1000 * 8 * 8 + 1000 * 103
+        one = 1000 * 8 * 8 + 1000 * 89
         simulate_chunk, thread = simulator._simulate_chunk, threading.Thread
 
         def no_simulation(*args, **kwargs):
