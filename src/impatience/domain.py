@@ -849,7 +849,7 @@ def write_marginals(path: str, rows: Iterable[ClusterRow], provenance: dict) -> 
 
 def read_marginals(path: str, provenance: dict | None = None) -> tuple[list[ClusterRow], dict[str, str]]:
     """The rows and upstream provenance of a marginals CSV; its digest goes to `provenance`. Each row has one
-    cell per column, an empty cell read as None; the columns a reallocation reads must be there, others may not."""
+    cell per column, an empty cell read as None; the columns a reallocation reads must be there, none twice."""
     upstream, rows, header = {}, [], None
     with _opened(path, "marginals", provenance) as fh:
         for line in filter(None, map(str.strip, fh)):
@@ -866,6 +866,9 @@ def read_marginals(path: str, provenance: dict | None = None) -> tuple[list[Clus
     missing = [column for column in _MARGINALS_NEEDED if column not in header]
     if missing:
         raise UsageError(f"marginals file {path} has no columns {missing}")
+    repeated = sorted({column for column in header if header.count(column) > 1})
+    if repeated:
+        raise UsageError(f"marginals file {path} repeats columns {repeated}")
     try:
         return [_marginals_row(header, cells) for cells in rows], upstream
     except (KeyError, ValueError, ArgumentTypeError) as exc:

@@ -49,6 +49,22 @@ def _check_metric(selector: str) -> None:
         raise ValidationError(f"unknown metric selector {selector!r}; expected one of {METRICS}")
 
 
+def _log_ratio(theta, spec: RandomizationSpec) -> np.ndarray:
+    """ln(theta) - mu, once every theta is checked to be > 0."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if np.any(theta <= 0):
+        raise ValidationError("theta must be > 0")
+    return np.log(theta) - spec.mu
+
+
+def _checked_alpha(alpha) -> np.ndarray:
+    """`alpha` as an array, once every multiplier is checked to be > 0; the error names the first that is not."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(alpha > 0):
+        raise ValidationError(f"alpha must be > 0, got {alpha[~(alpha > 0)][0]}")
+    return alpha
+
+
 def exact_weight(theta, spec: RandomizationSpec, alpha):
     """Likelihood ratio of the alpha-scaled exploration law vs the logged one.
 
@@ -57,24 +73,16 @@ def exact_weight(theta, spec: RandomizationSpec, alpha):
     total under multiplier alpha without bias. `alpha` is one multiplier
     or one per user.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta <= 0):
-        raise ValidationError("theta must be > 0")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all(alpha > 0):
-        raise ValidationError(f"alpha must be > 0, got {alpha}")
-    la = np.log(alpha)
+    ratio = _log_ratio(theta, spec)
+    la = np.log(_checked_alpha(alpha))
     with np.errstate(over="ignore"):  # a weight past the float range is inf, which `_terms` rejects
-        out = np.exp((2 * la * (np.log(theta) - spec.mu) - la * la) / (2 * spec.sigma**2))
+        out = np.exp((2 * la * ratio - la * la) / (2 * spec.sigma**2))
     return float(out) if out.ndim == 0 else out
 
 
 def linear_weight(theta, spec: RandomizationSpec):
     """Derivative of the exact weight in alpha at alpha = 1: (ln(theta) - mu) / sigma^2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(theta <= 0):
-        raise ValidationError("theta must be > 0")
-    out = (np.log(theta) - spec.mu) / spec.sigma**2
+    out = _log_ratio(theta, spec) / spec.sigma**2
     return float(out) if out.ndim == 0 else out
 
 
@@ -444,6 +452,7 @@ def weight_std_profile(
     """
     if n_samples < 2:  # each std has ddof=1
         raise ValidationError(f"n_samples must be >= 2, got {n_samples}")
+    _checked_alpha(alphas)  # before any sample is drawn
     # theta, a weight array and two temporaries of the same size are held at once
     _check_memory(n_samples * 32, f"samples={_approx(n_samples)} needs about {_approx(n_samples * 32)} B "
                   f"({_approx(n_samples)}*4*8 B of samples, weights and temporaries)", _physical_memory())

@@ -37,11 +37,10 @@ class ReallocationProblem:
         _check_kinds(self, "reallocation", {"cap_delta": "fraction"})
         object.__setattr__(self, "clusters", tuple((int(c), float(dc), float(dv)) for c, dc, dv in self.clusters))
         object.__setattr__(self, "pinned", tuple(int(c) for c in self.pinned))
-        seen = set()
+        ids = sorted([c for c, _, _ in self.clusters] + list(self.pinned))  # a cluster is eligible or pinned, once
+        if len(set(ids)) < len(ids):
+            raise ValidationError(f"duplicate cluster {next(a for a, b in zip(ids, ids[1:]) if a == b)}")
         for c, dc, _ in self.clusters:
-            if c in seen:
-                raise ValidationError(f"duplicate cluster {c}")
-            seen.add(c)
             if not dc > 0:
                 raise ValidationError(f"cluster {c}: eligible clusters need dcost > 0, got {dc}")
 

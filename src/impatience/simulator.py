@@ -29,7 +29,6 @@ from .domain import (
     RandomizationSpec,
     RandomizedLog,
     ValidationError,
-    _COLUMNS,
     _DTYPES,
     _ID_DTYPE,
     _approx,
@@ -45,13 +44,13 @@ from .domain import (
 
 _CHUNK = 1 << 17  # users simulated per vectorized block (fixed for determinism)
 _MAX_GRID_POINTS = 10**6  # the two-auction demo costs about 3 us per grid point
-#: simulate_log's traced peak grows by 86.7 B per user from 8 to 16 blocks of default-config users, and by
-#: 89.0 from 16 to 32: the log holds 80.0 (64 B of columns and a 16 B id), and its cluster check 9 more
+#: simulate_log's traced peak grows by 89.0 B per user from 8 to 16 blocks of default-config users, and by
+#: 89.1 from 16 to 32: the log holds 80.0 (64 B of columns and a 16 B id), and its cluster check 9 more
 _BYTES_PER_USER = 89
-#: What `_simulate_population` keeps for an oracle: the values that the wins alone fix.
-_TOTALS = ("cluster", "cost", "value_predicted")
+#: What `_simulate_population` keeps for an oracle, with each field's dtype: the values that the wins alone fix.
+_TOTALS = {k: _DTYPES[k] for k in ("cluster", "cost", "value_predicted")}
 #: What it keeps for a display trace: each won display's exposure and whether it converted.
-_TRACE = ("display_exposure", "display_converted")
+_TRACE = {"display_exposure": np.int64, "display_converted": np.bool_}
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,15 @@ def _simulate_population(
     policy: BidPolicy,
     seed: int,
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
-    keep: tuple[str, ...] = _COLUMNS,
+    keep: dict[str, type] = _DTYPES,
 ) -> dict[str, np.ndarray]:
     """Vectorized simulation of `policy`; one sequential RNG stream, chunked for memory.
 
     All randomness for a chunk is drawn in a fixed order and amount that
     no policy changes, so outcomes for a user are a deterministic function
     of the draws and the policy: scaling a bid up never consumes
-    different randomness. `keep` names the kind of population by what it
-    returns: a log's `_COLUMNS`, an oracle's `_TOTALS` or a display `_TRACE`.
+    different randomness. `keep` maps each field returned to its dtype, and so
+    names the kind: a log's `_DTYPES`, an oracle's `_TOTALS` or a display `_TRACE`.
     """
     n_clusters = len(bucket_boundaries) + 1
     if policy.multipliers is not None and len(policy.multipliers) != n_clusters:
@@ -224,21 +223,10 @@ def _simulate_population(
                               f"bucket boundaries make {n_clusters} clusters")
     _check_population_memory(config)
     rng = np.random.default_rng(seed)
-    firsts = range(0, config.n_users, _CHUNK)
-    if len(firsts) == 1:  # one block: its arrays are the population's
-        return _simulate_chunk(rng, config.n_users, config, policy, bucket_boundaries, keep)
-    # blocks run in turn, and each writes its users' slice of per-user columns allocated once;
-    # a trace's length is known only block by block, so its parts are joined at the end
-    blocks = (_simulate_chunk(rng, min(config.n_users - first, _CHUNK), config, policy, bucket_boundaries, keep)
-              for first in firsts)
-    if keep == _TRACE:
-        parts = [{"display_exposure": np.empty(0, np.int64), "display_converted": np.empty(0, bool)}, *blocks]
-        return {k: np.concatenate([part[k] for part in parts]) for k in _TRACE}
-    population = {k: np.empty(config.n_users, _DTYPES[k]) for k in keep}
-    for first, block in zip(firsts, blocks):
-        for k, column in population.items():
-            column[first:first + _CHUNK] = block[k]
-    return population
+    blocks = [_simulate_chunk(rng, min(config.n_users - first, _CHUNK), config, policy, bucket_boundaries, keep)
+              for first in range(0, config.n_users, _CHUNK)]
+    # one array per field, from an empty one of its dtype, letting go of each block's part once it is joined
+    return {k: np.concatenate([np.empty(0, dtype), *(block.pop(k) for block in blocks)]) for k, dtype in keep.items()}
 
 
 def _check_population_memory(config: SimConfig, populations: int = 1) -> None:
@@ -270,7 +258,7 @@ def _simulate_chunk(
     config: SimConfig,
     policy: BidPolicy,
     bucket_boundaries: tuple[int, ...],
-    keep: tuple[str, ...],
+    keep: dict[str, type],
 ) -> dict[str, np.ndarray]:
     """Draw and simulate n users; see `_simulate_population`.
 
@@ -402,7 +390,7 @@ def simulate_log(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> RandomizedLog:
     """Run one randomized collection period and aggregate it per user."""
-    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries, keep=_COLUMNS)
+    pop = _simulate_population(config, BidPolicy.impatient(spec), seed, bucket_boundaries, keep=_DTYPES)
     return RandomizedLog._adopt(spec, _user_ids(0, config.n_users), bucket_boundaries, pop)
 
 

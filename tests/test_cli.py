@@ -545,6 +545,23 @@ class TestOptimize:
         assert capsys.readouterr().err == f"impatience: error: marginals file {src} has no columns {missing}\n"
         assert os.listdir(tmp_path) == ["marginals.csv"]
 
+    def test_header_names_repeated_columns(self, tmp_path, capsys):
+        # the later cell of a repeated column once silently won
+        src = tmp_path / "marginals.csv"
+        src.write_text("cluster,dcost,dvalue,mroi,dcost,cluster\n0,1.0,2.0,2.0,-1.0,1\n")
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        assert capsys.readouterr().err == (f"impatience: error: marginals file {src} repeats columns "
+                                           "['cluster', 'dcost']\n")
+        assert os.listdir(tmp_path) == ["marginals.csv"]
+
+    def test_cluster_listed_twice_exits_one(self, tmp_path, capsys):
+        # cluster 1 both eligible and pinned once gave a policy and exit 0
+        src = tmp_path / "marginals.csv"
+        src.write_text("cluster,dcost,dvalue,mroi\n0,1.0,2.0,2.0\n1,1.0,0.5,0.5\n1,-1.0,1.0,\n")
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        assert capsys.readouterr().err == "impatience: error: duplicate cluster 1\n"
+        assert os.listdir(tmp_path) == ["marginals.csv"]
+
 
 class TestPipeline:
     def test_full_recipe_runs_and_outputs_are_deterministic(self, tiny_config, tmp_path):

@@ -560,6 +560,16 @@ class TestWeightStdProfile:
         with pytest.raises(ValidationError, match=re.escape("samples=3.13e+04 needs about 1e+06 B")):
             weight_std_profile(SPEC, [1.0], n_samples=31_251)
 
+    @pytest.mark.parametrize("alphas,shown", [([0.0], "0.0"), ([1.1, -1], "-1.0")])
+    def test_alpha_is_checked_before_drawing(self, monkeypatch, alphas, shown):
+        # an alpha of 0 was once rejected only after every sample was drawn: 494 MB at 2e7 samples
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before the alpha check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValidationError, match=f"^alpha must be > 0, got {re.escape(shown)}$"):
+            weight_std_profile(SPEC, alphas, n_samples=20_000_000)
+
     def test_alpha_one_has_zero_spread(self):
         rows = weight_std_profile(SPEC, [1.0], n_samples=5000, seed=0)
         assert rows[0].std_exact == 0.0

@@ -168,9 +168,14 @@ class TestSolveInvariants:
         with pytest.raises(ValidationError):
             ReallocationProblem(clusters=((0, 0.0, 1.0),))
 
-    def test_rejects_duplicate_cluster(self):
-        with pytest.raises(ValidationError):
-            ReallocationProblem(clusters=((0, 1.0, 1.0), (0, 2.0, 1.0)))
+    @pytest.mark.parametrize("clusters,pinned", [(((0, 1.0, 1.0), (0, 2.0, 1.0)), ()),
+                                                 # a cluster both eligible and pinned, or pinned twice, was once taken
+                                                 (((0, 1.0, 1.0), (1, 2.0, 1.0)), (1,)),
+                                                 (((0, 1.0, 1.0),), (2, 2))],
+                             ids=["eligible-twice", "eligible-and-pinned", "pinned-twice"])
+    def test_rejects_duplicate_cluster(self, clusters, pinned):
+        with pytest.raises(ValidationError, match="^duplicate cluster [012]$"):
+            ReallocationProblem(clusters=clusters, pinned=pinned)
 
 
 class TestPredictPolicyDelta:

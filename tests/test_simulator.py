@@ -303,12 +303,17 @@ class TestOraclePolicyOutcome:
         assert total.value == pytest.approx(by_cluster["value"].sum(), rel=1e-12)
         assert total.cost == pytest.approx(by_cluster["cost"].sum(), rel=1e-12)
 
-    def test_no_users_give_zero_totals(self):
+    def test_no_users_give_zero_totals(self, monkeypatch):
         # the empty population's columns were once float64, and bincount refused its clusters
         out = oracle_cluster_outcomes(default_config(n_users=0), BidPolicy.impatient(SPEC), 2, 0)
         assert out["value"].tolist() == out["cost"].tolist() == [0.0] * 6
-        pop = simulator._simulate_population(small_config(n_users=0), BidPolicy.impatient(SPEC), 0)
-        assert {k: v.dtype for k, v in pop.items()} == _DTYPES
+        # every kind of population, of no block, one and two, holds each field in the dtype that `keep` names
+        monkeypatch.setattr(simulator, "_CHUNK", 100)
+        for keep in (_DTYPES, simulator._TOTALS, simulator._TRACE):
+            for n_users in (0, 100, 200):
+                pop = simulator._simulate_population(small_config(n_users=n_users), BidPolicy.impatient(SPEC), 0,
+                                                     keep=keep)
+                assert {k: v.dtype for k, v in pop.items()} == {k: np.dtype(t) for k, t in keep.items()}, n_users
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_policy_must_fit_the_clusters(self, n):
