@@ -68,6 +68,14 @@ def _load_config(args) -> tuple[ExperimentConfig, dict]:
     return cfg, {**provenance, "seed": cfg.seed}
 
 
+def _in_file(what: str, path: str, check, *args):
+    """`check(*args)`, where a broken rule is a fault of the `what` file at `path`: its error names the file."""
+    try:
+        return check(*args)
+    except ValidationError as exc:
+        raise UsageError(f"{what} file {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -100,7 +108,9 @@ def cmd_marginals(args) -> int:
 def cmd_optimize(args) -> int:
     provenance = {}
     rows, upstream = read_marginals(args.marginals, provenance)
-    result = solve_reallocation_detailed(ReallocationProblem.from_rows(rows, cap_delta=args.cap))
+    # the rows' faults, at the default cap, are the file's; --cap is checked after them
+    problem = _in_file("marginals", args.marginals, ReallocationProblem.from_rows, rows)
+    result = solve_reallocation_detailed(replace(problem, cap_delta=args.cap))
     if "log_sha256" in upstream:
         provenance["log_sha256"] = upstream["log_sha256"]
     write_policy(args.out, result.policy, provenance, result.diagnostic)
@@ -117,6 +127,8 @@ def cmd_offline_eval(args) -> int:
     cfg, provenance = _load_config(args)
     policy = read_policy(args.policy, provenance) if args.policy else None  # a bad one fails before the log read
     log = read_log(args.log, provenance)
+    if args.policy:  # its clusters must be the log's
+        _in_file("policy", args.policy, policy.multiplier_array, log.n_clusters)
     policies = [policy] if args.policy else sweep_policies(log, cfg.sweep)
     cis = _policy_delta_bootstraps(log, policies, cfg.resamples, cfg.seed)
     for policy, ci in zip(policies, cis):
@@ -133,6 +145,7 @@ def cmd_offline_eval(args) -> int:
 def cmd_ab(args) -> int:
     cfg, provenance = _load_config(args)
     policy = read_policy(args.policy, provenance)
+    _in_file("policy", args.policy, policy.multiplier_array, len(cfg.bucket_boundaries) + 1)  # the config's clusters
     sim = cfg.sim if args.users_per_arm is None else replace(cfg.sim, n_users=args.users_per_arm)
     outcomes = ab_outcomes(sim, cfg.randomization, policy, args.reps, cfg.seed, cfg.bucket_boundaries)
     print(f"ab: {sim.n_users} users/arm x {args.reps} reps")

@@ -677,12 +677,8 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
             texts, linenos = list(compress(texts, texts)), list(compress(linenos, texts))
             if not texts:
                 continue
-        ids, *columns = _parse_block(texts) or _check_lines(texts, linenos)
-        try:
-            ids = _id_array(ids)
-        except ValidationError as exc:
-            raise LogFormatError(str(exc), linenos[exc.user_index]) from None
-        for part, array in zip(parts.values(), (ids, *_parse_columns(columns, linenos))):
+        columns = _parse_block(texts) or _check_lines(texts, linenos)
+        for part, array in zip(parts.values(), _parse_columns(columns, linenos)):
             part.append(array)
         user_lines.append(linenos)
     # one array per field, letting go of each field's blocks as soon as they are joined
@@ -758,11 +754,18 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
 
 
 def _parse_columns(columns: list[tuple], linenos: Iterable[int]) -> list[np.ndarray]:
-    """A block's value columns as arrays; the first line with a JSON number beyond its column's dtype is a fault."""
+    """A block's ids and value columns as arrays. Where one cannot be held, the block's lines are
+    searched in file order, each line's id and then its values: the first id that UTF-8 cannot
+    encode or JSON number beyond its column's dtype is the fault."""
+    ids, *values = columns
     try:
-        return [np.array(values, dtype=_DTYPES[f]) for f, values in zip(_COLUMNS, columns)]
-    except OverflowError:
-        for lineno, row in zip(linenos, zip(*columns)):
+        return [_id_array(ids), *(np.array(column, dtype=_DTYPES[f]) for f, column in zip(_COLUMNS, values))]
+    except (ValidationError, OverflowError):
+        for lineno, (uid, *row) in zip(linenos, zip(*columns)):
+            try:
+                _id_array([uid])
+            except ValidationError as exc:
+                raise LogFormatError(str(exc), lineno) from None
             for f, value in zip(_COLUMNS, row):
                 try:
                     np.array(value, dtype=_DTYPES[f])

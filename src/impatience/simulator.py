@@ -342,7 +342,8 @@ def _simulate_chunk(
         trace = keep == _TRACE
         k = e0[order]
         conversions = np.zeros(n, dtype=np.int64)
-        disp_exposure, disp_converted = [np.array([], dtype=np.int64)], [np.array([], dtype=bool)]
+        # a trace's parts, each from an empty array of its `_TRACE` dtype: a block may have no win
+        disp_exposure, disp_converted = ([np.empty(0, dtype)] for dtype in _TRACE.values())
         for c, rows in zip(n_active, won_rows):
             k_w = k[rows]
             converted = rng.random(c)[rows] < p_by_exposure[k_w]
@@ -434,70 +435,51 @@ def simulate_display_trace(
     return pop["display_exposure"], pop["display_converted"]
 
 
-def _policy_totals(
-    config: SimConfig,
-    policy: BidPolicy,
-    seed,
-    bucket_boundaries: tuple[int, ...],
-    per_cluster: bool,
-):
-    """Total value and cost of one simulated population, overall or per cluster."""
+def _policy_totals(config: SimConfig, policy: BidPolicy, seed, bucket_boundaries: tuple[int, ...]) -> np.ndarray:
+    """Total value (row 0) and cost (row 1) of one simulated population: column 0
+    over all users, column 1 + c over cluster c."""
     pop = _simulate_population(config, policy, seed, bucket_boundaries, keep=_TOTALS)
-    if not per_cluster:
-        return pop["value_predicted"].sum(), pop["cost"].sum()
     nc = len(bucket_boundaries) + 1
-    val = np.bincount(pop["cluster"], weights=pop["value_predicted"], minlength=nc)
-    cost = np.bincount(pop["cluster"], weights=pop["cost"], minlength=nc)
-    return val, cost
+    return np.array([[pop[k].sum(), *np.bincount(pop["cluster"], weights=pop[k], minlength=nc)]
+                     for k in ("value_predicted", "cost")])
 
 
-def _oracle_reps(
-    config: SimConfig,
-    policy: BidPolicy,
-    n_reps: int,
-    seed: int,
-    bucket_boundaries: tuple[int, ...],
-    per_cluster: bool,
-) -> dict[str, np.ndarray]:
-    """Means and standard errors of `_policy_totals` over independent populations.
+def _oracle_reps(config: SimConfig, policy: BidPolicy, n_reps: int, seed: int,
+                 bucket_boundaries: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Means and standard errors of `_policy_totals` over independent populations,
+    each laid out as a row of the totals: the whole population's, then each cluster's.
 
     Repetition r simulates the stream of `SeedSequence([seed, r])`, and
-    its totals are row r, so no total depends on which thread ran it:
-    contiguous ranges of repetitions run on at most one thread per core,
-    the calling thread running the first. Each population lives only
-    inside its `_policy_totals` call, so a worker frees one before it
-    simulates the next, and the memory check counts one per worker.
-    Every population keeps `_TOTALS`: it keeps no winning rows, skips the
-    conversions and holds O(users) (see `_simulate_chunk`).
+    its totals are entry r of the last axis, so no total depends on which
+    thread ran it: contiguous ranges of repetitions run on at most one
+    thread per core, the calling thread running the first. Each population
+    lives only inside its `_policy_totals` call, so a worker frees one
+    before it simulates the next, and the memory check counts one per
+    worker. Every population keeps `_TOTALS`: it keeps no winning rows,
+    skips the conversions and holds O(users) (see `_simulate_chunk`).
     """
     if n_reps < 1:
         raise ValidationError("n_reps must be >= 1")
-    # every repetition's totals are held until their mean is taken: 16 B per
-    # value-and-cost pair, and the standard deviation's temporary copy of one
-    # array adds 8 B. tracemalloc put the peak at 24.0 B per pair and repetition
-    # from 100k repetitions on, for overall totals and for 2-20 clusters.
-    pairs = len(bucket_boundaries) + 1 if per_cluster else 1
-    per_rep = 24 * pairs
+    # every repetition's totals are held until their mean is taken: 16 B per value-and-cost
+    # pair (the whole population's and each cluster's), and the standard deviation, taken one
+    # row at a time, adds a temporary copy of one row, 8 B per pair. tracemalloc put the peak
+    # at 24.0 B per pair and repetition at 400k repetitions, for 2, 6 and 20 clusters.
+    per_rep = 24 * (len(bucket_boundaries) + 2)
     _check_memory(n_reps * per_rep, f"reps={_approx(n_reps)} needs about {_approx(n_reps * per_rep)} B "
                   f"({_approx(n_reps)}*{per_rep} B of per-repetition totals)", _physical_memory())
     n_workers = max(1, min(_n_workers(), n_reps))
     _check_population_memory(config, n_workers)
-    shape = (n_reps, pairs) if per_cluster else (n_reps,)
-    vals, costs = np.empty(shape), np.empty(shape)
+    totals = np.empty((2, len(bucket_boundaries) + 2, n_reps))  # each total's repetitions side by side
 
     def run(first: int, last: int) -> None:
         for rep in range(first, last):
             rep_seed = np.random.SeedSequence([int(seed), rep])
-            vals[rep], costs[rep] = _policy_totals(config, policy, rep_seed, bucket_boundaries, per_cluster)
+            totals[..., rep] = _policy_totals(config, policy, rep_seed, bucket_boundaries)
 
     _in_parallel(run, n_reps, n_workers)
     ddof = 1 if n_reps > 1 else 0
-    return {
-        "value": vals.mean(axis=0),
-        "cost": costs.mean(axis=0),
-        "value_se": vals.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
-        "cost_se": costs.std(axis=0, ddof=ddof) / np.sqrt(n_reps),
-    }
+    (value, cost), (value_sd, cost_sd) = totals.mean(axis=-1), [row.std(axis=-1, ddof=ddof) for row in totals]
+    return {"value": value, "cost": cost, "value_se": value_sd / np.sqrt(n_reps), "cost_se": cost_sd / np.sqrt(n_reps)}
 
 
 def oracle_policy_outcome(
@@ -508,8 +490,8 @@ def oracle_policy_outcome(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> PolicyOutcome:
     """Ground-truth policy outcome: mean totals over independent populations."""
-    out = _oracle_reps(config, policy, n_reps, seed, bucket_boundaries, per_cluster=False)
-    return PolicyOutcome(n_reps=n_reps, **{key: float(v) for key, v in out.items()})
+    out = _oracle_reps(config, policy, n_reps, seed, bucket_boundaries)
+    return PolicyOutcome(n_reps=n_reps, **{key: float(v[0]) for key, v in out.items()})
 
 
 def oracle_cluster_outcomes(
@@ -520,7 +502,7 @@ def oracle_cluster_outcomes(
     bucket_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> dict[str, np.ndarray]:
     """Per-cluster oracle totals (means and standard errors over reps)."""
-    return _oracle_reps(config, policy, n_reps, seed, bucket_boundaries, per_cluster=True)
+    return {key: v[1:] for key, v in _oracle_reps(config, policy, n_reps, seed, bucket_boundaries).items()}
 
 
 def ab_outcomes(config: SimConfig, spec: RandomizationSpec, policy: PolicySpec, n_reps: int, seed: int,

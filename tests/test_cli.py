@@ -302,6 +302,8 @@ class TestErrorHandling:
           "--step", "1e-300"], "ticket_value / grid_step must be at most 1000000, got inf"),
         (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--step", "1e-5"],
          "ticket_value / grid_step must be at most 1000000, got 1e+07"),
+        (["two-auctions", "--competition", '{"kind":"uniform","low":0,"high":100}', "--step", "0"],
+         "grid_step must be > 0"),
         (["marginals", "--config", "CONFIG", "--log", "l.jsonl", "--resamples", "-5"],
          "config 'resamples' must be a non-negative integer, got -5"),
         # a non-positive ticket value once gave a curve from 0 down to it, or two equal rows
@@ -376,9 +378,9 @@ class TestErrorHandling:
         policy.write_text(json.dumps(POLICY))
         reps = 10**400
         assert run("ab", "--config", tiny_config, "--policy", str(policy), "--reps", str(reps), "--out", str(out)) == 1
-        # 24 B for the one value-and-cost pair of each repetition
-        assert capsys.readouterr().err.startswith("impatience: error: reps=1e+400 needs about 2.4e+401 B "
-                                                  "(1e+400*24 B of per-repetition totals)")
+        # 24 B for each of the 7 value-and-cost pairs of a repetition: the whole arm's and 6 clusters'
+        assert capsys.readouterr().err.startswith("impatience: error: reps=1e+400 needs about 1.68e+402 B "
+                                                  "(1e+400*168 B of per-repetition totals)")
         assert not out.exists()
 
     @pytest.mark.parametrize("empty_by", ["flag", "config"])
@@ -545,6 +547,13 @@ class TestOptimize:
         assert capsys.readouterr().err == f"impatience: error: marginals file {src} has no columns {missing}\n"
         assert os.listdir(tmp_path) == ["marginals.csv"]
 
+    def test_file_of_comments_alone_has_no_header_row(self, tmp_path, capsys):
+        src = tmp_path / "marginals.csv"
+        src.write_text("# tool=impatience\n\n")
+        assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
+        assert capsys.readouterr().err == f"impatience: error: marginals file {src} has no header row\n"
+        assert os.listdir(tmp_path) == ["marginals.csv"]
+
     def test_header_names_repeated_columns(self, tmp_path, capsys):
         # the later cell of a repeated column once silently won
         src = tmp_path / "marginals.csv"
@@ -559,7 +568,7 @@ class TestOptimize:
         src = tmp_path / "marginals.csv"
         src.write_text("cluster,dcost,dvalue,mroi\n0,1.0,2.0,2.0\n1,1.0,0.5,0.5\n1,-1.0,1.0,\n")
         assert run("optimize", "--marginals", str(src), "--out", str(tmp_path / "p.json")) == 1
-        assert capsys.readouterr().err == "impatience: error: duplicate cluster 1\n"
+        assert capsys.readouterr().err == f"impatience: error: marginals file {src}: duplicate cluster 1\n"
         assert os.listdir(tmp_path) == ["marginals.csv"]
 
 
@@ -929,6 +938,20 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"impatience: error: policy file {policy}{message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ab", "offline-eval"])
+    def test_policy_cluster_past_the_buckets_names_the_file(self, tiny_config, tmp_path, capsys, command):
+        # the default buckets make clusters 0 to 5; cluster 9's error once named no file
+        policy, log, out = tmp_path / "policy.json", tmp_path / "log.jsonl", tmp_path / "out"
+        policy.write_text(json.dumps({**POLICY, "multipliers": {"9": 1.1}}))
+        argv = [command, "--config", tiny_config, "--policy", str(policy), "--out", str(out)]
+        if command == "offline-eval":
+            assert run("simulate", "--config", tiny_config, "--out", str(log)) == 0
+            argv += ["--log", str(log)]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (f"impatience: error: policy file {policy}: "
+                                           "cluster index 9 out of range [0, 6)\n")
         assert not out.exists()
 
     def test_values_that_overflow_exit_one_with_one_line(self, tiny_config, tmp_path):

@@ -134,6 +134,10 @@ class TestInvariants:
             make_log(make_user(0), make_user(1, user_id=user_id))
         assert str(info.value) == message and info.value.user_index == 1
 
+    def test_user_ids_must_be_one_string_per_user(self):
+        with pytest.raises(ValidationError, match=r"^user_ids must hold one string per user, got shape \(2, 1\)$"):
+            make_log(make_user(0, user_id=["a"]), make_user(1, user_id=["b"]))
+
     def test_cluster_must_match_exposure(self):
         with pytest.raises(ValidationError, match="cluster"):
             make_log(make_user(1, cluster=3))
@@ -783,6 +787,11 @@ class TestBlockIO:
         with pytest.raises(LogFormatError) as info:
             read_log(io.StringIO(text))
         assert str(info.value) == f"line {2 * B + 3}: n_wins must be an integer, got True"
+        # 2B blank lines after line 3: the block of lines B + 2 to 2B + 1 holds no user
+        text = "".join(lines[:3]) + "\n" * (2 * B) + "".join(lines[3:])
+        with pytest.raises(LogFormatError) as info:
+            read_log(io.StringIO(text))
+        assert str(info.value) == f"line {3 * B + 3}: n_wins must be an integer, got True"
 
     @pytest.mark.parametrize(
         "row_end,cut",
@@ -855,4 +864,13 @@ class TestBlockIO:
             read_log(io.StringIO("".join(lines)))
         lines[2] = lines[3]
         with pytest.raises(LogFormatError, match="line 6: cost is out of range"):
+            read_log(io.StringIO("".join(lines)))
+        # a number out of range comes before an id that UTF-8 cannot encode on a later line of its block
+        lines = self.lines(make_log(*(make_user(i) for i in range(3))))
+        lines[1] = lines[1].replace('"n_auctions":10', f'"n_auctions":{10**20}')
+        lines[2] = lines[2].replace('"user_id":"u1"', '"user_id":"\\ud800"')
+        with pytest.raises(LogFormatError, match=f"line 2: n_auctions is out of range, got {10**20}$"):
+            read_log(io.StringIO("".join(lines)))
+        lines[1] = lines[3]
+        with pytest.raises(LogFormatError, match="line 3: user_id must be text that UTF-8 can encode"):
             read_log(io.StringIO("".join(lines)))

@@ -181,6 +181,8 @@ class TestIpsEstimate:
         # with the escape hatch it computes (and matches the safe full-set sum here)
         full = ips_estimate(log, "cost", subset=tainted, allow_unsafe=True)
         assert full == pytest.approx(ips_estimate(log, "cost"), rel=1e-12)
+        with pytest.raises(ValidationError, match="^mask length 49 != log size 50$"):
+            ips_estimate(log, "cost", subset=UserSubset.unsafe_from_mask([True] * 49), allow_unsafe=True)
 
 
 class TestMarginalEstimate:

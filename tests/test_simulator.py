@@ -116,6 +116,8 @@ class TestConfigValidation:
         ("fatigue_decay", float("nan"), "sim 'fatigue_decay' must be a finite number"),
         ("initial_exposure", "abc", "sim 'initial_exposure' must be a list of finite numbers"),
         ("activity_by_exposure", (1.0, float("inf"), 1.0), "sim 'activity_by_exposure' must be a list of finite"),
+        ("activity_by_exposure", (1.0, 2.0), "^activity_by_exposure must be positive and match initial_exposure"),
+        ("activity_by_exposure", (1.0, 0.0, 1.0), "^activity_by_exposure must be positive and match initial_exposure"),
     ])
     def test_fields_built_in_code_are_checked(self, field, value, message):
         # the rules `from_json` applied to JSON documents hold for a config built in code
@@ -131,6 +133,15 @@ class TestConfigValidation:
     ])
     def test_distribution_parameters_must_be_finite_numbers(self, kind, params, message):
         with pytest.raises(ValidationError, match=message):
+            Distribution(kind=kind, **params)
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("lognormal", dict(mu=0.0), "lognormal requires mu and sigma"),
+        ("uniform", dict(low=1.0, high=1.0), "uniform requires low < high"),
+        ("poisson", dict(mean=-1.0), "poisson requires mean >= 0"),
+    ])
+    def test_distribution_parameters_must_fit_their_kind(self, kind, params, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             Distribution(kind=kind, **params)
 
     @pytest.mark.parametrize("kind,params,stray", [
@@ -329,6 +340,16 @@ class TestOraclePolicyOutcome:
         with pytest.raises(ValidationError, match="^bid policy 'multipliers' must be a list of finite numbers"):
             BidPolicy(kind="cluster_multiplier", randomization=SPEC, multipliers=(1.0,) * 5 + (value,))
 
+    @pytest.mark.parametrize("kind,multipliers,message", [
+        ("cluster", (1.0,) * 6, "unknown policy kind 'cluster'"),
+        ("cluster_multiplier", None, "cluster_multiplier policy requires multipliers"),
+        ("cluster_multiplier", (1.0,) * 5 + (-0.5,), "multipliers must be >= 0"),
+        ("impatient_randomized", (1.0,) * 6, "impatient_randomized policy takes no multipliers"),
+    ])
+    def test_bid_policy_kind_and_multipliers_must_agree(self, kind, multipliers, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            BidPolicy(kind=kind, randomization=SPEC, multipliers=multipliers)
+
     def test_rejects_no_reps(self):
         for oracle in (oracle_policy_outcome, oracle_cluster_outcomes):
             with pytest.raises(ValidationError, match="n_reps"):
@@ -376,6 +397,17 @@ class TestTwoAuctionDemo:
                 exact = comp.expected_second_price_profit(bid, 100.0)
                 quad = quadrature_profit(comp, bid, 100.0)
                 assert exact == pytest.approx(quad, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("log_bid", [690.0, 700.0, 705.0])
+    def test_partial_mean_past_the_float_range_matches_quadrature(self, log_bid):
+        # E[C] = exp(705 + 3.5**2 / 2) overflows a float, and at these bids the erfcx
+        # form's argument is 5.5, 3.5 and 2.5, where erfcx is exp(t^2) * erfc(t)
+        comp = Distribution(kind="lognormal", mu=705.0, sigma=3.5)
+        # the quadrature over y = ln c, with c / bid in the integrand so that it stays in range
+        scaled, _ = integrate.quad(lambda y: np.exp(y - log_bid) * stats.norm.pdf(y, 705.0, 3.5),
+                                   705.0 - 40 * 3.5, log_bid, limit=200)
+        bid = np.exp(log_bid)
+        assert comp.partial_mean_below(bid) == pytest.approx(scaled * bid, rel=1e-8)
 
 
 def quadrature_profit(comp, bid, value):
@@ -729,11 +761,10 @@ class TestStreamedOracle:
         assert streamed.keys() == {"cluster", "cost", "value_predicted"}
         for key, column in streamed.items():
             assert column.tobytes() == full[key].tobytes(), key
-        value, cost = simulator._policy_totals(cfg, pol, 7, DEFAULT_BUCKETS, per_cluster=False)
-        assert (value.tobytes(), cost.tobytes()) == (full["value_predicted"].sum().tobytes(),
-                                                      full["cost"].sum().tobytes())
-        value, cost = simulator._policy_totals(cfg, pol, 7, DEFAULT_BUCKETS, per_cluster=True)
-        for got, column in ((value, "value_predicted"), (cost, "cost")):
+        value, cost = simulator._policy_totals(cfg, pol, 7, DEFAULT_BUCKETS)
+        assert (value[0].tobytes(), cost[0].tobytes()) == (full["value_predicted"].sum().tobytes(),
+                                                            full["cost"].sum().tobytes())
+        for got, column in ((value[1:], "value_predicted"), (cost[1:], "cost")):
             assert got.tobytes() == np.bincount(full["cluster"], weights=full[column], minlength=6).tobytes()
 
     def test_outcomes_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -807,12 +838,11 @@ class TestOracleMemory:
             n_users, mean = map(int, world.split("x"))
             cfg = small_config(n_users=n_users, auctions_per_user=Distribution(kind="poisson", mean=float(mean)))
         policy = BidPolicy.impatient(SPEC)
-        simulator._policy_totals(small_config(n_users=10), policy, 0, DEFAULT_BUCKETS, True)  # first-call work
-        for per_cluster in (False, True):
-            tracemalloc.start()
-            try:
-                simulator._policy_totals(cfg, policy, 0, DEFAULT_BUCKETS, per_cluster)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 160 * cfg.n_users + (1 << 16)
+        simulator._policy_totals(small_config(n_users=10), policy, 0, DEFAULT_BUCKETS)  # first-call work
+        tracemalloc.start()
+        try:
+            simulator._policy_totals(cfg, policy, 0, DEFAULT_BUCKETS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * cfg.n_users + (1 << 16)
