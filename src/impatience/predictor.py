@@ -1,17 +1,17 @@
 """Fatigue-aware conversion-rate prediction.
 
-A logistic model fit by full-batch gradient ascent with backtracking
-line search. The fatigue variable (prior ad exposure at display time)
-enters as a one-hot over exposure buckets; leaving it out makes the
-model overpredict on recently exposed users, which the calibration
-curve makes visible.
+A logistic model fit by damped Newton's method (iteratively reweighted
+least squares) with a backtracking line search. The fatigue variable
+(prior ad exposure at display time) enters as a one-hot over exposure
+buckets; leaving it out makes the model overpredict on recently exposed
+users, which the calibration curve makes visible.
 
 Display events are held as columns (:class:`DisplayEvents`). The fit
 runs on sufficient statistics: a design row is a function of the
 exposure bucket alone, so the events of one bucket are merged into one
-row with a trial count and a positive count, and the ascent touches one
-row per bucket whatever the number of events. The objective is still
-the mean log-likelihood over all events.
+row with a trial count and a positive count, and each Newton step
+touches one row per bucket whatever the number of events. The objective
+is still the mean log-likelihood over all events.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DEFAULT_BUCKETS, ValidationError, assign_clusters
+from .domain import DEFAULT_BUCKETS, ValidationError, _is_integer, assign_clusters
 
 
 class ConvergenceError(RuntimeError):
-    """Gradient ascent did not reach the tolerance; carries the last
-    gradient max-norm and the partially fitted model."""
+    """The fit did not reach the tolerance; carries the last gradient
+    max-norm and the partially fitted model."""
 
     def __init__(self, grad_norm: float, model: "CtrModel"):
         super().__init__(
-            f"gradient ascent did not converge: last gradient max-norm {grad_norm:.3e}"
+            f"CTR fit did not converge: last gradient max-norm {grad_norm:.3e}"
         )
         self.grad_norm = grad_norm
         self.model = model
@@ -162,44 +162,56 @@ def fit_ctr(
     tol: float = 1e-7,
     fatigue_boundaries: tuple[int, ...] = DEFAULT_BUCKETS,
 ) -> CtrModel:
-    """Fit the logistic model by gradient ascent with backtracking.
+    """Fit the logistic model by damped Newton's method (IRLS).
 
-    The ascent runs on the distinct design rows weighted by their event
-    counts, which gives the same objective and gradient as running it
-    event by event. Each step must raise the mean penalized
-    log-likelihood by the Armijo margin, measured as an exact change
-    from the current weights, so the likelihood is non-decreasing across
+    The fit runs on the distinct design rows weighted by their event
+    counts, which gives the same objective, gradient and Hessian as
+    running it event by event. The Newton direction is the minimum-norm
+    least-squares solution of ``H d = g``, with ``H`` the negated Hessian
+    of the mean penalized log-likelihood; when a bucket holds no event or
+    the reference bucket has none, ``H`` is singular and that solution
+    keeps the weights in the row space of the design. Backtracking from
+    the full step takes the first step that raises the mean penalized
+    log-likelihood by the Armijo margin, measured as an exact change from
+    the current weights, so the likelihood is non-decreasing across
     iterations; convergence is declared when the gradient max-norm drops
-    below `tol`. The ascent stops early when backtracking finds no step
-    with any gain, which happens when `tol` is below what the gradient can
-    resolve. Stopping above `tol` (at `max_iters` or on such a stall)
-    raises :class:`ConvergenceError`, which carries the partial model.
+    below `tol`. The fit stops early when a step no longer lowers the
+    gradient max-norm while the Newton decrement ``g @ d`` is at the
+    rounding level of the objective, or when no step raises the
+    likelihood, which happens when `tol` is below what the gradient can
+    resolve; far from the optimum a step may raise the gradient max-norm,
+    and the fit goes on. Stopping above `tol` (at `max_iters` or on such a
+    stall) raises :class:`ConvergenceError`, which carries the partial
+    model.
     """
     if not 0 <= l2 < np.inf:  # also rejects NaN
         raise ValidationError(f"l2 must be finite and >= 0, got {l2}")
+    if not 0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    if not _is_integer(max_iters) or max_iters < 1:
+        raise ValidationError(f"max_iters must be an integer >= 1, got {max_iters}")
     if len(events) == 0 or events.converted.all() or not events.converted.any():
         raise ValidationError("need at least one positive and one negative event")
     X, y, n = _sufficient_stats(events, include_fatigue, tuple(fatigue_boundaries))
     w = np.zeros(X.shape[1])
     grad_norm = np.inf
-    step = 4.0
     for _ in range(max_iters):
         g = loglik_gradient(w, X, y, l2, n)
-        grad_norm = float(np.abs(g).max())
+        last_norm, grad_norm = grad_norm, float(np.abs(g).max())
         if grad_norm < tol:
             break
-        gg = float(g @ g)
-        t, gained = step, False
-        while t > 1e-18:
-            gain = penalized_loglik(w + t * g, X, y, l2, n, base=w)
-            if gain >= 0.5 * t * gg:  # Armijo for ascent
+        p = _sigmoid(X @ w)
+        H = (X.T * (n * p * (1 - p))) @ X / n.sum() + l2 * np.eye(len(w))
+        d = np.linalg.lstsq(H, g, rcond=None)[0]  # min-norm: stays in the row space of X
+        decrement = g @ d  # twice the gain the quadratic model predicts for the full step
+        if grad_norm >= last_norm and decrement <= np.finfo(float).eps:
+            break  # the gradient no longer falls and a step could gain only rounding: it is at its floor
+        for t in 0.5 ** np.arange(60):
+            if penalized_loglik(w + t * d, X, y, l2, n, base=w) >= 1e-4 * t * decrement:  # Armijo
                 break
-            gained = gained or gain > 0
-            t /= 2
-        if t <= 1e-18 and not gained:
-            break  # no step along the gradient raises the likelihood: the ascent has stalled
-        w = w + t * g
-        step = min(4.0 * t, 64.0)  # let the step grow back after backtracks
+        else:
+            break  # no step along d raises the likelihood: the gradient is rounding noise
+        w = w + t * d
 
     model = CtrModel(
         weights=tuple(float(v) for v in w),

@@ -662,10 +662,11 @@ class TestPipeline:
                        "--out", str(ev)) == 0
             assert ev.read_text().splitlines()[-1] == sweep_row
 
-    def test_bootstrap_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # from about 120k users OpenBLAS 0.3 splits a matrix-vector product
         # over the users across threads, which changes its last bits; the
-        # bootstrap's sums must not go through one
+        # bootstrap's sums must not go through one, and the CTR fit's
+        # LAPACK solves must give the same calibration under either count
         raw = default_experiment_config().to_json()
         raw["sim"]["n_users"] = 125_000
         raw["resamples"] = 100
@@ -686,11 +687,12 @@ class TestPipeline:
                 ["marginals", "--config", str(cfg), "--log", str(log), "--out", str(out / "marginals.csv")],
                 ["offline-eval", "--config", str(cfg), "--log", str(log),
                  "--policy", str(policy), "--out", str(out / "eval.csv")],
+                ["fit-ctr", "--config", str(cfg), "--out", str(out / "calibration.csv")],
             ]
             # one interpreter per thread count: BLAS reads the variable when it loads
             subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)], env=env,
                            check=True, capture_output=True, timeout=300)
-            outputs[threads] = [(out / name).read_bytes() for name in ("marginals.csv", "eval.csv")]
+            outputs[threads] = [(out / name).read_bytes() for name in ("marginals.csv", "eval.csv", "calibration.csv")]
         assert outputs["1"] == outputs["2"]
 
     def test_bootstrap_outputs_do_not_depend_on_the_worker_count(self, tiny_config, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,30 @@ def continuous_problem(seed, n, d_ctx=2):
     onehot = design(DisplayEvents(fatigue, converted))[:, 1:]
     X = np.hstack([np.ones((n, 1)), np.reshape(features, (n, d_ctx)), onehot])
     return X, np.asarray(converted, dtype=np.float64)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of the gradient and likelihood evaluations `fit_ctr` makes."""
+    import impatience.predictor as predictor
+
+    calls = {"gradient": 0, "loglik": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(predictor, "loglik_gradient", counted("gradient", predictor.loglik_gradient))
+    monkeypatch.setattr(predictor, "penalized_loglik", counted("loglik", predictor.penalized_loglik))
+    return calls
+
+
+def table_events(counts, positives):
+    """counts[b] events at fatigue b, the first positives[b] of them converting."""
+    return DisplayEvents(np.repeat(np.arange(len(counts)), counts),
+                         np.concatenate([np.arange(n) < k for n, k in zip(counts, positives)]))
 
 
 def separable_events():
@@ -117,41 +142,54 @@ class TestFitCtr:
         rate = events.converted.sum() / len(events)
         assert model.bucket_proba()[0] == pytest.approx(rate, rel=1e-6)
 
-    def test_saturated_model_matches_per_bucket_rates(self):
+    @pytest.mark.parametrize("tol,rel", [(1e-9, 1e-5), (None, 1e-6)], ids=["tol=1e-9", "default-tol"])
+    def test_saturated_model_matches_per_bucket_rates(self, tol, rel):
+        # one weight per bucket: the fitted model reproduces each bucket's rate,
+        # at the default tolerance too
         rng = np.random.default_rng(5)
         probs = [0.20, 0.15, 0.10, 0.07, 0.05, 0.03]
         events = bernoulli_events(rng, probs, [3000] * 6)
-        model = fit_ctr(events, tol=1e-9)
+        model = fit_ctr(events) if tol is None else fit_ctr(events, tol=tol)
         for row in calibration_curve(model, events):
-            assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-5)
+            assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=rel)
 
-    def test_unreachable_tol_stops_when_no_step_gains(self, monkeypatch):
-        # tol=1e-17 is below what the gradient resolves (~2e-17 here): once
-        # backtracking finds no step with any gain the fit gives up, instead
-        # of spinning to max_iters (10000 gradients, 20311 likelihoods)
-        import impatience.predictor as predictor
+    @pytest.mark.parametrize("events", [
+        bernoulli_events(np.random.default_rng(5), [0.20, 0.15, 0.10, 0.07, 0.05, 0.03], [3000] * 6),
+        # bucket 0 above 0.5 and the rest far below it: at w = 0 their residuals
+        # cancel in the intercept, and the first full step raises the gradient
+        # max-norm (0.0096 -> 0.0106) far from the optimum
+        table_events([45000] + [1000] * 5, [24898] + [20] * 5),
+    ], ids=["falling-rates", "rates-straddle-one-half"])
+    def test_default_fit_takes_few_gradient_evaluations(self, evaluations, events):
+        # Newton's method converges quadratically: a handful of iterations
+        # reach the default tolerance
+        fit_ctr(events)
+        assert 1 <= evaluations["gradient"] <= 10
 
-        calls = {"gradient": 0, "loglik": 0}
-        gradient, loglik = predictor.loglik_gradient, predictor.penalized_loglik
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(predictor, "loglik_gradient", counted("gradient", gradient))
-        monkeypatch.setattr(predictor, "penalized_loglik", counted("loglik", loglik))
+    def test_unreachable_tol_stops_when_no_step_gains(self, evaluations):
+        # tol=0 is below what the gradient resolves (~1e-17 here): once a
+        # step no longer lowers the gradient the fit gives up, instead of
+        # spinning to max_iters (10000 gradients)
         rng = np.random.default_rng(5)
         events = bernoulli_events(rng, [0.20, 0.15, 0.10, 0.07, 0.05, 0.03], [3000] * 6)
         with pytest.raises(ConvergenceError) as exc_info:
-            fit_ctr(events, tol=1e-17)
+            fit_ctr(events, tol=0.0)
         assert exc_info.value.grad_norm < 1e-12
-        assert calls["gradient"] <= 1000
-        assert calls["loglik"] <= 3000
+        assert evaluations["gradient"] <= 1000
+        assert evaluations["loglik"] <= 3000
         # the error carries the partial model, fitted as far as the data resolve
         for row in calibration_curve(exc_info.value.model, events):
             assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-9)
+
+    def test_unreachable_tol_stops_when_backtracked_steps_stall(self, evaluations):
+        # on these counts the steps at the gradient's rounding floor pass the
+        # Armijo test only after backtracking, so a stop rule that looks at
+        # full steps alone would run to max_iters
+        events = table_events([18293, 16647, 40272, 9968, 13361, 6982], [17098, 869, 8513, 1374, 13144, 6963])
+        with pytest.raises(ConvergenceError) as exc_info:
+            fit_ctr(events, tol=0.0)
+        assert exc_info.value.grad_norm < 1e-12
+        assert evaluations["gradient"] <= 100
 
     def test_likelihood_nondecreasing_over_refit(self):
         # tighter tolerance can only improve the mean log-likelihood
@@ -167,11 +205,12 @@ class TestFitCtr:
         assert lls[2] >= lls[1] - 1e-12
 
     def test_separable_data_without_penalty_diverges_but_classifies(self):
-        # perfectly separated: the unpenalized MLE runs off to infinity,
-        # so the capped fit raises, yet the partial model has 100% accuracy
+        # perfectly separated: the unpenalized MLE runs off to infinity, so
+        # the capped fit raises, yet the partial model has 100% accuracy (with
+        # more iterations the rates round to exactly 1 and 0 and it converges)
         events = separable_events()
         with pytest.raises(ConvergenceError) as exc_info:
-            fit_ctr(events, l2=0.0, max_iters=200, tol=1e-12)
+            fit_ctr(events, l2=0.0, max_iters=20, tol=1e-12)
         err = exc_info.value
         assert err.grad_norm > 0
         pred = err.model.bucket_proba()[assign_clusters(events.fatigue, err.model.fatigue_boundaries)]
@@ -201,6 +240,37 @@ class TestFitCtr:
         events = DisplayEvents([0, 0], [True, False])
         with pytest.raises(ValidationError, match="l2 must be finite and >= 0"):
             fit_ctr(events, l2=l2)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+        ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
+        ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+        ({"max_iters": 0}, "max_iters must be an integer >= 1, got 0"),
+        ({"max_iters": 2.5}, "max_iters must be an integer >= 1, got 2.5"),
+        ({"max_iters": True}, "max_iters must be an integer >= 1, got True"),
+    ])
+    def test_rejects_bad_stopping_rule(self, kwargs, message):
+        # NaN would end the fit unconverged without an error, a negative tol or
+        # no iteration could never converge, and a float count is a TypeError
+        events = DisplayEvents([0, 0], [True, False])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit_ctr(events, **kwargs)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_rank_deficient_design(self, l2):
+        # no event in bucket 0 (the reference level) and none in bucket 3: the
+        # design has more columns than distinct rows, so its Hessian is
+        # singular; the empty bucket's weight keeps its start value up to the
+        # rounding of the least-squares solve
+        rng = np.random.default_rng(13)
+        probs = [0.0, 0.2, 0.1, 0.0, 0.05, 0.03]
+        events = bernoulli_events(rng, probs, [0, 2000, 2000, 0, 2000, 2000])
+        model = fit_ctr(events, l2=l2)
+        assert model.weights[3] == pytest.approx(0.0, abs=1e-15)
+        if l2 == 0.0:
+            for row in calibration_curve(model, events):
+                if row.n > 0:
+                    assert row.mean_predicted == pytest.approx(row.empirical_rate, rel=1e-6)
 
 
 class TestCalibrationCurve:
@@ -244,21 +314,22 @@ class TestCalibrationCurve:
 
 
 def reference_fit(events, include_fatigue=True, l2=0.0, tol=1e-7, max_iters=10_000):
-    """The ascent of `fit_ctr` run event by event: one design row per event."""
+    """The Newton iteration of `fit_ctr` run event by event: one design row per event."""
     X = design(events, include_fatigue)
     y = events.converted.astype(np.float64)
     ones = np.ones(len(y))
     w = np.zeros(X.shape[1])
-    step = 4.0
     for _ in range(max_iters):
         g = loglik_gradient(w, X, y, l2, ones)
         if np.abs(g).max() < tol:
             break
-        t = step
-        while t > 1e-18 and penalized_loglik(w + t * g, X, y, l2, ones, base=w) < 0.5 * t * (g @ g):
+        p = _sigmoid(X @ w)
+        H = (X.T * (p * (1 - p))) @ X / len(y) + l2 * np.eye(len(w))
+        d = np.linalg.lstsq(H, g, rcond=None)[0]
+        t = 1.0
+        while t > 1e-18 and penalized_loglik(w + t * d, X, y, l2, ones, base=w) < 1e-4 * t * (g @ d):
             t /= 2
-        w = w + t * g
-        step = min(4.0 * t, 64.0)
+        w = w + t * d
     return w, X, y
 
 
