@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import astuple, fields, replace
+from functools import cache
 from itertools import chain
 
 from . import __version__
@@ -225,6 +226,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@cache  # built on the first call, then shared: parsing keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="impatience", description=__doc__)
     parser.add_argument("--version", action="version", version=f"impatience {__version__}")
@@ -279,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (UsageError, LogFormatError, ValidationError) as exc:

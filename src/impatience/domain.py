@@ -533,9 +533,9 @@ _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: The fields of a user line in the order `_to_json` writes them (sorted keys).
 _ROW_FIELDS = tuple(sorted(_USER_FIELDS))
-#: One user line as a `%` template of already formatted values (see `_texts`).
-#: Its output equals `_to_json`'s.
-_ROW = "{" + ",".join(f'"{f}":%s' for f in _ROW_FIELDS) + "}\n"
+#: One user line as its key pieces, each followed by a hole (None) for its field's value text
+#: (see `_texts`); filled and joined, it equals `_to_json`'s line.
+_ROW = [*chain.from_iterable((f'{"," if k else "{"}"{f}":', None) for k, f in enumerate(_ROW_FIELDS)), "}\n"]
 
 
 @contextmanager
@@ -608,21 +608,17 @@ def write_log(log: RandomizedLog, destination: str | IO[str]) -> None:
 
 
 def _write_lines(log: RandomizedLog, fh: IO[str]) -> None:
-    header = {
-        "schema": SCHEMA_VERSION,
-        "mu": log.spec.mu,
-        "sigma": log.spec.sigma,
-        "bucket_boundaries": list(log.bucket_boundaries),
-    }
+    header = {"schema": SCHEMA_VERSION, "mu": log.spec.mu, "sigma": log.spec.sigma,
+              "bucket_boundaries": list(log.bucket_boundaries)}
     fh.write(_to_json(header) + "\n")
     for start in range(0, len(log), _BLOCK):
         block = slice(start, start + _BLOCK)
-        columns = [
-            map(encode_basestring_ascii, log.user_ids[block].tolist()) if f == "user_id"
-            else _texts(log.arrays[f][block])
-            for f in _ROW_FIELDS
-        ]
-        fh.write("".join(map(_ROW.__mod__, zip(*columns))))
+        ids = log.user_ids[block].tolist()
+        pieces = _ROW * len(ids)  # the block's rows, one after another; a column fills its holes in every row
+        for k, f in enumerate(_ROW_FIELDS):
+            pieces[2 * k + 1::len(_ROW)] = (map(encode_basestring_ascii, ids) if f == "user_id"
+                                            else _texts(log.arrays[f][block]))
+        fh.write("".join(pieces))
 
 
 def _texts(values: np.ndarray) -> list[str]:
@@ -690,13 +686,12 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
         raise LogFormatError(str(exc), lineno) from exc
 
 
-#: A user line's values in `_USER_FIELDS` order, and the JSON types each may have with the words its error uses.
-_USER_VALUES = itemgetter(*_USER_FIELDS)
+#: The JSON types each field of a user line may have, with the words its error uses.
 _FIELD_TYPES = {"user_id": ({str, int}, "a string or an integer"),
                 **{f: ({int}, "an integer") if f in _INT_FIELDS else ({int, float}, "a number") for f in _COLUMNS}}
 
 
-def _parse_block(texts: list[str]) -> list[tuple] | None:
+def _parse_block(texts: list[str]) -> list[list] | None:
     """The columns of a block of non-blank stripped user lines, parsed in one JSON call.
 
     Returns None where any line needs the per-line checks. Lines are joined
@@ -719,20 +714,22 @@ def _parse_block(texts: list[str]) -> list[tuple] | None:
     if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
         return None
     try:
-        return _typed(list(zip(*map(_USER_VALUES, items))))
+        return _typed(items)
     except KeyError:
         return None
 
 
-def _typed(columns: list[tuple]) -> list[tuple] | None:
-    """`columns` with integer user ids as their decimal text, or None where `_FIELD_TYPES` rejects a value."""
+def _typed(items: list[dict]) -> list[list] | None:
+    """The user objects' columns in `_USER_FIELDS` order, integer ids as their decimal text; None where `_FIELD_TYPES`
+    rejects a value, and a KeyError where an object lacks a field."""
+    columns = [list(map(itemgetter(f), items)) for f in _USER_FIELDS]
     kinds = [set(map(type, values)) for values in columns]
     if all(kind <= types for kind, (types, _) in zip(kinds, _FIELD_TYPES.values())):
-        return [tuple(map(str, columns[0])) if int in kinds[0] else columns[0], *columns[1:]]
+        return [list(map(str, columns[0])) if int in kinds[0] else columns[0], *columns[1:]]
     return None
 
 
-def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
+def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[list]:
     """The columns of a block of stripped user lines, checked line by line."""
     rows = []
     for lineno, line in zip(linenos, texts):
@@ -749,11 +746,11 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[tuple]:
         for f, (types, word) in _FIELD_TYPES.items():
             if type(raw[f]) not in types:
                 raise LogFormatError(f"{f} must be {word}, got {raw[f]!r}", lineno)
-        rows.append(_USER_VALUES(raw))
-    return _typed(list(zip(*rows)))
+        rows.append(raw)
+    return _typed(rows)
 
 
-def _parse_columns(columns: list[tuple], linenos: Iterable[int]) -> list[np.ndarray]:
+def _parse_columns(columns: list[list], linenos: Iterable[int]) -> list[np.ndarray]:
     """A block's ids and value columns as arrays. Where one cannot be held, the block's lines are
     searched in file order, each line's id and then its values: the first id that UTF-8 cannot
     encode or JSON number beyond its column's dtype is the fault."""

@@ -24,12 +24,12 @@ from .domain import DEFAULT_BUCKETS, ValidationError, _is_integer, assign_cluste
 
 
 class ConvergenceError(RuntimeError):
-    """The fit did not reach the tolerance; carries the last gradient
-    max-norm and the partially fitted model."""
+    """The fit did not reach the tolerance; carries the partially fitted
+    model, the iterate of lowest gradient max-norm, and that max-norm."""
 
     def __init__(self, grad_norm: float, model: "CtrModel"):
         super().__init__(
-            f"CTR fit did not converge: last gradient max-norm {grad_norm:.3e}"
+            f"CTR fit did not converge: lowest gradient max-norm {grad_norm:.3e}"
         )
         self.grad_norm = grad_norm
         self.model = model
@@ -175,14 +175,14 @@ def fit_ctr(
     log-likelihood by the Armijo margin, measured as an exact change from
     the current weights, so the likelihood is non-decreasing across
     iterations; convergence is declared when the gradient max-norm drops
-    below `tol`. The fit stops early when a step no longer lowers the
-    gradient max-norm while the Newton decrement ``g @ d`` is at the
-    rounding level of the objective, or when no step raises the
-    likelihood, which happens when `tol` is below what the gradient can
-    resolve; far from the optimum a step may raise the gradient max-norm,
-    and the fit goes on. Stopping above `tol` (at `max_iters` or on such a
-    stall) raises :class:`ConvergenceError`, which carries the partial
-    model.
+    below `tol`. When `tol` is below what the gradient resolves, the fit
+    stops early: when no step raises the likelihood, when the Newton
+    decrement ``g @ d`` is at the objective's rounding level (eps) and the
+    last step did not lower the gradient max-norm, or at eps**2 whatever
+    the gradient does; far from the optimum a step may raise the gradient
+    max-norm, and the fit goes on. Stopping above `tol` raises
+    :class:`ConvergenceError`, which carries the iterate of lowest
+    gradient max-norm as the partial model.
     """
     if not 0 <= l2 < np.inf:  # also rejects NaN
         raise ValidationError(f"l2 must be finite and >= 0, got {l2}")
@@ -194,18 +194,19 @@ def fit_ctr(
         raise ValidationError("need at least one positive and one negative event")
     X, y, n = _sufficient_stats(events, include_fatigue, tuple(fatigue_boundaries))
     w = np.zeros(X.shape[1])
-    grad_norm = np.inf
+    grad_norm, best = np.inf, (np.inf, w)  # best: the lowest gradient max-norm seen and its iterate
     for _ in range(max_iters):
         g = loglik_gradient(w, X, y, l2, n)
         last_norm, grad_norm = grad_norm, float(np.abs(g).max())
+        best = min(best, (grad_norm, w), key=lambda pair: pair[0])  # the earlier of two equal norms
         if grad_norm < tol:
             break
         p = _sigmoid(X @ w)
         H = (X.T * (n * p * (1 - p))) @ X / n.sum() + l2 * np.eye(len(w))
         d = np.linalg.lstsq(H, g, rcond=None)[0]  # min-norm: stays in the row space of X
         decrement = g @ d  # twice the gain the quadratic model predicts for the full step
-        if grad_norm >= last_norm and decrement <= np.finfo(float).eps:
-            break  # the gradient no longer falls and a step could gain only rounding: it is at its floor
+        if decrement <= np.finfo(float).eps ** (1 + (grad_norm < last_norm)):
+            break  # at the floor: a step gains only rounding (eps), or rounding's rounding while the gradient falls
         for t in 0.5 ** np.arange(60):
             if penalized_loglik(w + t * d, X, y, l2, n, base=w) >= 1e-4 * t * decrement:  # Armijo
                 break
@@ -213,6 +214,7 @@ def fit_ctr(
             break  # no step along d raises the likelihood: the gradient is rounding noise
         w = w + t * d
 
+    grad_norm, w = best
     model = CtrModel(
         weights=tuple(float(v) for v in w),
         includes_fatigue=include_fatigue,

@@ -458,10 +458,13 @@ class TestSimulate:
         assert json.loads(header)["schema"] == "impatience-log/1"
 
     def test_seed_override_changes_output(self, tiny_config, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        # one parser serves every call in a process: the --seed of one call must not reach the next
+        a, b, c = (tmp_path / f"{name}.jsonl" for name in "abc")
         run("simulate", "--config", tiny_config, "--out", str(a))
-        run("simulate", "--config", tiny_config, "--seed", "99", "--out", str(b))
+        run("simulate", "--config", tiny_config, "--seed", "5", "--out", str(b))
+        run("simulate", "--config", tiny_config, "--out", str(c))
         assert a.read_bytes() != b.read_bytes()
+        assert c.read_bytes() == a.read_bytes()
 
 
 class TestOptimize:

@@ -191,6 +191,38 @@ class TestFitCtr:
         assert exc_info.value.grad_norm < 1e-12
         assert evaluations["gradient"] <= 100
 
+    @pytest.mark.parametrize("events", [
+        bernoulli_events(np.random.default_rng(5), [0.20, 0.15, 0.10, 0.07, 0.05, 0.03], [3000] * 6),
+        # its gradient max-norms end 1.1e-17, 8.6e-18, 1.1e-17: the last iterate is not the best
+        table_events([18293, 16647, 40272, 9968, 13361, 6982], [17098, 869, 8513, 1374, 13144, 6963]),
+    ], ids=["falling-rates", "backtracked-stall"])
+    def test_stall_carries_the_lowest_gradient_iterate(self, monkeypatch, events):
+        import impatience.predictor as predictor
+
+        seen = []  # (gradient max-norm, weights) of every iterate
+
+        def recorded(w, *args):
+            g = loglik_gradient(w, *args)
+            seen.append((float(np.abs(g).max()), tuple(map(float, w))))
+            return g
+
+        monkeypatch.setattr(predictor, "loglik_gradient", recorded)
+        with pytest.raises(ConvergenceError) as exc_info:
+            fit_ctr(events, tol=0.0)
+        norm, weights = min(seen, key=lambda pair: pair[0])
+        assert (exc_info.value.grad_norm, exc_info.value.model.weights) == (norm, weights)
+        assert f"lowest gradient max-norm {norm:.3e}" in str(exc_info.value)
+
+    def test_penalized_fit_stops_at_a_decrement_far_below_rounding(self, evaluations):
+        # with l2 > 0 the gradient max-norm reaches 7.4e-18 after 9 gradients and then
+        # creeps down by about 1e-22 a step at a decrement of 3.9e-34; a fit that stopped
+        # only when the gradient rose took 159 gradients
+        events = table_events([56339, 2496, 118, 3125, 4167], [28269, 24, 4, 31, 77])
+        with pytest.raises(ConvergenceError) as exc_info:
+            fit_ctr(events, l2=1e-4, tol=0.0)
+        assert exc_info.value.grad_norm < 1e-16
+        assert evaluations["gradient"] <= 20
+
     def test_likelihood_nondecreasing_over_refit(self):
         # tighter tolerance can only improve the mean log-likelihood
         rng = np.random.default_rng(6)
