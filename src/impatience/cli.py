@@ -31,7 +31,6 @@ from .domain import (
     ValidationError,
     _JSON_ERRORS,
     _finite,
-    _fmt,  # noqa: F401  (re-exported: callers import it from here)
     _unique_keys,
     read_json,
     read_log,
@@ -47,7 +46,6 @@ from .estimators import WeightProfileRow, _policy_delta_bootstraps, cluster_esti
 from .optimizer import PolicyDelta, ReallocationProblem, solve_reallocation_detailed, sweep_policies
 from .predictor import CalibrationRow, ConvergenceError, calibration_curves, events_from_trace
 from .simulator import (
-    DEFAULT_SWEEP,  # noqa: F401  (re-exported with the config record)
     ExperimentConfig,
     ab_outcomes,
     default_experiment_config,

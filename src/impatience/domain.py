@@ -673,8 +673,7 @@ def _read_lines(fh: Iterable[str]) -> RandomizedLog:
             texts, linenos = list(compress(texts, texts)), list(compress(linenos, texts))
             if not texts:
                 continue
-        columns = _parse_block(texts) or _check_lines(texts, linenos)
-        for part, array in zip(parts.values(), _parse_columns(columns, linenos)):
+        for part, array in zip(parts.values(), _parse_block(texts) or _check_lines(texts, linenos)):
             part.append(array)
         user_lines.append(linenos)
     # one array per field, letting go of each field's blocks as soon as they are joined
@@ -691,16 +690,16 @@ _FIELD_TYPES = {"user_id": ({str, int}, "a string or an integer"),
                 **{f: ({int}, "an integer") if f in _INT_FIELDS else ({int, float}, "a number") for f in _COLUMNS}}
 
 
-def _parse_block(texts: list[str]) -> list[list] | None:
-    """The columns of a block of non-blank stripped user lines, parsed in one JSON call.
+def _parse_block(texts: list[str]) -> list[np.ndarray] | None:
+    """The arrays of a block of non-blank stripped user lines, parsed in one JSON call.
 
-    Returns None where any line needs the per-line checks. Lines are joined
-    with a newline, which no JSON string may hold, so a string cannot span
-    two lines; every line opens and closes an object, the block gives one
-    object per line and every value is a scalar, so each object is exactly
-    one line. Each member of an object holds one colon outside its strings
-    and a number holds none, so a block with as many colons as fields per
-    line repeats no key (an id holding a colon takes the per-line checks).
+    Returns None where any line is faulty or needs the per-line checks. Lines
+    are joined with a newline, which no JSON string may hold, so a string
+    cannot span two lines; every line opens and closes an object, the block
+    gives one object per line and every value is a scalar, so each object is
+    exactly one line. Each member of an object holds one colon outside its
+    strings and a number holds none, so a block with as many colons as fields
+    per line repeats no key (an id holding a colon takes the per-line checks).
     """
     if not all(s[0] == "{" and s[-1] == "}" for s in texts):
         return None
@@ -714,23 +713,16 @@ def _parse_block(texts: list[str]) -> list[list] | None:
     if len(items) != len(texts) or set(map(type, items)) != {dict} or set(map(len, items)) != {len(_USER_FIELDS)}:
         return None
     try:
-        return _typed(items)
-    except KeyError:
+        columns = [list(map(itemgetter(f), items)) for f in _USER_FIELDS]
+        del text, items  # the block's text and parsed objects go before its arrays are built
+        return _arrays(columns)
+    except (KeyError, TypeError, ValidationError, OverflowError):
         return None
 
 
-def _typed(items: list[dict]) -> list[list] | None:
-    """The user objects' columns in `_USER_FIELDS` order, integer ids as their decimal text; None where `_FIELD_TYPES`
-    rejects a value, and a KeyError where an object lacks a field."""
-    columns = [list(map(itemgetter(f), items)) for f in _USER_FIELDS]
-    kinds = [set(map(type, values)) for values in columns]
-    if all(kind <= types for kind, (types, _) in zip(kinds, _FIELD_TYPES.values())):
-        return [list(map(str, columns[0])) if int in kinds[0] else columns[0], *columns[1:]]
-    return None
-
-
-def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[list]:
-    """The columns of a block of stripped user lines, checked line by line."""
+def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[np.ndarray]:
+    """The arrays of a block of stripped user lines, each line checked in turn against every rule of a user
+    line, so that the first faulty line in file order is named."""
     rows = []
     for lineno, line in zip(linenos, texts):
         try:
@@ -742,33 +734,33 @@ def _check_lines(texts: list[str], linenos: Iterable[int]) -> list[list]:
         missing = [f for f in _USER_FIELDS if f not in raw]
         if missing:
             raise LogFormatError(f"missing fields {missing}", lineno)
-        # no fractional counts (int() would truncate them), and no nulls or booleans
-        for f, (types, word) in _FIELD_TYPES.items():
-            if type(raw[f]) not in types:
-                raise LogFormatError(f"{f} must be {word}, got {raw[f]!r}", lineno)
-        rows.append(raw)
-    return _typed(rows)
+        try:
+            rows.append(_arrays([[raw[f]] for f in _USER_FIELDS]))
+        except (TypeError, OverflowError) as exc:
+            f, rule = exc.args
+            raise LogFormatError(f"{f} {rule}, got {raw[f]!r}", lineno) from None
+        except ValidationError as exc:  # an id that UTF-8 cannot encode
+            raise LogFormatError(str(exc), lineno) from None
+    return list(map(np.concatenate, zip(*rows)))
 
 
-def _parse_columns(columns: list[list], linenos: Iterable[int]) -> list[np.ndarray]:
-    """A block's ids and value columns as arrays. Where one cannot be held, the block's lines are
-    searched in file order, each line's id and then its values: the first id that UTF-8 cannot
-    encode or JSON number beyond its column's dtype is the fault."""
-    ids, *values = columns
-    try:
-        return [_id_array(ids), *(np.array(column, dtype=_DTYPES[f]) for f, column in zip(_COLUMNS, values))]
-    except (ValidationError, OverflowError):
-        for lineno, (uid, *row) in zip(linenos, zip(*columns)):
-            try:
-                _id_array([uid])
-            except ValidationError as exc:
-                raise LogFormatError(str(exc), lineno) from None
-            for f, value in zip(_COLUMNS, row):
-                try:
-                    np.array(value, dtype=_DTYPES[f])
-                except OverflowError:
-                    raise LogFormatError(f"{f} is out of range, got {value!r}", lineno) from None
-        raise
+def _arrays(columns: list[list]) -> list[np.ndarray]:
+    """User values, one list per field in `_USER_FIELDS` order, as arrays of the fields' dtypes, integer ids as
+    their decimal text. Checked in this order: each field's types (no fractional counts, which int() would
+    truncate, and no nulls or booleans), the ids' encoding, each number's range. A type or range fault is a
+    TypeError or OverflowError of (field, rule), and an id that UTF-8 cannot encode a ValidationError."""
+    kinds = [set(map(type, values)) for values in columns]
+    for (f, (types, word)), kind in zip(_FIELD_TYPES.items(), kinds):
+        if not kind <= types:
+            raise TypeError(f, f"must be {word}")
+    ids, *numbers = columns
+    arrays = [_id_array(list(map(str, ids)) if int in kinds[0] else ids)]
+    for f, values in zip(_COLUMNS, numbers):
+        try:
+            arrays.append(np.array(values, dtype=_DTYPES[f]))
+        except OverflowError:
+            raise OverflowError(f, "is out of range") from None
+    return arrays
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from impatience import (
     solve_reallocation_detailed,
 )
 from impatience import cli, estimators, simulator
-from impatience.cli import DEFAULT_SWEEP, ExperimentConfig, _fmt, default_experiment_config, main
+from impatience.cli import ExperimentConfig, default_experiment_config, main
+from impatience.domain import _fmt
+from impatience.simulator import DEFAULT_SWEEP
 
 
 @pytest.fixture
